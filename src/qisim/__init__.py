@@ -26,7 +26,6 @@ from .analytics import (
 )
 from .channel import (
     Channel,
-    TimeTag,
     TimeTagStream,
     collection_fraction_max,
     read_qitt,
@@ -70,7 +69,6 @@ from .source import (
     idler_wavelength,
     mean_photon_number,
     poisson_pair_counts,
-    sample_pair_count,
     thermal_pair_counts,
 )
 

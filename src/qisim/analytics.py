@@ -1,19 +1,9 @@
-"""Closed-form click probabilities, SNR and enhancement analysis, sweeps.
+"""Click probabilities, SNR and enhancement analysis, toggled sweeps.
 
-The per-bin model: a pulse makes N pairs (Poisson, mean mu); each pair's
-signal photon is detected with the full arm efficiency eta_sig and its
-herald with eta_h, independently; jamming, dark and stray light add
-independent Poisson intensities. Click detectors fire on one or more
-photons, so
-
-    P_s  = 1 - exp(-(mu*eta_sig + beta + delta_s))
-    P_h  = 1 - exp(-(mu*eta_h + delta_h))
-    P_sh = P_s*P_h + exp(-(beta + delta_s + delta_h + mu*(eta_sig + eta_h)))
-                     * (exp(mu*eta_sig*eta_h) - 1)
-
-where the second P_sh term is the pair-correlation excess over independent
-channels. These forms are exact for Poisson pair numbers and are the
-oracle the Monte Carlo modes are tested against.
+The closed-form pattern probabilities live in
+`model.click_pattern_probabilities` (re-exported here); this module builds
+the per-channel click probabilities, the pair correlation and the SNR
+analysis on top of them.
 
 SNR follows the target in/out convention: SNR = (N_in - N_out)/N_out,
 counting singles for classical illumination and coincidences for the
@@ -28,8 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
+from .channel import simulate_counts
 from .correlator import G2Estimate, estimate_g2
 from .model import (
     BinProbabilities,
@@ -37,6 +26,7 @@ from .model import (
     ClickCounts,
     ExperimentConfig,
     SourceParams,
+    click_pattern_probabilities,
     validate_config,
 )
 from .rng import SWEEP_SPACE, substream
@@ -54,33 +44,6 @@ def click_probabilities(
         p_coincidence=p11,
         p_background=-math.expm1(-noise_s),
     )
-
-
-def click_pattern_probabilities(
-    source: SourceParams, channel: ChannelParams, target_in: bool
-) -> tuple[float, float, float, float]:
-    """Probabilities of the four per-pulse click patterns.
-
-    Returned as (both, signal only, herald only, neither); each term is
-    computed in a cancellation-free form so the tiny pattern probabilities
-    keep full relative precision.
-    """
-    mu = source.mu
-    eta_h = source.eta_herald
-    eta_sig = channel.signal_arm_efficiency(target_in)
-    noise_s = channel.signal_noise_per_bin
-    noise_h = source.noise_herald_per_bin
-
-    p_s = -math.expm1(-(mu * eta_sig + noise_s))
-    p_h = -math.expm1(-(mu * eta_h + noise_h))
-    excess = math.exp(-(noise_s + noise_h + mu * (eta_sig + eta_h))) * math.expm1(
-        mu * eta_sig * eta_h
-    )
-    p11 = p_s * p_h + excess
-    p10 = max(0.0, p_s - p11)
-    p01 = max(0.0, p_h - p11)
-    p00 = max(0.0, 1.0 - p11 - p10 - p01)
-    return p11, p10, p01, p00
 
 
 def analytic_g2(source: SourceParams, channel: ChannelParams, target_in: bool = True) -> float:
@@ -114,16 +77,6 @@ def snr_from_counts(n_in: int, n_out: int) -> SnrResult:
     value = n_in / n_out - 1.0
     var = n_in / n_out**2 + (n_in * n_in) / n_out**3
     return SnrResult(value=value, std_err=math.sqrt(var), n_in=n_in, n_out=n_out)
-
-
-def bootstrap_snr_err(
-    n_in: int, n_out: int, n_resamples: int, rng: np.random.Generator
-) -> float:
-    """Poisson-resampled cross-check of the delta-method SNR uncertainty."""
-    ins = rng.poisson(n_in, n_resamples)
-    outs = rng.poisson(n_out, n_resamples)
-    outs = np.maximum(outs, 1)
-    return float(np.std(ins / outs - 1.0))
 
 
 def expected_snr_classical(eta: float, p_s: float, p_b: float) -> float:
@@ -208,29 +161,6 @@ def _with_value(config: ExperimentConfig, variable: str, value: float) -> Experi
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _toggled_counts(
-    config: ExperimentConfig, dwell_pulses: int, rng: np.random.Generator
-) -> tuple[ClickCounts, ClickCounts]:
-    """Alternate target-in / target-out shutter segments and accumulate.
-
-    The dwell is truncated to whole in/out segment pairs so both exposures
-    are equal; interleaving mirrors the measurement protocol in which slow
-    drifts cancel between the two tallies.
-    """
-    from .channel import simulate_counts
-
-    toggle = config.toggle_period_pulses
-    n_pairs = dwell_pulses // (2 * toggle)
-    if n_pairs < 1:
-        raise ValueError("dwell_pulses must cover at least one in/out toggle pair")
-    counts_in = ClickCounts(0, 0, 0, 0, target_in=True)
-    counts_out = ClickCounts(0, 0, 0, 0, target_in=False)
-    for _ in range(n_pairs):
-        counts_in = counts_in + simulate_counts(config, True, toggle, rng)
-        counts_out = counts_out + simulate_counts(config, False, toggle, rng)
-    return counts_in, counts_out
-
-
 def _run_sweep_row(
     config: ExperimentConfig,
     variable: str,
@@ -241,16 +171,22 @@ def _run_sweep_row(
 ) -> SweepRow:
     """One sweep point; statistics that cannot be formed (for example an
     undefined SNR when the out tally is empty) are recorded per row without
-    discarding the raw counts or aborting other rows."""
-    from .channel import simulate_counts
+    discarding the raw counts or aborting other rows.
 
+    The dwell is truncated to whole in/out toggle pairs so both exposures
+    are equal. The toggled segments of one target state share their
+    pattern probabilities, so their summed tallies are one multinomial
+    draw over the whole exposure.
+    """
     cfg = _with_value(config, variable, value)
-    rng_main = substream(config.seed, SWEEP_SPACE, index, 0)
-    rng_g2 = substream(config.seed, SWEEP_SPACE, index, 1)
+    rng = substream(config.seed, SWEEP_SPACE, index)
+    toggle = cfg.toggle_period_pulses
+    exposure = (dwell_pulses // (2 * toggle)) * toggle
     problems: list[str] = []
 
     try:
-        counts_in, counts_out = _toggled_counts(cfg, dwell_pulses, rng_main)
+        counts_in = simulate_counts(cfg, True, exposure, rng)
+        counts_out = simulate_counts(cfg, False, exposure, rng)
     except ValueError as exc:
         return SweepRow(value, None, None, None, None, math.nan, math.nan, None, error=str(exc))
 
@@ -278,7 +214,7 @@ def _run_sweep_row(
     g2 = None
     try:
         blocked = replace(cfg, channel=replace(cfg.channel, background_per_bin=0.0))
-        g2_counts = simulate_counts(blocked, True, g2_dwell_pulses, rng_g2)
+        g2_counts = simulate_counts(blocked, True, g2_dwell_pulses, rng)
         g2 = estimate_g2(g2_counts)
     except ValueError as exc:
         problems.append(f"g2: {exc}")
@@ -306,9 +242,10 @@ def run_sweep(
 ) -> SweepTable:
     """Toggled in/out acquisition at each sweep value.
 
-    Rows are independent (per-row substreams keyed by the experiment seed)
-    and may run on a worker pool; failures are recorded per row without
-    aborting the rest.
+    Rows run in order in this process, each on its own generator keyed by
+    (seed, row index), so a row's draws do not depend on the other rows.
+    Failures are recorded per row without aborting the rest. max_workers
+    is accepted for compatibility and has no effect.
     """
     validate_config(config)
     if variable not in SWEEP_VARIABLES:
@@ -321,21 +258,11 @@ def run_sweep(
         g2_dwell_pulses = dwell_pulses // 2
 
     ordered = sorted(float(v) for v in values)
-    args = [
-        (config, variable, i, v, dwell_pulses, g2_dwell_pulses) for i, v in enumerate(ordered)
-    ]
-    if max_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_row_star, args))
-    else:
-        rows = [_run_sweep_row(*a) for a in args]
-    return SweepTable(sweep_variable=variable, rows=tuple(rows))
-
-
-def _row_star(args) -> SweepRow:
-    return _run_sweep_row(*args)
+    rows = tuple(
+        _run_sweep_row(config, variable, i, v, dwell_pulses, g2_dwell_pulses)
+        for i, v in enumerate(ordered)
+    )
+    return SweepTable(sweep_variable=variable, rows=rows)
 
 
 def sweep_to_csv(table: SweepTable, path: str) -> None:

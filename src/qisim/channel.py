@@ -4,8 +4,9 @@ Two modes produce the same per-bin statistics:
 
 * `simulate_counts` draws the four per-pulse click patterns (both, signal
   only, herald only, neither) from one multinomial over the closed-form
-  pattern probabilities. It is exact for Poisson pair statistics and costs
-  O(1) per acquisition segment regardless of the pulse count.
+  pattern probabilities of `model.click_pattern_probabilities`. It is
+  exact for Poisson pair statistics and costs O(1) per acquisition segment
+  regardless of the pulse count.
 * `simulate_tags` realizes the event stream explicitly: per-pulse pair
   numbers, per-photon survival, pulse-locked jamming, uniform dark counts
   and Gaussian detector jitter, reduced to click tags with at most one tag
@@ -17,6 +18,9 @@ engineered to be indistinguishable from the signal photons); dark and
 stray counts are uniform over the run, at a rate chosen so their mean
 inside the bin windows matches the per-bin intensities of the aggregate
 model.
+
+`bin_indices` is the pulse-locked binning rule: the click-per-bin dedupe
+here and the correlator's reduction both use it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .model import ClickCounts, ExperimentConfig
+from .model import ClickCounts, ExperimentConfig, click_pattern_probabilities
 from .source import PairSampler, poisson_pair_counts
 
 
@@ -37,18 +40,11 @@ class Channel(enum.IntEnum):
     HERALD = 1
 
 
-@dataclass(frozen=True)
-class TimeTag:
-    channel: Channel
-    time_ps: int
-
-
 @dataclass
 class TimeTagStream:
     """Time-ordered detection record for both channels.
 
-    Stored as parallel arrays for throughput; `tags()` iterates TimeTag
-    values for small-scale work. Sorted by time, ties broken Signal before
+    Stored as parallel arrays. Sorted by time, ties broken Signal before
     Herald. Arrays are treated as read-only after construction.
     """
 
@@ -59,10 +55,6 @@ class TimeTagStream:
     def __len__(self) -> int:
         return int(self.times_ps.shape[0])
 
-    def tags(self) -> Iterator[TimeTag]:
-        for ch, t in zip(self.channels, self.times_ps):
-            yield TimeTag(Channel(int(ch)), int(t))
-
     def is_sorted(self) -> bool:
         if len(self) < 2:
             return True
@@ -72,12 +64,6 @@ class TimeTagStream:
             return False
         ties = dt == 0
         return not np.any(ties & (np.diff(c.astype(np.int8)) < 0))
-
-    @staticmethod
-    def from_tags(tags: list, duration_ps: int) -> "TimeTagStream":
-        channels = np.array([int(t.channel) for t in tags], dtype=np.uint8)
-        times = np.array([t.time_ps for t in tags], dtype=np.int64)
-        return TimeTagStream(channels, times, int(duration_ps))
 
     @staticmethod
     def from_arrays(
@@ -108,10 +94,6 @@ def simulate_counts(
     config: ExperimentConfig, target_in: bool, n_pulses: int, rng: np.random.Generator
 ) -> ClickCounts:
     """Aggregate acquisition: one multinomial over the click patterns."""
-    # Imported here: analytics owns the closed forms but sits above this
-    # module for sweep orchestration.
-    from .analytics import click_pattern_probabilities
-
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
     patterns = click_pattern_probabilities(config.source, config.channel, target_in)
@@ -212,13 +194,24 @@ def simulate_tags(
     return TimeTagStream.from_arrays(channels, times_all, duration, sort=True)
 
 
+def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pulses: int):
+    """Nearest-pulse index of each tag and whether it lies inside that bin.
+
+    Bin k is the window [k*T - w/2, k*T + w/2) around pulse time k*T, for
+    pulses 0 <= k < n_pulses.
+    """
+    k = (times + pulse_period_ps // 2) // pulse_period_ps
+    offset = times - k * pulse_period_ps
+    in_bin = (2 * offset >= -bin_width_ps) & (2 * offset < bin_width_ps)
+    in_bin &= (k >= 0) & (k < n_pulses)
+    return k, in_bin
+
+
 def _dedupe_bins(times: np.ndarray, bin_width: int, period: int, n_pulses: int) -> np.ndarray:
     """Keep the first tag in each occupied bin; tags between bins pass through."""
     if times.size == 0:
         return times
-    k = (times + period // 2) // period
-    offset = times - k * period
-    in_bin = (2 * offset >= -bin_width) & (2 * offset < bin_width) & (k >= 0) & (k < n_pulses)
+    k, in_bin = bin_indices(times, bin_width, period, n_pulses)
     keep = np.ones(times.size, dtype=bool)
     idx = np.flatnonzero(in_bin)
     if idx.size > 1:

@@ -162,9 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--values-per-s applies to the background variable only")
         values = [v / config.source.rep_rate_hz for v in values]
     dwell = _dwell_pulses(config, args.dwell_s)
-    table = analytics.run_sweep(
-        config, args.variable, values, dwell, max_workers=args.threads
-    )
+    table = analytics.run_sweep(config, args.variable, values, dwell)
     analytics.sweep_to_csv(table, args.out)
     failed = [row.value for row in table.rows if row.error is not None]
     _record_run(
@@ -188,7 +186,7 @@ def cmd_image(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scene = imaging.scene_from_pgm(args.scene)
     dwell = _dwell_pulses(config, args.dwell_s)
-    ci, qi = imaging.raster_scan(scene, config, dwell, max_workers=args.threads)
+    ci, qi = imaging.raster_scan(scene, config, dwell)
 
     outputs = []
     for img, tag in ((ci, "ci"), (qi, "qi")):
@@ -227,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help=f"config JSON path (default ${CONFIG_ENV_VAR})")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker process cap")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; has no effect (every run is one process)",
+        )
 
     p = sub.add_parser("characterize", help="source counts and correlation vs mu")
     common(p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, TimeTagStream
+from .channel import Channel, TimeTagStream, bin_indices
 from .model import ClickCounts
 
 
@@ -36,15 +36,6 @@ def _require_sorted(stream: TimeTagStream) -> None:
         raise StreamOrderError("unsorted stream")
 
 
-def _bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pulses: int):
-    """Nearest-pulse index of each tag and whether it lies inside that bin."""
-    k = (times + pulse_period_ps // 2) // pulse_period_ps
-    offset = times - k * pulse_period_ps
-    in_bin = (2 * offset >= -bin_width_ps) & (2 * offset < bin_width_ps)
-    in_bin &= (k >= 0) & (k < n_pulses)
-    return k, in_bin
-
-
 def bin_and_count(
     stream: TimeTagStream, bin_width_ps: int, pulse_period_ps: int
 ) -> ClickCounts:
@@ -57,7 +48,7 @@ def bin_and_count(
     occupied = []
     for chan in (Channel.SIGNAL, Channel.HERALD):
         times = stream.times_ps[stream.channels == int(chan)]
-        k, in_bin = _bin_indices(times, bin_width_ps, pulse_period_ps, n_pulses)
+        k, in_bin = bin_indices(times, bin_width_ps, pulse_period_ps, n_pulses)
         k = k[in_bin]
         if k.size > 1:  # already sorted; drop repeats within a bin
             k = k[np.concatenate(([True], k[1:] != k[:-1]))]

@@ -4,7 +4,8 @@ The beam stays fixed and the target moves; one acquisition per pixel
 builds the image. Singles and coincidences come from the same simulated
 acquisition per pixel, so the classical (CI) and pair-correlated (QI)
 images are noise-correlated exactly as when both statistics are recorded
-simultaneously. The background stays on for every pixel.
+simultaneously. The background stays on for every pixel. The whole scan
+is one multinomial draw over per-pixel click-pattern probabilities.
 
 Scenes load from plain-text portable graymaps (PGM P2) with reflectivity
 gray/maxval; images export to PGM P2 rescaled to maxval 65535 plus a raw
@@ -16,11 +17,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-from .model import ExperimentConfig, validate_config
+from .model import ExperimentConfig, click_pattern_probabilities, validate_config
 from .rng import PIXEL_SPACE, substream
 
 
@@ -75,70 +75,28 @@ def raster_scan(
     scene: Scene,
     config: ExperimentConfig,
     dwell_pulses: int,
-    rng: Optional[np.random.Generator] = None,
     max_workers: int = 1,
 ) -> tuple[PixelImage, PixelImage]:
     """Acquire CI (singles) and QI (coincidence) images of the scene.
 
-    Each pixel is an independent acquisition on its own substream keyed by
-    (seed, row, col), so the scan parallelizes and reproduces exactly. If
-    an explicit generator is passed, per-pixel streams are spawned from it
-    in row-major order instead.
+    Each pixel is an independent acquisition with the scene's reflectivity
+    at that pixel. The scan runs in this process and draws all pixels at
+    once from one generator keyed by (seed, PIXEL_SPACE), so a rerun with
+    the same seed is identical. max_workers is accepted for compatibility
+    and has no effect.
     """
-    from .channel import simulate_counts
-
     validate_config(config)
     if dwell_pulses < 1:
         raise ValueError("dwell_pulses must be at least 1")
-    h, w = scene.grid.shape
-    pixel_rngs = None
-    if rng is not None:
-        pixel_rngs = rng.spawn(h * w)
-
-    def pixel_counts(r: int, c: int):
-        cfg = replace(
-            config,
-            channel=replace(config.channel, target_reflectivity=float(scene.grid[r, c])),
-        )
-        gen = (
-            pixel_rngs[r * w + c]
-            if pixel_rngs is not None
-            else substream(config.seed, PIXEL_SPACE, r, c)
-        )
-        return simulate_counts(cfg, True, dwell_pulses, gen)
-
-    ci = np.zeros((h, w), dtype=np.float64)
-    qi = np.zeros((h, w), dtype=np.float64)
-    if max_workers > 1 and pixel_rngs is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        coords = [(r, c) for r in range(h) for c in range(w)]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = pool.map(
-                _pixel_star, [(config, float(scene.grid[r, c]), dwell_pulses, r, c) for r, c in coords]
-            )
-        for (r, c), (n_sig, n_coinc) in zip(coords, results):
-            ci[r, c] = n_sig
-            qi[r, c] = n_coinc
-    else:
-        for r in range(h):
-            for c in range(w):
-                counts = pixel_counts(r, c)
-                ci[r, c] = counts.n_signal_clicks
-                qi[r, c] = counts.n_coincidences
+    pixels = replace(config.channel, target_reflectivity=scene.grid.ravel())
+    patterns = np.stack(click_pattern_probabilities(config.source, pixels, True), axis=-1)
+    counts = substream(config.seed, PIXEL_SPACE).multinomial(dwell_pulses, patterns)
+    n11, n10 = counts[:, 0], counts[:, 1]
+    shape = scene.grid.shape
     return (
-        PixelImage(ci, dwell_pulses, ImageKind.CI),
-        PixelImage(qi, dwell_pulses, ImageKind.QI),
+        PixelImage((n11 + n10).reshape(shape), dwell_pulses, ImageKind.CI),
+        PixelImage(n11.reshape(shape), dwell_pulses, ImageKind.QI),
     )
-
-
-def _pixel_star(args) -> tuple[int, int]:
-    from .channel import simulate_counts
-
-    config, reflectivity, dwell_pulses, r, c = args
-    cfg = replace(config, channel=replace(config.channel, target_reflectivity=reflectivity))
-    counts = simulate_counts(cfg, True, dwell_pulses, substream(config.seed, PIXEL_SPACE, r, c))
-    return counts.n_signal_clicks, counts.n_coincidences
 
 
 def interpolate4(image: PixelImage) -> PixelImage:

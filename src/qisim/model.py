@@ -21,6 +21,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 PS_PER_SECOND = 10**12
 
 DEFAULT_REP_RATE_HZ = 80e6
@@ -182,6 +184,49 @@ class BinProbabilities:
         hi = min(self.p_signal, self.p_herald)
         if not (lo - _FRECHET_TOL <= self.p_coincidence <= hi + _FRECHET_TOL):
             raise ValueError("p_coincidence violates joint-probability bounds")
+
+
+def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, target_in: bool):
+    """Probabilities of the four per-pulse click patterns.
+
+    The per-bin model: a pulse makes N pairs (Poisson, mean mu); each
+    pair's signal photon is detected with the full arm efficiency eta_sig
+    and its herald with eta_h, independently; jamming, dark and stray light
+    add independent Poisson intensities. Click detectors fire on one or
+    more photons, so
+
+        P_s  = 1 - exp(-(mu*eta_sig + beta + delta_s))
+        P_h  = 1 - exp(-(mu*eta_h + delta_h))
+        P_sh = P_s*P_h + exp(-(beta + delta_s + delta_h + mu*(eta_sig + eta_h)))
+                         * (exp(mu*eta_sig*eta_h) - 1)
+
+    where the second P_sh term is the pair-correlation excess over
+    independent channels. These forms are exact for Poisson pair numbers
+    and are the oracle the Monte Carlo modes are tested against.
+
+    Returned as (both, signal only, herald only, neither); each term is
+    computed in a cancellation-free form so the tiny pattern probabilities
+    keep full relative precision. Scalar parameters give four Python
+    floats. Any numeric field may instead hold a numpy array (for example
+    one target reflectivity per pixel); the four results are then arrays
+    broadcast over those fields.
+    """
+    mu = source.mu
+    eta_h = source.eta_herald
+    eta_sig = channel.signal_arm_efficiency(target_in)
+    noise_s = channel.signal_noise_per_bin
+    noise_h = source.noise_herald_per_bin
+
+    p_s = -np.expm1(-(mu * eta_sig + noise_s))
+    p_h = -np.expm1(-(mu * eta_h + noise_h))
+    excess = np.exp(-(noise_s + noise_h + mu * (eta_sig + eta_h))) * np.expm1(mu * eta_sig * eta_h)
+    p11 = p_s * p_h + excess
+    p10 = np.maximum(0.0, p_s - p11)
+    p01 = np.maximum(0.0, p_h - p11)
+    p00 = np.maximum(0.0, 1.0 - p11 - p10 - p01)
+    if np.ndim(p11) == 0:
+        return float(p11), float(p10), float(p01), float(p00)
+    return p11, p10, p01, p00
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:

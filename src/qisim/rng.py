@@ -1,10 +1,10 @@
-"""Deterministic random-number substreams for parallel acquisition segments.
+"""Deterministic random-number substreams, one per unit of work.
 
-Every independent unit of work (sweep row, raster pixel, characterization
-point) draws from its own generator keyed by the experiment seed plus a
-small integer tuple. Streams are reproducible across runs and independent
-of scheduling order, so results are identical whether work runs serially
-or on a worker pool.
+Each unit of work draws from its own generator keyed by the experiment
+seed plus a small integer tuple: one per sweep row (seed, SWEEP_SPACE,
+row), one per raster scan (seed, PIXEL_SPACE) and one per characterization
+point (seed, CHARACTERIZE_SPACE, point). Streams are reproducible across
+runs, and a unit's draws do not depend on how many other units ran.
 """
 
 from __future__ import annotations

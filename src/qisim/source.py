@@ -46,13 +46,6 @@ def mean_photon_number(
     return signal_counts_per_s / (rep_rate_hz * eta_signal_detector)
 
 
-def sample_pair_count(mu: float, rng: np.random.Generator) -> int:
-    """Draw the number of pairs generated by one pump pulse."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    return int(rng.poisson(mu))
-
-
 def poisson_pair_counts(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized Poisson pair numbers, one draw per pulse."""
     if mu < 0:

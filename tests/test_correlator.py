@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qisim.channel import Channel, TimeTag, TimeTagStream
+from qisim.channel import Channel, TimeTagStream
 from qisim.correlator import (
     StreamOrderError,
     bin_and_count,
@@ -19,11 +19,8 @@ WIDTH = 2000
 
 
 def stream_from(signal, herald, duration):
-    tags = [TimeTag(Channel.SIGNAL, t) for t in signal] + [
-        TimeTag(Channel.HERALD, t) for t in herald
-    ]
-    tags.sort(key=lambda tag: (tag.time_ps, int(tag.channel)))
-    return TimeTagStream.from_tags(tags, duration)
+    channels = [int(Channel.SIGNAL)] * len(signal) + [int(Channel.HERALD)] * len(herald)
+    return TimeTagStream.from_arrays(channels, list(signal) + list(herald), duration)
 
 
 def brute_force_bins(stream, bin_width, period):

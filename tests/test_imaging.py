@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,16 @@ from qisim.imaging import (
     two_level_scene,
     write_pgm,
 )
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams, validate_config
+from qisim.model import (
+    ChannelParams,
+    ExperimentConfig,
+    SourceParams,
+    click_pattern_probabilities,
+    validate_config,
+)
 from qisim.rng import substream
 
-from .conftest import assert_within_sigma
+from .conftest import assert_within_sigma, binomial_std
 
 
 def imaging_config(mu=7.9e-3, beta=0.0, seed=1, eta_sig=2e-5, eta_h=0.2, dark_per_s=1.0):
@@ -152,13 +159,20 @@ class TestRasterScan:
         # coincidences are a filtration of the singles from the same pass
         assert np.all(a_qi.grid <= a_ci.grid)
 
-    def test_worker_pool_matches_serial(self):
-        cfg = imaging_config(beta=1e-4)
-        scene, _ = two_level_scene(4, 4)
-        serial = raster_scan(scene, cfg, 50_000, max_workers=1)
-        pooled = raster_scan(scene, cfg, 50_000, max_workers=2)
-        assert np.array_equal(serial[0].grid, pooled[0].grid)
-        assert np.array_equal(serial[1].grid, pooled[1].grid)
+    def test_class_totals_match_closed_form(self):
+        # non-square scene: a reshape or transpose error moves pixels between
+        # classes, and a reflectivity applied twice shifts both class means
+        scene, mask = two_level_scene(6, 10, fg_level=0.6, bg_level=0.1)
+        cfg = imaging_config(mu=0.025, eta_sig=6e-3, beta=1e-4, seed=21)
+        dwell = 10_000_000
+        ci, qi = raster_scan(scene, cfg, dwell)
+        assert ci.grid.shape == qi.grid.shape == (6, 10)
+        for label, level, sel in (("fg", 0.6, mask), ("bg", 0.1, ~mask)):
+            channel = dataclasses.replace(cfg.channel, target_reflectivity=level)
+            p11, p10, _, _ = click_pattern_probabilities(cfg.source, channel, True)
+            n = int(sel.sum()) * dwell
+            for name, img, p in (("CI", ci, p11 + p10), ("QI", qi, p11)):
+                assert_within_sigma(img.grid[sel].sum(), n * p, binomial_std(n, p), f"{label} {name}")
 
     def test_contrast_flip_under_jamming(self):
         scene, mask = two_level_scene(8, 8)
