@@ -66,10 +66,12 @@ from .model import (
 )
 from .rng import substream
 from .source import (
+    POISSON_PAIRS,
+    THERMAL_PAIRS,
+    PairLaw,
     idler_wavelength,
     mean_photon_number,
     poisson_pair_counts,
-    thermal_pair_counts,
 )
 
 __version__ = "0.1.0"

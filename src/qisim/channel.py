@@ -7,11 +7,15 @@ Two modes produce the same per-bin statistics:
   pattern probabilities of `model.click_pattern_probabilities`. It is
   exact for Poisson pair statistics and costs O(1) per acquisition segment
   regardless of the pulse count.
-* `simulate_tags` realizes the event stream explicitly: per-pulse pair
-  numbers, per-photon survival, pulse-locked jamming, uniform dark counts
-  and Gaussian detector jitter, reduced to click tags with at most one tag
-  per channel per bin. It exists to exercise the correlator and the timing
-  model, and it accepts an injectable pair-number sampler.
+* `simulate_tags` realizes the event stream explicitly: pair numbers,
+  per-photon survival, pulse-locked jamming, uniform dark counts and
+  Gaussian detector jitter, reduced to click tags with at most one tag per
+  channel per bin. It draws only the pulses that carry light: each
+  pulse-locked process (pair-bearing pulses, jamming, pair-less herald
+  noise) is a Bernoulli process over the pulses whose successes are found
+  by geometric gap sampling, so the cost is O(events), not O(pulses). It
+  exists to exercise the correlator and the timing model, and it accepts a
+  pair-number law (`source.PairLaw`).
 
 Timing is integer picoseconds. Jamming light is pulse-locked (it is
 engineered to be indistinguishable from the signal photons); dark and
@@ -26,13 +30,14 @@ here and the correlator's reduction both use it.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ClickCounts, ExperimentConfig, click_pattern_probabilities
-from .source import PairSampler, poisson_pair_counts
+from .source import POISSON_PAIRS, PairLaw
 
 
 class Channel(enum.IntEnum):
@@ -110,64 +115,79 @@ def simulate_counts(
 _TAG_CHUNK = 1 << 20
 
 
+def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the successes among n independent Bernoulli(p) trials.
+
+    The gaps between successes are geometric (Devroye, Non-Uniform Random
+    Variate Generation, 1986). They are drawn in blocks of at most
+    `_TAG_CHUNK`, so time and memory are O(successes), not O(n).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Bernoulli probability {p} is outside [0, 1]")
+    if p == 0.0 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while True:
+        expect = (n - 1 - last) * p
+        size = int(min(_TAG_CHUNK, expect + 4.0 * math.sqrt(expect) + 16.0))
+        # For tiny p the draws saturate at the int64 maximum. A gap above n
+        # lands past the last pulse whatever its size, so capping it at
+        # n + 1 changes nothing and keeps the cumulative sum from wrapping.
+        idx = last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1))
+        if idx[-1] >= n:
+            parts.append(idx[: np.searchsorted(idx, n)])
+            return np.concatenate(parts)
+        parts.append(idx)
+        last = int(idx[-1])
+
+
 def simulate_tags(
     config: ExperimentConfig,
     target_in: bool,
     n_pulses: int,
     rng: np.random.Generator,
-    pair_sampler: PairSampler = poisson_pair_counts,
+    pair_law: PairLaw = POISSON_PAIRS,
 ) -> TimeTagStream:
     """Explicit time-tag acquisition.
 
-    Per pulse k at time k*T: the pair sampler gives the pair number, each
-    pair's signal and herald photons survive their arms independently, and
-    pulse-locked noise (jamming on the signal channel, pair-less herald
-    detections on the herald channel) may add clicks. Detected pulse-locked
-    clicks are stamped k*T plus per-detector Gaussian jitter. Dark and
-    stray counts arrive uniformly over the run. At most one tag survives
-    per channel per bin (click-detector semantics); tags jittered outside
-    [0, duration) are lost.
+    Pulse k sits at time k*T. The pair-bearing pulses are drawn with
+    probability P(n > 0) of the pair law and their pair numbers from its
+    zero-truncated law; each pair's signal and herald photons survive their
+    arms independently. Pulse-locked noise adds clicks on the pulses of two
+    more Bernoulli processes: jamming on the signal channel, with
+    p = 1 - exp(-beta), and pair-less herald detections, with
+    p = 1 - exp(-delta_h). A pulse with a photon click and a noise click on
+    one channel still gives one tag there. Pulse-locked clicks are stamped
+    k*T plus per-detector Gaussian jitter. Dark and stray counts arrive
+    uniformly over the run. At most one tag survives per channel per bin
+    (click-detector semantics); tags jittered outside [0, duration) are
+    lost.
     """
+    if n_pulses < 0:
+        raise ValueError("n_pulses must be non-negative")
     src, ch = config.source, config.channel
     period = config.pulse_period_ps
     duration = n_pulses * period
-    eta_sig = ch.signal_arm_efficiency(target_in)
-    eta_h = src.eta_herald
 
-    p_jam = -np.expm1(-ch.background_per_bin)
-    p_hnoise = -np.expm1(-src.noise_herald_per_bin)
+    pulses = _bernoulli_indices(pair_law.p_nonzero(src.mu), n_pulses, rng)
+    pairs = pair_law.truncated(src.mu, rng, pulses.size)
+    sig_pulses = pulses[rng.binomial(pairs, ch.signal_arm_efficiency(target_in)) > 0]
+    her_pulses = pulses[rng.binomial(pairs, src.eta_herald) > 0]
+    sig_pulses = np.union1d(
+        sig_pulses, _bernoulli_indices(-math.expm1(-ch.background_per_bin), n_pulses, rng)
+    )
+    her_pulses = np.union1d(
+        her_pulses, _bernoulli_indices(-math.expm1(-src.noise_herald_per_bin), n_pulses, rng)
+    )
 
-    sig_times: list[np.ndarray] = []
-    her_times: list[np.ndarray] = []
-    for start in range(0, n_pulses, _TAG_CHUNK):
-        m = min(_TAG_CHUNK, n_pulses - start)
-        pairs = pair_sampler(src.mu, rng, m)
-        nz = np.flatnonzero(pairs)
-        s_click = np.zeros(m, dtype=bool)
-        h_click = np.zeros(m, dtype=bool)
-        if nz.size:
-            npairs = pairs[nz]
-            if eta_sig > 0:
-                s_click[nz] = rng.binomial(npairs, eta_sig) > 0
-            if eta_h > 0:
-                h_click[nz] = rng.binomial(npairs, eta_h) > 0
-        if p_jam > 0:
-            s_click |= rng.random(m) < p_jam
-        if p_hnoise > 0:
-            h_click |= rng.random(m) < p_hnoise
-
-        base = (np.int64(start) + np.arange(m, dtype=np.int64)) * period
-        for mask, jitter, bucket in (
-            (s_click, ch.jitter_signal_ps, sig_times),
-            (h_click, ch.jitter_herald_ps, her_times),
-        ):
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            t = base[idx].astype(np.float64)
-            if jitter > 0:
-                t = t + rng.normal(0.0, jitter, idx.size)
-            bucket.append(np.rint(t).astype(np.int64))
+    locked = []
+    for idx, jitter in ((sig_pulses, ch.jitter_signal_ps), (her_pulses, ch.jitter_herald_ps)):
+        t = (idx * period).astype(np.float64)
+        if jitter > 0:
+            t += rng.normal(0.0, jitter, idx.size)
+        locked.append(np.rint(t).astype(np.int64))
+    sig_times, her_times = locked
 
     # Uniform processes: per-bin intensity delta spread over the period means
     # a time density of delta / bin_width per picosecond.
@@ -175,11 +195,12 @@ def simulate_tags(
     if uniform_rate > 0 and duration > 0:
         n_dark = rng.poisson(uniform_rate * duration)
         if n_dark:
-            sig_times.append(rng.integers(0, duration, n_dark, dtype=np.int64))
+            sig_times = np.concatenate(
+                [sig_times, rng.integers(0, duration, n_dark, dtype=np.int64)]
+            )
 
     streams = []
-    for chan, bucket in ((Channel.SIGNAL, sig_times), (Channel.HERALD, her_times)):
-        times = np.concatenate(bucket) if bucket else np.empty(0, dtype=np.int64)
+    for chan, times in ((Channel.SIGNAL, sig_times), (Channel.HERALD, her_times)):
         times = times[(times >= 0) & (times < duration)]
         times.sort(kind="stable")
         times = _dedupe_bins(times, ch.bin_width_ps, period, n_pulses)
@@ -276,14 +297,22 @@ def read_qitt(path: str) -> TimeTagStream:
 
 _CSV_NAMES = {Channel.SIGNAL: "signal", Channel.HERALD: "herald"}
 _CSV_CODES = {"signal": Channel.SIGNAL, "herald": Channel.HERALD}
+_CSV_BLOCK = 1 << 16  # tags formatted per write
 
 
 def write_tags_csv(stream: TimeTagStream, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# duration_ps={stream.duration_ps}\n")
         fh.write("channel,time_ps\n")
-        for ch, t in zip(stream.channels, stream.times_ps):
-            fh.write(f"{_CSV_NAMES[Channel(int(ch))]},{int(t)}\n")
+        for s in range(0, len(stream), _CSV_BLOCK):
+            block = zip(
+                stream.channels[s : s + _CSV_BLOCK].tolist(),
+                stream.times_ps[s : s + _CSV_BLOCK].tolist(),
+            )
+            try:
+                fh.write("".join([f"{_CSV_NAMES[c]},{t}\n" for c, t in block]))
+            except KeyError as exc:
+                raise ValueError(f"{exc.args[0]} is not a valid Channel") from None
 
 
 def read_tags_csv(path: str) -> TimeTagStream:

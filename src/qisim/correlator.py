@@ -70,16 +70,33 @@ def windowed_coincidences(stream: TimeTagStream, half_window_ps: int) -> int:
     Each tag matches at most once; pairing is earliest-unmatched-first via
     a two-pointer merge, which is deterministic but not a maximum matching.
     Diagnostic alternative to pulse-locked binning.
+
+    The stream splits into clusters wherever consecutive tags are more than
+    the window apart. No pair spans two clusters, and the merge finishes one
+    cluster before it touches the next, so clusters count independently: a
+    two-tag cluster is one pair exactly when its channels differ, and only
+    the tags of clusters of three or more go through the merge.
     """
     if half_window_ps < 0:
         raise ValueError("half_window_ps must be non-negative")
     _require_sorted(stream)
-    sig = stream.times_ps[stream.channels == int(Channel.SIGNAL)]
-    her = stream.times_ps[stream.channels == int(Channel.HERALD)]
-    i = j = count = 0
-    n_s, n_h = sig.size, her.size
+    t, c = stream.times_ps, stream.channels
+    if t.size == 0:
+        return 0
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(t) > half_window_ps)))
+    sizes = np.diff(np.append(starts, t.size))
+    two = starts[sizes == 2]
+    a, b = c[two], c[two + 1]
+    # The merge ignores channel codes other than signal and herald.
+    count = int(np.count_nonzero((a != b) & (a <= Channel.HERALD) & (b <= Channel.HERALD)))
+
+    in_large = np.repeat(sizes > 2, sizes)
+    sig = t[in_large & (c == int(Channel.SIGNAL))].tolist()
+    her = t[in_large & (c == int(Channel.HERALD))].tolist()
+    i = j = 0
+    n_s, n_h = len(sig), len(her)
     while i < n_s and j < n_h:
-        dt = int(sig[i]) - int(her[j])
+        dt = sig[i] - her[j]
         if abs(dt) <= half_window_ps:
             count += 1
             i += 1

@@ -1,22 +1,36 @@
-"""Pair-source statistics: wavelength bookkeeping and per-pulse pair sampling.
+"""Pair-source statistics: wavelength bookkeeping and pair-number laws.
 
 The pump pulse converts two pump photons into a signal/idler pair, so the
 idler (herald) wavelength follows from energy conservation,
 2/lambda_pump = 1/lambda_signal + 1/lambda_idler.
 
-The per-pulse pair number is sampled from a Poisson distribution by
-default: the broadband multi-mode process populates many Schmidt modes, so
-the single-mode thermal statistics wash out. The sampler is injectable
-(see `thermal_pair_counts`) for studies of the strongly single-mode case.
+The pair number of a pulse is Poisson by default: the broadband multi-mode
+process populates many Schmidt modes, so the single-mode thermal
+statistics wash out. `THERMAL_PAIRS` covers the strongly single-mode case.
+A `PairLaw` is given as P(n > 0) plus a sampler of the zero-truncated law
+P(n | n >= 1), so the tag simulator draws pair numbers for pair-bearing
+pulses only.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-PairSampler = Callable[[float, np.random.Generator, int], np.ndarray]
+
+@dataclass(frozen=True)
+class PairLaw:
+    """Per-pulse pair-number law with mean mu.
+
+    `p_nonzero(mu)` is P(n > 0); `truncated(mu, rng, size)` draws `size`
+    pair numbers from P(n | n >= 1).
+    """
+
+    p_nonzero: Callable[[float], float]
+    truncated: Callable[[float, np.random.Generator, int], np.ndarray]
 
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
@@ -53,13 +67,20 @@ def poisson_pair_counts(mu: float, rng: np.random.Generator, size: int) -> np.nd
     return rng.poisson(mu, size)
 
 
-def thermal_pair_counts(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Single-mode thermal (Bose-Einstein) pair numbers with mean mu.
+def _poisson_truncated(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    # Pairs are the arrivals of a rate-mu process on [0, 1). Given one
+    # arrival, the first one T is drawn by inversion of its truncated
+    # exponential law; the rest of the pulse adds Poisson(mu (1 - T)), and
+    # mu (1 - T) = mu + log1p(u expm1(-mu)).
+    rest = mu + np.log1p(rng.random(size) * math.expm1(-mu))
+    return 1 + rng.poisson(np.maximum(rest, 0.0))
 
-    P(n) = mu^n / (1 + mu)^(n + 1); sampled as geometric failure counts.
-    """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if mu == 0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.geometric(1.0 / (1.0 + mu), size) - 1
+
+POISSON_PAIRS = PairLaw(lambda mu: -math.expm1(-mu), _poisson_truncated)
+
+# Single-mode thermal (Bose-Einstein): P(n) = mu^n / (1 + mu)^(n + 1). It is
+# memoryless, so n given n >= 1 is a geometric trial count.
+THERMAL_PAIRS = PairLaw(
+    lambda mu: mu / (1.0 + mu),
+    lambda mu, rng, size: rng.geometric(1.0 / (1.0 + mu), size),
+)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from qisim.analytics import click_pattern_probabilities, click_probabilities
 from qisim.channel import (
+    _TAG_CHUNK,
     Channel,
     TimeTagStream,
+    _bernoulli_indices,
     collection_fraction_max,
     read_qitt,
     read_tags_csv,
@@ -19,6 +21,7 @@ from qisim.channel import (
 )
 from qisim.model import ChannelParams, ExperimentConfig, SourceParams, validate_config
 from qisim.rng import substream
+from qisim.source import THERMAL_PAIRS
 
 from .conftest import SIGMA, assert_within_sigma, binomial_std
 
@@ -173,11 +176,21 @@ class TestSimulateTags:
                 assert_within_sigma(get(tagged), get(counted), std, f"{name} pair {pair}")
 
     def test_thermal_sampler_rejects_nothing(self):
-        from qisim.source import thermal_pair_counts
-
-        cfg = make_config(mu=0.02)
-        stream = simulate_tags(cfg, True, 10**4, substream(8, 0), pair_sampler=thermal_pair_counts)
+        # herald clicks: no noise click and no surviving herald photon,
+        # E[(1 - eta_h)^n] = 1 / (1 + mu eta_h) for the thermal law
+        cfg = make_config(mu=0.5, eta_herald=0.5, noise_herald_per_bin=1e-3, jitter_herald_ps=0.0)
+        n = 10**5
+        stream = simulate_tags(cfg, True, n, substream(8, 0), pair_law=THERMAL_PAIRS)
         assert stream.is_sorted()
+        from qisim.correlator import bin_and_count
+
+        counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
+        p_h = 1.0 - math.exp(-1e-3) / (1.0 + 0.5 * 0.5)
+        assert_within_sigma(counts.n_herald_clicks, n * p_h, binomial_std(n, p_h), "thermal heralds")
+
+    def test_rejects_negative_pulse_count(self):
+        with pytest.raises(ValueError, match="n_pulses"):
+            simulate_tags(make_config(), True, -5, substream(8, 1))
 
     def test_dead_time_enforced(self):
         cfg = make_config(
@@ -226,6 +239,19 @@ class TestStreamFormats:
         assert np.array_equal(back.times_ps, stream.times_ps)
         assert np.array_equal(back.channels, stream.channels)
 
+    def test_csv_golden_bytes(self, tmp_path):
+        stream = TimeTagStream.from_arrays([0, 1, 0], [5, 5, 12_499], 25_000)
+        path = tmp_path / "tags.csv"
+        write_tags_csv(stream, str(path))
+        assert path.read_bytes() == (
+            b"# duration_ps=25000\nchannel,time_ps\nsignal,5\nherald,5\nsignal,12499\n"
+        )
+
+    def test_csv_rejects_unknown_channel_code(self, tmp_path):
+        stream = TimeTagStream.from_arrays([0, 7], [5, 6], 25_000)
+        with pytest.raises(ValueError, match="7"):
+            write_tags_csv(stream, str(tmp_path / "tags.csv"))
+
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("channel,time_ps\nsideways,12\n")
@@ -247,3 +273,30 @@ def test_tag_stream_postconditions(mu, beta, n_pulses, seed):
     if len(stream):
         assert stream.times_ps.min() >= 0
         assert stream.times_ps.max() < stream.duration_ps
+
+
+class TestBernoulliIndices:
+    @pytest.mark.parametrize(
+        "p, n",
+        [(1e-3, 10**6), (0.3, 10**5), (0.5, 3 * _TAG_CHUNK), (1.0, 1000), (0.7, 1), (0.5, 0)],
+    )
+    def test_sorted_in_range_and_count(self, p, n):
+        idx = _bernoulli_indices(p, n, substream(13, n))
+        assert np.all(np.diff(idx) > 0)
+        if idx.size:
+            assert idx[0] >= 0 and idx[-1] < n
+        assert_within_sigma(idx.size, n * p, binomial_std(n, p), f"count at p={p}")
+
+    def test_certain_success_is_every_pulse(self):
+        # spans three blocks, so a success lost at a block edge shows
+        n = 2 * _TAG_CHUNK + 5
+        assert np.array_equal(_bernoulli_indices(1.0, n, substream(13, 1)), np.arange(n))
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324])
+    def test_impossible_or_subnormal_p(self, p):
+        # a subnormal p makes the geometric gaps saturate at the int64 maximum
+        assert _bernoulli_indices(p, 10**6, substream(13, 2)).size == 0
+
+    def test_rejects_probability_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            _bernoulli_indices(-1e-3, 10, substream(13, 3))

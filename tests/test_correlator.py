@@ -39,6 +39,25 @@ def brute_force_bins(stream, bin_width, period):
     return n_s, n_h, n_c
 
 
+def two_pointer_pairs(stream, half_window_ps):
+    """Reference for windowed_coincidences: one two-pointer merge over the whole stream."""
+    sig = stream.times_ps[stream.channels == int(Channel.SIGNAL)]
+    her = stream.times_ps[stream.channels == int(Channel.HERALD)]
+    i = j = count = 0
+    n_s, n_h = sig.size, her.size
+    while i < n_s and j < n_h:
+        dt = int(sig[i]) - int(her[j])
+        if abs(dt) <= half_window_ps:
+            count += 1
+            i += 1
+            j += 1
+        elif dt < 0:
+            i += 1
+        else:
+            j += 1
+    return count
+
+
 def max_matching(signal, herald, tau):
     """Brute-force maximum matching size for small instances."""
     best = 0
@@ -132,6 +151,21 @@ class TestWindowedCoincidences:
         )
         with pytest.raises(StreamOrderError):
             windowed_coincidences(stream, 100)
+
+    def test_matches_two_pointer_merge_on_dense_streams(self):
+        # dense random streams: equal-time ties, zero windows, one-channel
+        # streams and codes other than signal and herald (which are ignored)
+        gen = np.random.default_rng(2024)
+        for trial in range(2000):
+            n_tags = int(gen.integers(0, 40))
+            times = gen.integers(0, int(gen.choice([20, 200, 2000])), n_tags)
+            codes = [(0,), (1,), (0, 1), (0, 1), (0, 1, 2)][trial % 5]
+            channels = gen.choice(codes, n_tags).astype(np.uint8)
+            stream = TimeTagStream.from_arrays(channels, times, 2000)
+            for half_window in (0, 1, 5, 30, 500):
+                assert windowed_coincidences(stream, half_window) == two_pointer_pairs(
+                    stream, half_window
+                ), f"trial {trial}, half window {half_window}"
 
     @settings(max_examples=25, deadline=None)
     @given(

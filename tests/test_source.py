@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from qisim.rng import substream
 from qisim.source import (
+    POISSON_PAIRS,
+    THERMAL_PAIRS,
     idler_wavelength,
     mean_photon_number,
     poisson_pair_counts,
-    thermal_pair_counts,
 )
 
 from .conftest import assert_within_sigma
@@ -89,14 +90,51 @@ class TestPairSampling:
             poisson_pair_counts(-0.1, substream(1), 1000)
 
 
+def full_law_draws(law, mu: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of the whole pair-number law, in no particular order."""
+    k = rng.binomial(n, law.p_nonzero(mu))
+    draws = np.zeros(n, dtype=np.int64)
+    draws[:k] = law.truncated(mu, rng, k)
+    return draws
+
+
+def poisson_pmf(mu: float, n: int) -> float:
+    return math.exp(-mu) * mu**n / math.factorial(n)
+
+
+def thermal_pmf(mu: float, n: int) -> float:
+    return mu**n / (1.0 + mu) ** (n + 1)
+
+
 class TestThermalVariant:
     def test_moments(self):
         mu, n = 0.5, 10**6
-        draws = thermal_pair_counts(mu, substream(11, 0), n)
+        draws = full_law_draws(THERMAL_PAIRS, mu, substream(11, 0), n)
         # Bose-Einstein: mean mu, variance mu (1 + mu)
         assert_within_sigma(draws.mean(), mu, math.sqrt(mu * (1 + mu) / n), "thermal mean")
         p_ge1 = mu / (1 + mu)
         assert_within_sigma(np.mean(draws >= 1), p_ge1, math.sqrt(p_ge1 / n), "thermal tail")
 
     def test_mu_zero(self):
-        assert np.all(thermal_pair_counts(0.0, substream(11, 1), 100) == 0)
+        assert THERMAL_PAIRS.p_nonzero(0.0) == 0.0
+        assert np.all(full_law_draws(THERMAL_PAIRS, 0.0, substream(11, 1), 100) == 0)
+
+
+class TestTruncatedLaws:
+    @pytest.mark.parametrize("mu", [0.02, 0.5])
+    @pytest.mark.parametrize(
+        "law, pmf", [(POISSON_PAIRS, poisson_pmf), (THERMAL_PAIRS, thermal_pmf)], ids=["poisson", "thermal"]
+    )
+    def test_matches_zero_truncated_pmf(self, law, pmf, mu):
+        n = 10**6
+        p0 = law.p_nonzero(mu)
+        assert p0 == pytest.approx(1.0 - pmf(mu, 0), rel=1e-12)
+        draws = law.truncated(mu, substream(12, int(mu * 100)), n)
+        assert draws.min() >= 1
+        p1, p2 = pmf(mu, 1) / p0, pmf(mu, 2) / p0
+        for label, observed, p in (
+            ("n=1", np.count_nonzero(draws == 1), p1),
+            ("n=2", np.count_nonzero(draws == 2), p2),
+            ("n>=3", np.count_nonzero(draws >= 3), 1.0 - p1 - p2),
+        ):
+            assert_within_sigma(observed, n * p, math.sqrt(n * p * (1 - p)), f"{label} at mu={mu}")
