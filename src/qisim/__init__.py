@@ -26,6 +26,7 @@ from .analytics import (
 )
 from .channel import (
     Channel,
+    StreamOrderError,
     TimeTagStream,
     collection_fraction_max,
     read_qitt,
@@ -35,7 +36,7 @@ from .channel import (
     write_qitt,
     write_tags_csv,
 )
-from .correlator import StreamOrderError, bin_and_count, estimate_g2, windowed_coincidences
+from .correlator import bin_and_count, estimate_g2, windowed_coincidences
 from .imaging import (
     ImageKind,
     PixelImage,

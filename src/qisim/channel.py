@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,41 +46,54 @@ class Channel(enum.IntEnum):
     HERALD = 1
 
 
+class StreamOrderError(ValueError):
+    """The tag stream is not time-ordered."""
+
+
 @dataclass
 class TimeTagStream:
     """Time-ordered detection record for both channels.
 
-    Stored as parallel arrays. Sorted by time, ties broken Signal before
-    Herald. Arrays are treated as read-only after construction.
+    Stored as parallel arrays: channel codes in {0, 1} and times in
+    [0, duration_ps), sorted by time, ties broken Signal before Herald.
+    The constructor checks this invariant, so every stream (simulated,
+    read from a file or built directly) holds it: bad order raises
+    `StreamOrderError`, any other violation `ValueError`.
+    Arrays are treated as read-only after construction.
     """
 
     channels: np.ndarray  # uint8, values from Channel
     times_ps: np.ndarray  # int64, within [0, duration_ps)
     duration_ps: int
 
+    def __post_init__(self) -> None:
+        c, t = np.asarray(self.channels), np.asarray(self.times_ps).astype(np.int64, copy=False)
+        self.duration_ps = int(self.duration_ps)
+        if c.ndim != 1 or c.shape != t.shape:
+            raise ValueError("channels and times_ps must be 1-D and of equal length")
+        bad = (c != Channel.SIGNAL) & (c != Channel.HERALD)
+        if bad.any():
+            raise ValueError(f"channel code {c[bad][0]} is not signal (0) or herald (1)")
+        # On the int64 values: a u64 time of 2**63 or more has wrapped negative.
+        if t.size and (t.min() < 0 or t.max() >= self.duration_ps):
+            raise ValueError(f"tag time outside [0, {self.duration_ps}) ps")
+        if np.any((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1]))):
+            raise StreamOrderError("unsorted stream")
+        self.channels, self.times_ps = np.ascontiguousarray(c, np.uint8), np.ascontiguousarray(t)
+
     def __len__(self) -> int:
         return int(self.times_ps.shape[0])
-
-    def is_sorted(self) -> bool:
-        if len(self) < 2:
-            return True
-        t, c = self.times_ps, self.channels
-        dt = np.diff(t)
-        if np.any(dt < 0):
-            return False
-        ties = dt == 0
-        return not np.any(ties & (np.diff(c.astype(np.int8)) < 0))
 
     @staticmethod
     def from_arrays(
         channels: np.ndarray, times_ps: np.ndarray, duration_ps: int, sort: bool = True
     ) -> "TimeTagStream":
-        channels = np.asarray(channels, dtype=np.uint8)
-        times_ps = np.asarray(times_ps, dtype=np.int64)
+        """Build a stream; with sort=True the tags are put in stream order first."""
+        channels, times_ps = np.asarray(channels), np.asarray(times_ps)
         if sort and times_ps.shape[0] > 1:
             order = np.lexsort((channels, times_ps))
             channels, times_ps = channels[order], times_ps[order]
-        return TimeTagStream(channels, times_ps, int(duration_ps))
+        return TimeTagStream(channels, times_ps, duration_ps)
 
 
 def collection_fraction_max(d_m: float, dist_m: float) -> float:
@@ -290,52 +304,45 @@ def read_qitt(path: str) -> TimeTagStream:
     if len(body) % _RECORD_DTYPE.itemsize:
         raise ValueError("truncated QITT record")
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    return TimeTagStream.from_arrays(
-        records["channel"].copy(), records["time_ps"].astype(np.int64), int(duration), sort=False
-    )
+    return TimeTagStream(records["channel"], records["time_ps"], duration)
 
 
 _CSV_NAMES = {Channel.SIGNAL: "signal", Channel.HERALD: "herald"}
-_CSV_CODES = {"signal": Channel.SIGNAL, "herald": Channel.HERALD}
+_CSV_HEADER = "channel,time_ps"
 _CSV_BLOCK = 1 << 16  # tags formatted per write
 
 
 def write_tags_csv(stream: TimeTagStream, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# duration_ps={stream.duration_ps}\n")
-        fh.write("channel,time_ps\n")
+        fh.write(f"{_CSV_HEADER}\n")
         for s in range(0, len(stream), _CSV_BLOCK):
             block = zip(
                 stream.channels[s : s + _CSV_BLOCK].tolist(),
                 stream.times_ps[s : s + _CSV_BLOCK].tolist(),
             )
-            try:
-                fh.write("".join([f"{_CSV_NAMES[c]},{t}\n" for c, t in block]))
-            except KeyError as exc:
-                raise ValueError(f"{exc.args[0]} is not a valid Channel") from None
+            fh.write("".join([f"{_CSV_NAMES[c]},{t}\n" for c, t in block]))
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
-    duration = 0
-    channels: list[int] = []
-    times: list[int] = []
+    """Read a tag CSV. Comment and blank lines may precede the header; a
+    `# duration_ps=N` comment among them sets the duration (0 without one)."""
+    duration, line = 0, ""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line in iter(fh.readline, ""):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "duration_ps=" in line:
-                    duration = int(line.split("duration_ps=", 1)[1])
-                continue
-            if line == "channel,time_ps":
-                continue
-            name, _, value = line.partition(",")
-            try:
-                channels.append(int(_CSV_CODES[name]))
-                times.append(int(value))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"bad tag record: {line!r}") from exc
-    return TimeTagStream.from_arrays(
-        np.array(channels, dtype=np.uint8), np.array(times, dtype=np.int64), duration, sort=False
-    )
+            if line and not line.startswith("#"):
+                break
+            if "duration_ps=" in line:
+                duration = int(line.split("duration_ps=", 1)[1])
+        if line != _CSV_HEADER:
+            raise ValueError(f"expected the header {_CSV_HEADER!r}, got {line!r}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # S7, one byte longer than the names: "signalX" is not cut to "signal"
+            body = np.loadtxt(fh, delimiter=",", dtype=[("name", "S7"), ("t", "<i8")], ndmin=1)
+    herald = body["name"] == b"herald"
+    unknown = ~herald & (body["name"] != b"signal")
+    if unknown.any():
+        raise ValueError(f"bad tag record: channel {body['name'][unknown][0]!r}")
+    return TimeTagStream(herald.astype(np.uint8), body["t"], duration)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -102,9 +103,13 @@ def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
     config's per-acquisition pulse count is the dwell."""
     if dwell_s is None:
         return config.n_pulses
+    if not math.isfinite(dwell_s):
+        raise UsageError(f"dwell {dwell_s} s is not a finite number of seconds")
     dwell = config.pulses_for_seconds(dwell_s)
     if dwell < 1:
         raise UsageError("dwell too short for one pulse")
+    if dwell > np.iinfo(np.int64).max:
+        raise UsageError("dwell too long: more than 2**63 - 1 pulses")
     return dwell
 
 
@@ -121,14 +126,17 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     mus = _parse_floats(args.mu)
     if not mus:
         raise UsageError("empty mu list")
-    if any(m < 0 for m in mus):
-        raise ConfigError("mu out of range")
     bare = dataclasses.replace(config, channel=model.bare_channel(config.channel))
+    points = [
+        model.validate_config(
+            dataclasses.replace(bare, source=dataclasses.replace(bare.source, mu=mu))
+        )
+        for mu in sorted(mus)
+    ]
     dwell = _dwell_pulses(bare, args.dwell_s)
 
     lines = ["mu,n_pulses,n_signal,n_herald,n_coinc,g2,g2_err"]
-    for i, mu in enumerate(sorted(mus)):
-        cfg = dataclasses.replace(bare, source=dataclasses.replace(bare.source, mu=mu))
+    for i, cfg in enumerate(points):
         counts = simulate_counts(cfg, True, dwell, substream(cfg.seed, CHARACTERIZE_SPACE, i))
         try:
             g2 = estimate_g2(counts)
@@ -136,7 +144,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         except ValueError:
             g2_val = g2_err = "nan"
         lines.append(
-            f"{mu!r},{counts.n_pulses},{counts.n_signal_clicks},"
+            f"{cfg.source.mu!r},{counts.n_pulses},{counts.n_signal_clicks},"
             f"{counts.n_herald_clicks},{counts.n_coincidences},{g2_val},{g2_err}"
         )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

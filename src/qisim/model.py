@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -230,21 +231,52 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (lo <= value <= hi) or math.isnan(value):
+    if not (lo <= value <= hi):
         raise ConfigError(f"{name} out of range")
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if value < 0 or math.isnan(value):
+    if value < 0:
         raise ConfigError(f"{name} out of range")
+
+
+# (name, annotation) of each numeric field, read once from the dataclasses.
+_NUMERIC_FIELDS = {
+    cls: [(f.name, f.type) for f in fields(cls) if f.type in ("int", "float", "Optional[float]")]
+    for cls in (SourceParams, ChannelParams, ExperimentConfig)
+}
+
+
+def _check_types(part) -> None:
+    """Fields annotated `int` hold an integer, fields annotated `float` a
+    finite real number (an `Optional[float]` may also be None). A bool is
+    neither. The exact-type tests skip the slower abstract-class checks."""
+    for name, kind in _NUMERIC_FIELDS[type(part)]:
+        value = getattr(part, name)
+        if kind == "int":
+            if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        elif value is not None or kind == "float":
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ConfigError(f"{name} must be a real number, not {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} out of range")
 
 
 def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
-    The first violated invariant is reported by field name.
+    Types come first: integer fields must hold integers and the other
+    numeric fields finite real numbers. The first violated invariant is
+    reported by field name.
     """
     s, c = raw.source, raw.channel
+    for part in (s, c, raw):
+        _check_types(part)
 
     _check_nonneg("mu", s.mu)
     if s.rep_rate_hz <= 0:
@@ -302,9 +334,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         return ExperimentConfig(
             source=source,
             channel=channel,
-            n_pulses=int(data["n_pulses"]),
-            seed=int(data["seed"]),
-            toggle_period_pulses=int(data["toggle_period_pulses"]),
+            n_pulses=data["n_pulses"],
+            seed=data["seed"],
+            toggle_period_pulses=data["toggle_period_pulses"],
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc

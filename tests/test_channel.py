@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qisim.analytics import click_pattern_probabilities, click_probabilities
@@ -24,6 +25,12 @@ from qisim.rng import substream
 from qisim.source import THERMAL_PAIRS
 
 from .conftest import SIGMA, assert_within_sigma, binomial_std
+
+
+def in_stream_order(stream: TimeTagStream) -> bool:
+    """Sorted by time with ties Signal before Herald: a stable sort moves nothing."""
+    order = np.lexsort((stream.channels, stream.times_ps))
+    return bool(np.array_equal(order, np.arange(len(stream))))
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -129,7 +136,7 @@ class TestSimulateTags:
     def test_sorted_and_in_range(self):
         cfg = make_config(background_per_bin=1e-3, dark_signal_per_bin=1e-4, mu=0.02)
         stream = simulate_tags(cfg, True, 10**5, substream(5, 1))
-        assert stream.is_sorted()
+        assert in_stream_order(stream)
         assert len(stream) > 0
         assert stream.times_ps.min() >= 0
         assert stream.times_ps.max() < stream.duration_ps
@@ -181,7 +188,7 @@ class TestSimulateTags:
         cfg = make_config(mu=0.5, eta_herald=0.5, noise_herald_per_bin=1e-3, jitter_herald_ps=0.0)
         n = 10**5
         stream = simulate_tags(cfg, True, n, substream(8, 0), pair_law=THERMAL_PAIRS)
-        assert stream.is_sorted()
+        assert in_stream_order(stream)
         from qisim.correlator import bin_and_count
 
         counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
@@ -248,14 +255,119 @@ class TestStreamFormats:
         )
 
     def test_csv_rejects_unknown_channel_code(self, tmp_path):
-        stream = TimeTagStream.from_arrays([0, 7], [5, 6], 25_000)
+        path = tmp_path / "tags.csv"
         with pytest.raises(ValueError, match="7"):
-            write_tags_csv(stream, str(tmp_path / "tags.csv"))
+            write_tags_csv(TimeTagStream.from_arrays([0, 7], [5, 6], 25_000), str(path))
+        assert not path.exists()
 
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("channel,time_ps\nsideways,12\n")
         with pytest.raises(ValueError, match="bad tag record"):
+            read_tags_csv(str(path))
+
+
+CSV_NAMES = {0: "signal", 1: "herald"}
+# The examples of one hypothesis test share its tmp_path; each overwrites its files.
+SHARED_TMP_PATH = HealthCheck.function_scoped_fixture
+
+
+@st.composite
+def valid_streams(draw, min_tags=0):
+    duration = draw(st.integers(1 if min_tags else 0, 2**63))
+    times = st.lists(st.integers(0, duration - 1), min_size=min_tags, max_size=30)
+    times = draw(times) if duration else []
+    codes = draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times)))
+    return TimeTagStream.from_arrays(codes, np.array(times, dtype=np.int64), duration)
+
+
+@st.composite
+def malformed_tags(draw):
+    """(codes, times, duration) of a stream broken in one way: a channel code
+    other than 0 and 1, a time outside [0, duration) or tags out of order."""
+    stream = draw(valid_streams(min_tags=1))
+    codes, times = stream.channels.tolist(), stream.times_ps.tolist()
+    duration = stream.duration_ps
+    i = draw(st.integers(0, len(times) - 1))
+    fault = draw(st.sampled_from(["code", "time", "order"]))
+    if fault == "code":
+        codes[i] = draw(st.integers(2, 255))
+    elif fault == "time":
+        times[i] = draw(st.integers(-(2**63), -1) | st.integers(duration, 2**63 - 1))
+    else:
+        order = draw(st.permutations(range(len(times))))
+        codes, times = [codes[k] for k in order], [times[k] for k in order]
+        assume(sorted(zip(times, codes)) != list(zip(times, codes)))
+    return codes, times, duration
+
+
+class TestStreamInvariant:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(tags=malformed_tags())
+    def test_malformed_stream_rejected_everywhere(self, tags, tmp_path):
+        codes, times, duration = tags
+        with pytest.raises(ValueError):
+            TimeTagStream.from_arrays(codes, np.array(times, dtype=np.int64), duration, sort=False)
+
+        # QITT stores times as u64: a negative time arrives as 2**63 or more
+        records = np.empty(len(times), dtype=[("channel", "u1"), ("time_ps", "<u8")])
+        records["channel"] = codes
+        records["time_ps"] = np.array(times, dtype=np.int64).view(np.uint64)
+        qitt = tmp_path / "bad.qitt"
+        qitt.write_bytes(struct.pack("<4sHHQ", b"QITT", 1, 0, duration) + records.tobytes())
+        with pytest.raises(ValueError):
+            read_qitt(str(qitt))
+
+        # a code other than 0 and 1 has no CSV name; "signal7" must not be
+        # cut down to "signal"
+        body = "".join(f"{CSV_NAMES.get(c, f'signal{c}')},{t}\n" for c, t in zip(codes, times))
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"# duration_ps={duration}\nchannel,time_ps\n{body}")
+        with pytest.raises(ValueError):
+            read_tags_csv(str(csv))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=100, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(stream=valid_streams())
+    @example(stream=TimeTagStream.from_arrays([], [], 0))
+    @example(stream=TimeTagStream.from_arrays([], [], 12_500))
+    def test_round_trip_is_byte_identical(self, stream, tmp_path):
+        for write, read in ((write_qitt, read_qitt), (write_tags_csv, read_tags_csv)):
+            first, second = tmp_path / "first", tmp_path / "second"
+            write(stream, str(first))
+            back = read(str(first))
+            write(back, str(second))
+            assert first.read_bytes() == second.read_bytes()
+            assert back.duration_ps == stream.duration_ps
+            assert np.array_equal(back.channels, stream.channels)
+            assert np.array_equal(back.times_ps, stream.times_ps)
+
+    @pytest.mark.parametrize("code", [256, -1, 2**32])
+    def test_codes_checked_before_narrowing(self, code):
+        # as uint8, 256 and 2**32 would wrap to 0 and -1 to 255
+        with pytest.raises(ValueError, match="channel code"):
+            TimeTagStream.from_arrays(np.array([0, code], dtype=np.int64), [5, 6], 100)
+
+    def test_qitt_time_past_int64_rejected(self, tmp_path):
+        # 2**63 is below this u64 duration but wraps negative as int64
+        records = np.zeros(1, dtype=[("channel", "u1"), ("time_ps", "<u8")])
+        records["time_ps"] = 2**63
+        path = tmp_path / "big.qitt"
+        path.write_bytes(struct.pack("<4sHHQ", b"QITT", 1, 0, 2**64 - 1) + records.tobytes())
+        with pytest.raises(ValueError, match="outside"):
+            read_qitt(str(path))
+
+    def test_csv_without_duration_rejected(self, tmp_path):
+        # without a duration line the duration is 0, so no tag is in range
+        path = tmp_path / "tags.csv"
+        path.write_text("channel,time_ps\nsignal,5\n")
+        with pytest.raises(ValueError, match="outside"):
+            read_tags_csv(str(path))
+
+    def test_csv_requires_header(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_text("# duration_ps=25000\nsignal,5\n")
+        with pytest.raises(ValueError, match="header"):
             read_tags_csv(str(path))
 
 
@@ -269,7 +381,7 @@ class TestStreamFormats:
 def test_tag_stream_postconditions(mu, beta, n_pulses, seed):
     cfg = make_config(mu=mu, background_per_bin=beta, dark_signal_per_bin=1e-4)
     stream = simulate_tags(cfg, True, n_pulses, substream(seed))
-    assert stream.is_sorted()
+    assert in_stream_order(stream)
     if len(stream):
         assert stream.times_ps.min() >= 0
         assert stream.times_ps.max() < stream.duration_ps

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qisim import cli
 from qisim.imaging import scene_to_pgm, two_level_scene
@@ -42,6 +45,10 @@ def fast_config_path(tmp_path):
     path = tmp_path / "fast.json"
     save_config(cfg, str(path))
     return str(path)
+
+
+# The examples of one hypothesis test share its tmp_path; each overwrites its files.
+SHARED_TMP_PATH = HealthCheck.function_scoped_fixture
 
 
 def run_cli(*argv) -> int:
@@ -90,6 +97,84 @@ class TestCharacterize:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == cli.EXIT_CONFIG
+
+    def test_nan_mu_is_config_error(self, config_path, tmp_path, capsys):
+        code = run_cli(
+            "characterize",
+            "--config", config_path,
+            "--mu", "0.01,nan",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "mu out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan"])
+    def test_unusable_dwell_is_usage_error(self, config_path, tmp_path, dwell):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "characterize", "--config", config_path, "--mu", "0.01", "--dwell-s", dwell,
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        assert not out.exists()
+
+
+def write_config_with(path, section, name, value) -> str:
+    """paper_default as JSON with one field replaced; section None is the top level."""
+    raw = json.loads(open_config_text(paper_default()))
+    (raw[section] if section else raw)[name] = value
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def characterize_with(config: str, out) -> int:
+    return run_cli(
+        "characterize", "--config", config, "--mu", "0.01", "--dwell-s", "0.001",
+        "--out", str(out),
+    )
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("source", "mu", "0.01"),
+            ("source", "mu", True),
+            ("channel", "bin_width_ps", 2000.5),
+            ("channel", "dead_time_ps", 10.5),
+            ("channel", "dist_m", math.nan),
+            (None, "seed", 1.7),
+            (None, "n_pulses", True),
+        ],
+    )
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, section, name, value):
+        config = write_config_with(tmp_path / "bad.json", section, name, value)
+        out = tmp_path / "char.csv"
+        assert characterize_with(config, out) == cli.EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(data=st.data())
+    def test_bad_values_never_give_a_traceback(self, tmp_path, data):
+        # every numeric field of the config file; ints in the file are the integer fields
+        raw = json.loads(open_config_text(paper_default()))
+        fields = [(None, n, v) for n, v in raw.items() if not isinstance(v, dict)]
+        fields += [(sec, n, v) for sec in ("source", "channel") for n, v in raw[sec].items()]
+        section, name, default = data.draw(st.sampled_from(fields))
+        bad = st.one_of(
+            st.text(max_size=5),
+            st.booleans(),
+            st.lists(st.integers(), max_size=2),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        )
+        if name != "herald_nm":  # None means: derive it from the pump and signal
+            bad |= st.none()
+        if isinstance(default, int):
+            bad |= st.floats()
+        config = write_config_with(tmp_path / "bad.json", section, name, data.draw(bad))
+        assert characterize_with(config, tmp_path / "char.csv") == cli.EXIT_CONFIG
 
 
 class TestSweep:

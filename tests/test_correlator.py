@@ -90,13 +90,13 @@ class TestBinAndCount:
         assert counts.n_coincidences == 1
 
     def test_unsorted_stream_rejected(self):
-        stream = TimeTagStream(
-            channels=np.array([0, 0], dtype=np.uint8),
-            times_ps=np.array([200, 100], dtype=np.int64),
-            duration_ps=25000,
-        )
+        # the stream checks its order when it is built, before any reduction
         with pytest.raises(StreamOrderError, match="unsorted stream"):
-            bin_and_count(stream, WIDTH, PERIOD)
+            TimeTagStream(
+                channels=np.array([0, 0], dtype=np.uint8),
+                times_ps=np.array([200, 100], dtype=np.int64),
+                duration_ps=25000,
+            )
 
     def test_bad_bin_width_rejected(self):
         stream = stream_from([100], [], duration=25000)
@@ -144,22 +144,24 @@ class TestWindowedCoincidences:
         assert windowed_coincidences(stream_from([100, 150], [120], 10_000), 1000) == 1
 
     def test_unsorted_rejected(self):
-        stream = TimeTagStream(
-            channels=np.array([1, 0], dtype=np.uint8),
-            times_ps=np.array([500, 100], dtype=np.int64),
-            duration_ps=1000,
-        )
         with pytest.raises(StreamOrderError):
-            windowed_coincidences(stream, 100)
+            TimeTagStream(
+                channels=np.array([1, 0], dtype=np.uint8),
+                times_ps=np.array([500, 100], dtype=np.int64),
+                duration_ps=1000,
+            )
+        # equal times: Signal must come before Herald
+        with pytest.raises(StreamOrderError):
+            TimeTagStream.from_arrays([1, 0], [100, 100], 1000, sort=False)
 
     def test_matches_two_pointer_merge_on_dense_streams(self):
-        # dense random streams: equal-time ties, zero windows, one-channel
-        # streams and codes other than signal and herald (which are ignored)
+        # dense random streams: equal-time ties, zero windows and one-channel
+        # streams
         gen = np.random.default_rng(2024)
         for trial in range(2000):
             n_tags = int(gen.integers(0, 40))
             times = gen.integers(0, int(gen.choice([20, 200, 2000])), n_tags)
-            codes = [(0,), (1,), (0, 1), (0, 1), (0, 1, 2)][trial % 5]
+            codes = [(0,), (1,), (0, 1), (0, 1), (0, 1)][trial % 5]
             channels = gen.choice(codes, n_tags).astype(np.uint8)
             stream = TimeTagStream.from_arrays(channels, times, 2000)
             for half_window in (0, 1, 5, 30, 500):
