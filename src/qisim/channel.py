@@ -1,21 +1,20 @@
 """One acquisition: pulses, pair generation, loss, noise, detector clicks.
 
-Two modes produce the same per-bin statistics:
+Both modes sample from one closed form, `model.click_pattern_probabilities`,
+and so produce the same per-bin statistics:
 
 * `simulate_counts` draws the four per-pulse click patterns (both, signal
-  only, herald only, neither) from one multinomial over the closed-form
-  pattern probabilities of `model.click_pattern_probabilities`. It is
-  exact for Poisson pair statistics and costs O(1) per acquisition segment
-  regardless of the pulse count.
-* `simulate_tags` realizes the event stream explicitly: pair numbers,
-  per-photon survival, pulse-locked jamming, uniform dark counts and
-  Gaussian detector jitter, reduced to click tags with at most one tag per
-  channel per bin. It draws only the pulses that carry light: each
-  pulse-locked process (pair-bearing pulses, jamming, pair-less herald
-  noise) is a Bernoulli process over the pulses whose successes are found
-  by geometric gap sampling, so the cost is O(events), not O(pulses). It
-  exists to exercise the correlator and the timing model, and it accepts a
-  pair-number law (`source.PairLaw`).
+  only, herald only, neither) from one multinomial over the pattern
+  probabilities. It costs O(1) per acquisition segment regardless of the
+  pulse count.
+* `simulate_tags` realizes the event stream: the pulse-locked click
+  patterns (pairs, jamming and pair-less herald noise), uniform dark
+  counts and Gaussian detector jitter, reduced to click tags with at most
+  one tag per channel per bin. It draws only the pulses that carry a
+  pulse-locked click, found by geometric gap sampling of one Bernoulli
+  process, so the cost is O(events), not O(pulses). It exists to exercise
+  the correlator and the timing model, and it accepts a pair-number law
+  (`source.PairLaw`).
 
 Timing is integer picoseconds. Jamming light is pulse-locked (it is
 engineered to be indistinguishable from the signal photons); dark and
@@ -33,7 +32,7 @@ import enum
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +66,12 @@ class TimeTagStream:
     duration_ps: int
 
     def __post_init__(self) -> None:
-        c, t = np.asarray(self.channels), np.asarray(self.times_ps).astype(np.int64, copy=False)
         self.duration_ps = int(self.duration_ps)
+        c = np.asarray(self.channels)
+        try:
+            t = np.asarray(self.times_ps).astype(np.int64, copy=False)
+        except OverflowError:  # a Python int beyond the int64 range
+            raise ValueError(f"tag time outside [0, {self.duration_ps}) ps") from None
         if c.ndim != 1 or c.shape != t.shape:
             raise ValueError("channels and times_ps must be 1-D and of equal length")
         bad = (c != Channel.SIGNAL) & (c != Channel.HERALD)
@@ -165,17 +168,15 @@ def simulate_tags(
 ) -> TimeTagStream:
     """Explicit time-tag acquisition.
 
-    Pulse k sits at time k*T. The pair-bearing pulses are drawn with
-    probability P(n > 0) of the pair law and their pair numbers from its
-    zero-truncated law; each pair's signal and herald photons survive their
-    arms independently. Pulse-locked noise adds clicks on the pulses of two
-    more Bernoulli processes: jamming on the signal channel, with
-    p = 1 - exp(-beta), and pair-less herald detections, with
-    p = 1 - exp(-delta_h). A pulse with a photon click and a noise click on
-    one channel still gives one tag there. Pulse-locked clicks are stamped
-    k*T plus per-detector Gaussian jitter. Dark and stray counts arrive
-    uniformly over the run. At most one tag survives per channel per bin
-    (click-detector semantics); tags jittered outside [0, duration) are
+    Pulse k sits at time k*T. Each pulse's pulse-locked click pattern (both
+    channels, signal only, herald only) comes from
+    `model.click_pattern_probabilities` under `pair_law`, with dark and stray
+    light left out because they are uniform in time. The pulses with any
+    locked click are one Bernoulli process over the pulses, and each of them
+    takes one categorical draw among the three patterns. Locked clicks are
+    stamped k*T plus per-detector Gaussian jitter. Dark and stray counts
+    arrive uniformly over the run. At most one tag survives per channel per
+    bin (click-detector semantics); tags jittered outside [0, duration) are
     lost.
     """
     if n_pulses < 0:
@@ -184,16 +185,13 @@ def simulate_tags(
     period = config.pulse_period_ps
     duration = n_pulses * period
 
-    pulses = _bernoulli_indices(pair_law.p_nonzero(src.mu), n_pulses, rng)
-    pairs = pair_law.truncated(src.mu, rng, pulses.size)
-    sig_pulses = pulses[rng.binomial(pairs, ch.signal_arm_efficiency(target_in)) > 0]
-    her_pulses = pulses[rng.binomial(pairs, src.eta_herald) > 0]
-    sig_pulses = np.union1d(
-        sig_pulses, _bernoulli_indices(-math.expm1(-ch.background_per_bin), n_pulses, rng)
+    p11, p10, p01, _ = click_pattern_probabilities(
+        src, replace(ch, dark_signal_per_bin=0.0, stray_light_per_bin=0.0), target_in, pair_law
     )
-    her_pulses = np.union1d(
-        her_pulses, _bernoulli_indices(-math.expm1(-src.noise_herald_per_bin), n_pulses, rng)
-    )
+    pulses = _bernoulli_indices(min(1.0, p11 + p10 + p01), n_pulses, rng)
+    u = rng.random(pulses.size) * (p11 + p10 + p01)
+    sig_pulses = pulses[u < p11 + p10]
+    her_pulses = pulses[(u < p11) | (u >= p11 + p10)]
 
     locked = []
     for idx, jitter in ((sig_pulses, ch.jitter_signal_ps), (her_pulses, ch.jitter_herald_ps)):
@@ -257,16 +255,25 @@ def _dedupe_bins(times: np.ndarray, bin_width: int, period: int, n_pulses: int) 
 
 
 def _apply_dead_time(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
-    """Drop tags within the dead time of the last kept tag on this channel."""
+    """Drop tags within the dead time of the last kept tag on this channel.
+
+    A tag at least the dead time after its predecessor is always kept, and
+    the tag right after a kept one is dropped if it is closer than that. So
+    only runs of three or more tags, each close to its predecessor, need the
+    sequential rule; there each kept tag is found from the last one by
+    binary search.
+    """
     if times.size < 2:
         return times
-    keep = np.ones(times.size, dtype=bool)
-    last = times[0]
-    for i in range(1, times.size):
-        if times[i] - last < dead_time_ps:
-            keep[i] = False
-        else:
-            last = times[i]
+    keep = np.concatenate(([True], np.diff(times) >= dead_time_ps))
+    heads = np.flatnonzero(keep)
+    ends = np.append(heads[1:], times.size)
+    runs = ends - heads > 2
+    for s, e in zip(heads[runs].tolist(), ends[runs].tolist()):
+        last, stop = int(times[s]), int(times[e - 1])
+        while last + dead_time_ps <= stop:
+            i = s + int(np.searchsorted(times[s:e], last + dead_time_ps))
+            keep[i], last = True, int(times[i])
     return times[keep]
 
 

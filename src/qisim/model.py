@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .source import POISSON_PAIRS, PairLaw
+
 PS_PER_SECOND = 10**12
 
 DEFAULT_REP_RATE_HZ = 80e6
@@ -187,23 +189,27 @@ class BinProbabilities:
             raise ValueError("p_coincidence violates joint-probability bounds")
 
 
-def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, target_in: bool):
+def click_pattern_probabilities(
+    source: SourceParams, channel: ChannelParams, target_in: bool, pair_law: PairLaw = POISSON_PAIRS
+):
     """Probabilities of the four per-pulse click patterns.
 
-    The per-bin model: a pulse makes N pairs (Poisson, mean mu); each
-    pair's signal photon is detected with the full arm efficiency eta_sig
-    and its herald with eta_h, independently; jamming, dark and stray light
-    add independent Poisson intensities. Click detectors fire on one or
-    more photons, so
+    The per-bin model: a pulse makes N pairs, from `pair_law` with mean mu
+    (Poisson by default); each pair's signal photon is detected with the
+    full arm efficiency eta_sig and its herald with eta_h, independently;
+    jamming, dark and stray light add independent Poisson intensities.
+    Click detectors fire on one or more photons. With G the pair law's
+    generating function,
 
-        P_s  = 1 - exp(-(mu*eta_sig + beta + delta_s))
-        P_h  = 1 - exp(-(mu*eta_h + delta_h))
-        P_sh = P_s*P_h + exp(-(beta + delta_s + delta_h + mu*(eta_sig + eta_h)))
-                         * (exp(mu*eta_sig*eta_h) - 1)
+        P(no S) = G(1 - eta_sig) * exp(-(beta + delta_s)),  P_s = 1 - P(no S)
+        P(no H) = G(1 - eta_h) * exp(-delta_h),             P_h = 1 - P(no H)
+        P_sh = P_s*P_h + P(no S)*P(no H) * expm1(excess)
 
-    where the second P_sh term is the pair-correlation excess over
-    independent channels. These forms are exact for Poisson pair numbers
-    and are the oracle the Monte Carlo modes are tested against.
+    where excess = `pair_law.log_pair_excess(mu, eta_sig, eta_h)` and the
+    second P_sh term is the pair-correlation excess over independent
+    channels. For Poisson pairs P_s = 1 - exp(-(mu*eta_sig + beta +
+    delta_s)) and excess = mu*eta_sig*eta_h. These forms are exact for
+    either law and are the oracle the Monte Carlo modes are tested against.
 
     Returned as (both, signal only, herald only, neither); each term is
     computed in a cancellation-free form so the tiny pattern probabilities
@@ -215,12 +221,12 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
     mu = source.mu
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
-    noise_s = channel.signal_noise_per_bin
-    noise_h = source.noise_herald_per_bin
 
-    p_s = -np.expm1(-(mu * eta_sig + noise_s))
-    p_h = -np.expm1(-(mu * eta_h + noise_h))
-    excess = np.exp(-(noise_s + noise_h + mu * (eta_sig + eta_h))) * np.expm1(mu * eta_sig * eta_h)
+    log_no_s = pair_law.log_pgf(mu, eta_sig) - channel.signal_noise_per_bin
+    log_no_h = pair_law.log_pgf(mu, eta_h) - source.noise_herald_per_bin
+    p_s = -np.expm1(log_no_s)
+    p_h = -np.expm1(log_no_h)
+    excess = np.exp(log_no_s + log_no_h) * np.expm1(pair_law.log_pair_excess(mu, eta_sig, eta_h))
     p11 = p_s * p_h + excess
     p10 = np.maximum(0.0, p_s - p11)
     p01 = np.maximum(0.0, p_h - p11)
@@ -308,10 +314,9 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     if c.bin_width_ps > raw.pulse_period_ps:
         raise ConfigError("bin exceeds pulse period")
 
-    if raw.n_pulses < 1:
-        raise ConfigError("n_pulses out of range")
-    if raw.toggle_period_pulses < 1:
-        raise ConfigError("toggle_period_pulses out of range")
+    # Pulse counts are drawn and summed as int64.
+    for name in ("n_pulses", "toggle_period_pulses"):
+        _check_range(name, getattr(raw, name), 1, 2**63 - 1)
     if not (0 <= raw.seed < 2**64):
         raise ConfigError("seed out of range")
 

@@ -7,14 +7,16 @@ idler (herald) wavelength follows from energy conservation,
 The pair number of a pulse is Poisson by default: the broadband multi-mode
 process populates many Schmidt modes, so the single-mode thermal
 statistics wash out. `THERMAL_PAIRS` covers the strongly single-mode case.
-A `PairLaw` is given as P(n > 0) plus a sampler of the zero-truncated law
-P(n | n >= 1), so the tag simulator draws pair numbers for pair-bearing
-pulses only.
+A `PairLaw` is given by its probability generating function G(z) = E[z^n]
+(Mandel & Wolf, Optical Coherence and Quantum Optics, 1995, on photocount
+generating functions): if each pair is detected with probability q, no pair
+is detected with probability G(1 - q). That is all the click-pattern closed
+form of `model.click_pattern_probabilities` needs, and both acquisition
+modes sample from that closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,14 +25,20 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PairLaw:
-    """Per-pulse pair-number law with mean mu.
+    """Per-pulse pair-number law with mean mu, as two closed forms of its
+    generating function G. Both take numpy arrays and broadcast.
 
-    `p_nonzero(mu)` is P(n > 0); `truncated(mu, rng, size)` draws `size`
-    pair numbers from P(n | n >= 1).
+    `log_pgf(mu, q)` is log G(1 - q), the log-probability that none of the
+    pairs is detected when each is, independently, with probability q.
+    `log_pair_excess(mu, q_s, q_h)` is
+    log G((1 - q_s)(1 - q_h)) - log G(1 - q_s) - log G(1 - q_h), the
+    correlation of "no signal photon" and "no herald photon". It is written
+    out per law, because as a difference of three logs it loses most of its
+    digits at small mu and q.
     """
 
-    p_nonzero: Callable[[float], float]
-    truncated: Callable[[float, np.random.Generator, int], np.ndarray]
+    log_pgf: Callable[[float, float], float]
+    log_pair_excess: Callable[[float, float, float], float]
 
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
@@ -67,20 +75,17 @@ def poisson_pair_counts(mu: float, rng: np.random.Generator, size: int) -> np.nd
     return rng.poisson(mu, size)
 
 
-def _poisson_truncated(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    # Pairs are the arrivals of a rate-mu process on [0, 1). Given one
-    # arrival, the first one T is drawn by inversion of its truncated
-    # exponential law; the rest of the pulse adds Poisson(mu (1 - T)), and
-    # mu (1 - T) = mu + log1p(u expm1(-mu)).
-    rest = mu + np.log1p(rng.random(size) * math.expm1(-mu))
-    return 1 + rng.poisson(np.maximum(rest, 0.0))
+# G(z) = exp(-mu (1 - z))
+POISSON_PAIRS = PairLaw(
+    log_pgf=lambda mu, q: -mu * q,
+    log_pair_excess=lambda mu, q_s, q_h: mu * q_s * q_h,
+)
 
-
-POISSON_PAIRS = PairLaw(lambda mu: -math.expm1(-mu), _poisson_truncated)
-
-# Single-mode thermal (Bose-Einstein): P(n) = mu^n / (1 + mu)^(n + 1). It is
-# memoryless, so n given n >= 1 is a geometric trial count.
+# Single-mode thermal (Bose-Einstein): P(n) = mu^n / (1 + mu)^(n + 1), so
+# G(z) = 1 / (1 + mu (1 - z)).
 THERMAL_PAIRS = PairLaw(
-    lambda mu: mu / (1.0 + mu),
-    lambda mu, rng, size: rng.geometric(1.0 / (1.0 + mu), size),
+    log_pgf=lambda mu, q: -np.log1p(mu * q),
+    log_pair_excess=lambda mu, q_s, q_h: np.log1p(
+        mu * (1.0 + mu) * q_s * q_h / (1.0 + mu * (q_s + q_h - q_s * q_h))
+    ),
 )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -11,6 +12,7 @@ from qisim.channel import (
     _TAG_CHUNK,
     Channel,
     TimeTagStream,
+    _apply_dead_time,
     _bernoulli_indices,
     collection_fraction_max,
     read_qitt,
@@ -20,7 +22,7 @@ from qisim.channel import (
     write_qitt,
     write_tags_csv,
 )
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams, validate_config
+from qisim.model import ChannelParams, ExperimentConfig, SourceParams, paper_default, validate_config
 from qisim.rng import substream
 from qisim.source import THERMAL_PAIRS
 
@@ -195,6 +197,48 @@ class TestSimulateTags:
         p_h = 1.0 - math.exp(-1e-3) / (1.0 + 0.5 * 0.5)
         assert_within_sigma(counts.n_herald_clicks, n * p_h, binomial_std(n, p_h), "thermal heralds")
 
+    def test_thermal_tags_match_closed_form(self):
+        # the thermal oracle, not Poisson: at mu = 0.5 Poisson signal singles
+        # would sit ~20 sigma away
+        cfg = make_config(
+            mu=0.5,
+            eta_herald=0.5,
+            noise_herald_per_bin=1e-3,
+            collection_fraction=0.5,
+            eta_transmit=1.0,
+            background_per_bin=1e-3,
+            dark_signal_per_bin=1e-4,
+            jitter_signal_ps=0.0,
+            jitter_herald_ps=0.0,
+        )
+        n = 500_000
+        from qisim.correlator import bin_and_count
+
+        stream = simulate_tags(cfg, True, n, substream(8, 2), pair_law=THERMAL_PAIRS)
+        counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
+        p11, p10, p01, _ = click_pattern_probabilities(cfg.source, cfg.channel, True, THERMAL_PAIRS)
+        for label, observed, p in (
+            ("signal", counts.n_signal_clicks, p11 + p10),
+            ("herald", counts.n_herald_clicks, p11 + p01),
+            ("coinc", counts.n_coincidences, p11),
+        ):
+            assert_within_sigma(observed, n * p, binomial_std(n, p), f"thermal {label}")
+
+    def test_golden_stream_digest(self):
+        """SHA-256 of one fixed-seed stream, taken with numpy 2.4.6.
+
+        Any change to how `simulate_tags` consumes the generator changes
+        these bytes; such a change must say so and update the digest here.
+        """
+        stream = simulate_tags(paper_default(), True, 10**6, substream(6, 0))
+        digest = hashlib.sha256(
+            stream.channels.tobytes() + stream.times_ps.astype("<i8").tobytes()
+        ).hexdigest()
+        assert (len(stream), digest) == (
+            457,
+            "4b78d9d4d7b651e09a0c65a7fde9451fcd8fc31f135ad300712b8de6e2c9d567",
+        )
+
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(ValueError, match="n_pulses"):
             simulate_tags(make_config(), True, -5, substream(8, 1))
@@ -293,7 +337,8 @@ def malformed_tags(draw):
     if fault == "code":
         codes[i] = draw(st.integers(2, 255))
     elif fault == "time":
-        times[i] = draw(st.integers(-(2**63), -1) | st.integers(duration, 2**63 - 1))
+        late = st.integers(duration, 2**63 - 1) if duration < 2**63 else st.nothing()
+        times[i] = draw(st.integers(-(2**63), -1) | late)
     else:
         order = draw(st.permutations(range(len(times))))
         codes, times = [codes[k] for k in order], [times[k] for k in order]
@@ -347,6 +392,11 @@ class TestStreamInvariant:
         # as uint8, 256 and 2**32 would wrap to 0 and -1 to 255
         with pytest.raises(ValueError, match="channel code"):
             TimeTagStream.from_arrays(np.array([0, code], dtype=np.int64), [5, 6], 100)
+
+    @pytest.mark.parametrize("time", [2**64, -(2**63) - 1])
+    def test_time_beyond_int64_rejected(self, time):
+        with pytest.raises(ValueError, match="outside"):
+            TimeTagStream.from_arrays([0], [time], 10)
 
     def test_qitt_time_past_int64_rejected(self, tmp_path):
         # 2**63 is below this u64 duration but wraps negative as int64
@@ -412,3 +462,35 @@ class TestBernoulliIndices:
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValueError):
             _bernoulli_indices(-1e-3, 10, substream(13, 3))
+
+
+def dead_time_loop(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
+    """The sequential dead-time rule, one tag at a time: the oracle for
+    `_apply_dead_time`."""
+    if times.size < 2:
+        return times
+    keep = np.ones(times.size, dtype=bool)
+    last = times[0]
+    for i in range(1, times.size):
+        if times[i] - last < dead_time_ps:
+            keep[i] = False
+        else:
+            last = times[i]
+    return times[keep]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    dead_time_ps=st.integers(1, 40),
+    gaps=st.lists(st.integers(0, 50), max_size=300),
+    start=st.integers(0, 2**62),
+)
+@example(dead_time_ps=1, gaps=[0, 0, 1, 0, 1, 1, 2, 0], start=0)  # ties at the shortest dead time
+@example(dead_time_ps=10, gaps=[3] * 200, start=5)  # one run across 201 tags
+@example(dead_time_ps=10, gaps=[9, 9, 2, 9, 0, 10, 1], start=0)
+@example(dead_time_ps=7, gaps=[], start=0)
+def test_dead_time_matches_sequential_rule(dead_time_ps, gaps, start):
+    times = start + np.cumsum(np.array([0] + gaps, dtype=np.int64))
+    got = _apply_dead_time(times, dead_time_ps)
+    assert got.dtype == times.dtype
+    assert np.array_equal(got, dead_time_loop(times, dead_time_ps))

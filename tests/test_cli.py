@@ -155,6 +155,16 @@ class TestConfigTypes:
         assert not out.exists()
         assert not (tmp_path / "runs.jsonl").exists()
 
+    @pytest.mark.parametrize("name", ["n_pulses", "toggle_period_pulses"])
+    def test_pulse_count_beyond_int64_is_config_error(self, tmp_path, capsys, name):
+        # without --dwell-s, characterize runs n_pulses pulses per point
+        config = write_config_with(tmp_path / "big.json", None, name, 2**64)
+        out = tmp_path / "char.csv"
+        code = run_cli("characterize", "--config", config, "--mu", "0.01", "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert f"{name} out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
     @given(data=st.data())
     def test_bad_values_never_give_a_traceback(self, tmp_path, data):

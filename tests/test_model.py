@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qisim.model import (
     BinProbabilities,
@@ -13,6 +17,7 @@ from qisim.model import (
     SourceParams,
     bare_channel,
     bare_source,
+    click_pattern_probabilities,
     config_digest,
     dumps_config,
     load_config,
@@ -21,6 +26,8 @@ from qisim.model import (
     save_config,
     validate_config,
 )
+
+from qisim.source import THERMAL_PAIRS
 
 from . import conftest
 
@@ -164,3 +171,81 @@ def test_bare_presets_strip_losses_and_noise():
     # detector properties persist
     assert ch.eta_signal_detector == pytest.approx(0.6)
     assert ch.dark_signal_per_bin > 0
+
+
+@pytest.mark.parametrize("name", ["n_pulses", "toggle_period_pulses"])
+def test_validate_bounds_pulse_counts_to_int64(name):
+    cfg = ExperimentConfig(source=SourceParams(mu=0.005))
+    assert validate_config(dataclasses.replace(cfg, **{name: 2**63 - 1}))
+    for bad in (2**63, 2**64):
+        with pytest.raises(ConfigError, match=f"{name} out of range"):
+            validate_config(dataclasses.replace(cfg, **{name: bad}))
+
+
+def poisson_patterns_written_out(source, channel, target_in):
+    """The Poisson-only pattern formula that the pair-law form replaced."""
+    mu = source.mu
+    eta_h = source.eta_herald
+    eta_sig = channel.signal_arm_efficiency(target_in)
+    noise_s = channel.signal_noise_per_bin
+    noise_h = source.noise_herald_per_bin
+    p_s = -np.expm1(-(mu * eta_sig + noise_s))
+    p_h = -np.expm1(-(mu * eta_h + noise_h))
+    excess = np.exp(-(noise_s + noise_h + mu * (eta_sig + eta_h))) * np.expm1(mu * eta_sig * eta_h)
+    p11 = p_s * p_h + excess
+    p10 = np.maximum(0.0, p_s - p11)
+    p01 = np.maximum(0.0, p_h - p11)
+    return p11, p10, p01, np.maximum(0.0, 1.0 - p11 - p10 - p01)
+
+
+class TestClickPatternProbabilities:
+    @settings(max_examples=300, deadline=None)
+    @given(source=conftest.source_params(), channel=conftest.channel_params(), target_in=st.booleans())
+    def test_poisson_matches_written_out_formula(self, source, channel, target_in):
+        got = click_pattern_probabilities(source, channel, target_in)
+        want = poisson_patterns_written_out(source, channel, target_in)
+        # p10 and p01 are differences of a singles and the coincidence
+        # probability, so their rounding is relative to the singles
+        scale = max(want[0] + want[1], want[0] + want[2])
+        for g, w in zip(got, want):
+            assert g == pytest.approx(float(w), rel=1e-14, abs=1e-15 * scale)
+
+    def test_thermal_hand_evaluated(self):
+        # G(1 - q) = 1 / (1 + mu q) at mu = 1/2, eta_h = 1/2, eta_sig = 0.3, no
+        # noise: P(no S) = 20/23, P(no H) = 4/5, P(neither) = 1/(1 + 0.325) = 40/53
+        source = SourceParams(mu=0.5, eta_herald=0.5, noise_herald_per_bin=0.0)
+        channel = ChannelParams(
+            eta_transmit=1.0, collection_fraction=0.5, eta_signal_detector=0.6, dark_signal_per_bin=0.0
+        )
+        assert channel.signal_arm_efficiency(True) == pytest.approx(0.3, rel=1e-15)
+        got = click_pattern_probabilities(source, channel, True, THERMAL_PAIRS)
+        want = [Fraction(519, 6095), Fraction(12, 265), Fraction(140, 1219), Fraction(40, 53)]
+        assert sum(want) == 1
+        for g, w in zip(got, want):
+            assert g == pytest.approx(float(w), rel=1e-14)
+        # target out: no pair reaches the signal detector, so the channels
+        # are independent
+        p11, p10, p01, p00 = click_pattern_probabilities(source, channel, False, THERMAL_PAIRS)
+        assert (p11, p10, p01) == (0.0, 0.0, pytest.approx(0.2, rel=1e-15))
+        assert p00 == pytest.approx(0.8, rel=1e-15)
+
+    def test_thermal_excess_keeps_its_digits_at_paper_default(self):
+        # at paper_default the excess is ~7000x smaller than each of the three
+        # logs it is the difference of; a Fraction-exact evaluation is the oracle
+        cfg = paper_default()
+        mu, eta_h = cfg.source.mu, cfg.source.eta_herald
+        eta_sig = cfg.channel.signal_arm_efficiency(True)
+        fm, fs, fh = Fraction(mu), Fraction(eta_sig), Fraction(eta_h)
+        ratio = (1 + fm * fs) * (1 + fm * fh) / (1 + fm * (fs + fh - fs * fh))
+        exact = math.log1p(float(ratio - 1))
+        assert THERMAL_PAIRS.log_pair_excess(mu, eta_sig, eta_h) == pytest.approx(exact, rel=1e-14)
+
+    def test_thermal_broadcasts(self):
+        source = SourceParams(mu=0.5, eta_herald=0.5)
+        reflectivity = np.array([0.0, 0.25, 1.0])
+        channel = ChannelParams(target_reflectivity=reflectivity)
+        arrays = click_pattern_probabilities(source, channel, True, THERMAL_PAIRS)
+        for i, r in enumerate(reflectivity):
+            one = dataclasses.replace(channel, target_reflectivity=float(r))
+            scalars = click_pattern_probabilities(source, one, True, THERMAL_PAIRS)
+            assert [a[i] for a in arrays] == list(scalars)

@@ -90,14 +90,6 @@ class TestPairSampling:
             poisson_pair_counts(-0.1, substream(1), 1000)
 
 
-def full_law_draws(law, mu: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of the whole pair-number law, in no particular order."""
-    k = rng.binomial(n, law.p_nonzero(mu))
-    draws = np.zeros(n, dtype=np.int64)
-    draws[:k] = law.truncated(mu, rng, k)
-    return draws
-
-
 def poisson_pmf(mu: float, n: int) -> float:
     return math.exp(-mu) * mu**n / math.factorial(n)
 
@@ -106,35 +98,63 @@ def thermal_pmf(mu: float, n: int) -> float:
     return mu**n / (1.0 + mu) ** (n + 1)
 
 
+def pgf_series(pmf, mu: float, z: float) -> float:
+    """G(z) = sum_n P(n) z^n, summed until the terms vanish (mu <= 0.5)."""
+    return math.fsum(pmf(mu, n) * z**n for n in range(80))
+
+
+def factorial_cumulant(law, mu: float, order: int, h: float = 1e-4) -> float:
+    """d^k/ds^k log G(1 + s) at s = 0, by central differences of log_pgf(mu, -s)."""
+    f = [float(law.log_pgf(mu, -s)) for s in (-h, 0.0, h)]
+    return (f[2] - f[0]) / (2 * h) if order == 1 else (f[2] - 2 * f[1] + f[0]) / h**2
+
+
 class TestThermalVariant:
     def test_moments(self):
-        mu, n = 0.5, 10**6
-        draws = full_law_draws(THERMAL_PAIRS, mu, substream(11, 0), n)
-        # Bose-Einstein: mean mu, variance mu (1 + mu)
-        assert_within_sigma(draws.mean(), mu, math.sqrt(mu * (1 + mu) / n), "thermal mean")
-        p_ge1 = mu / (1 + mu)
-        assert_within_sigma(np.mean(draws >= 1), p_ge1, math.sqrt(p_ge1 / n), "thermal tail")
+        # Bose-Einstein: mean mu, variance mu (1 + mu), P(n >= 1) = mu / (1 + mu).
+        # The first two factorial cumulants are the mean and variance - mean.
+        mu = 0.5
+        assert factorial_cumulant(THERMAL_PAIRS, mu, 1) == pytest.approx(mu, rel=1e-8)
+        variance = mu + factorial_cumulant(THERMAL_PAIRS, mu, 2)
+        assert variance == pytest.approx(mu * (1 + mu), rel=1e-6)
+        p_ge1 = -math.expm1(THERMAL_PAIRS.log_pgf(mu, 1.0))
+        assert p_ge1 == pytest.approx(mu / (1 + mu), rel=1e-15)
+        # Poisson for contrast: variance = mean
+        assert factorial_cumulant(POISSON_PAIRS, mu, 2) == pytest.approx(0.0, abs=1e-6)
 
     def test_mu_zero(self):
-        assert THERMAL_PAIRS.p_nonzero(0.0) == 0.0
-        assert np.all(full_law_draws(THERMAL_PAIRS, 0.0, substream(11, 1), 100) == 0)
+        # no pairs: nothing is ever detected and the channels are uncorrelated
+        for law in (POISSON_PAIRS, THERMAL_PAIRS):
+            for q in (0.0, 0.3, 1.0):
+                assert law.log_pgf(0.0, q) == 0.0
+                assert law.log_pair_excess(0.0, q, 0.5) == 0.0
 
 
-class TestTruncatedLaws:
+class TestPairLawPgf:
     @pytest.mark.parametrize("mu", [0.02, 0.5])
     @pytest.mark.parametrize(
         "law, pmf", [(POISSON_PAIRS, poisson_pmf), (THERMAL_PAIRS, thermal_pmf)], ids=["poisson", "thermal"]
     )
-    def test_matches_zero_truncated_pmf(self, law, pmf, mu):
-        n = 10**6
-        p0 = law.p_nonzero(mu)
-        assert p0 == pytest.approx(1.0 - pmf(mu, 0), rel=1e-12)
-        draws = law.truncated(mu, substream(12, int(mu * 100)), n)
-        assert draws.min() >= 1
-        p1, p2 = pmf(mu, 1) / p0, pmf(mu, 2) / p0
-        for label, observed, p in (
-            ("n=1", np.count_nonzero(draws == 1), p1),
-            ("n=2", np.count_nonzero(draws == 2), p2),
-            ("n>=3", np.count_nonzero(draws >= 3), 1.0 - p1 - p2),
-        ):
-            assert_within_sigma(observed, n * p, math.sqrt(n * p * (1 - p)), f"{label} at mu={mu}")
+    def test_matches_pmf_series(self, law, pmf, mu):
+        # exp(log_pgf(mu, 1)) = G(0) = P(0)
+        assert math.exp(law.log_pgf(mu, 1.0)) == pytest.approx(pmf(mu, 0), rel=1e-14)
+        assert factorial_cumulant(law, mu, 1) == pytest.approx(mu, rel=1e-8)
+        for q in (0.1, 0.5, 0.9):
+            assert math.exp(law.log_pgf(mu, q)) == pytest.approx(pgf_series(pmf, mu, 1 - q), rel=1e-13)
+        for q_s, q_h in ((0.3, 0.5), (0.9, 0.2), (1.0, 1.0)):
+            three_logs = (
+                math.log(pgf_series(pmf, mu, (1 - q_s) * (1 - q_h)))
+                - math.log(pgf_series(pmf, mu, 1 - q_s))
+                - math.log(pgf_series(pmf, mu, 1 - q_h))
+            )
+            assert law.log_pair_excess(mu, q_s, q_h) == pytest.approx(three_logs, rel=1e-9)
+
+    @pytest.mark.parametrize("law", [POISSON_PAIRS, THERMAL_PAIRS], ids=["poisson", "thermal"])
+    def test_broadcasts(self, law):
+        q = np.array([0.0, 1e-4, 0.3, 1.0])
+        mu = np.array([[1e-3], [0.5]])
+        pgf, excess = law.log_pgf(mu, q), law.log_pair_excess(mu, q, 0.5)
+        assert pgf.shape == excess.shape == (2, 4)
+        for i, j in np.ndindex(2, 4):
+            assert pgf[i, j] == law.log_pgf(float(mu[i, 0]), float(q[j]))
+            assert excess[i, j] == law.log_pair_excess(float(mu[i, 0]), float(q[j]), 0.5)
