@@ -188,8 +188,9 @@ def simulate_tags(
     p11, p10, p01, _ = click_pattern_probabilities(
         src, replace(ch, dark_signal_per_bin=0.0, stray_light_per_bin=0.0), target_in, pair_law
     )
-    pulses = _bernoulli_indices(min(1.0, p11 + p10 + p01), n_pulses, rng)
-    u = rng.random(pulses.size) * (p11 + p10 + p01)
+    p_locked = p11 + p10 + p01
+    pulses = _bernoulli_indices(min(1.0, p_locked), n_pulses, rng)
+    u = rng.random(pulses.size) * p_locked
     sig_pulses = pulses[u < p11 + p10]
     her_pulses = pulses[(u < p11) | (u >= p11 + p10)]
 

@@ -148,13 +148,3 @@ class TestPairLawPgf:
                 - math.log(pgf_series(pmf, mu, 1 - q_h))
             )
             assert law.log_pair_excess(mu, q_s, q_h) == pytest.approx(three_logs, rel=1e-9)
-
-    @pytest.mark.parametrize("law", [POISSON_PAIRS, THERMAL_PAIRS], ids=["poisson", "thermal"])
-    def test_broadcasts(self, law):
-        q = np.array([0.0, 1e-4, 0.3, 1.0])
-        mu = np.array([[1e-3], [0.5]])
-        pgf, excess = law.log_pgf(mu, q), law.log_pair_excess(mu, q, 0.5)
-        assert pgf.shape == excess.shape == (2, 4)
-        for i, j in np.ndindex(2, 4):
-            assert pgf[i, j] == law.log_pgf(float(mu[i, 0]), float(q[j]))
-            assert excess[i, j] == law.log_pair_excess(float(mu[i, 0]), float(q[j]), 0.5)
