@@ -22,7 +22,13 @@ from qisim.channel import (
     write_qitt,
     write_tags_csv,
 )
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams, paper_default, validate_config
+from qisim.model import (
+    ChannelParams,
+    ExperimentConfig,
+    SourceParams,
+    paper_default,
+    validate_config,
+)
 from qisim.rng import substream
 from qisim.source import THERMAL_PAIRS
 
@@ -198,8 +204,8 @@ class TestSimulateTags:
         assert_within_sigma(counts.n_herald_clicks, n * p_h, binomial_std(n, p_h), "thermal heralds")
 
     def test_thermal_tags_match_closed_form(self):
-        # the thermal oracle, not Poisson: at mu = 0.5 Poisson signal singles
-        # would sit ~20 sigma away
+        # the thermal oracle, not Poisson: at mu = 0.5 the Poisson signal
+        # singles, herald singles and coincidences sit 19, 37 and 5 sigma away
         cfg = make_config(
             mu=0.5,
             eta_herald=0.5,

@@ -200,7 +200,11 @@ def poisson_patterns_written_out(source, channel, target_in):
 
 class TestClickPatternProbabilities:
     @settings(max_examples=300, deadline=None)
-    @given(source=conftest.source_params(), channel=conftest.channel_params(), target_in=st.booleans())
+    @given(
+        source=conftest.source_params(),
+        channel=conftest.channel_params(),
+        target_in=st.booleans(),
+    )
     def test_poisson_matches_written_out_formula(self, source, channel, target_in):
         got = click_pattern_probabilities(source, channel, target_in)
         want = poisson_patterns_written_out(source, channel, target_in)
@@ -215,30 +219,38 @@ class TestClickPatternProbabilities:
         # noise: P(no S) = 20/23, P(no H) = 4/5, P(neither) = 1/(1 + 0.325) = 40/53
         source = SourceParams(mu=0.5, eta_herald=0.5, noise_herald_per_bin=0.0)
         channel = ChannelParams(
-            eta_transmit=1.0, collection_fraction=0.5, eta_signal_detector=0.6, dark_signal_per_bin=0.0
+            eta_transmit=1.0,
+            collection_fraction=0.5,
+            eta_signal_detector=0.6,
+            dark_signal_per_bin=0.0,
         )
-        assert channel.signal_arm_efficiency(True) == pytest.approx(0.3, rel=1e-15)
+        assert channel.signal_arm_efficiency(True) == pytest.approx(0.3, rel=1e-15, abs=0)
         got = click_pattern_probabilities(source, channel, True, THERMAL_PAIRS)
         want = [Fraction(519, 6095), Fraction(12, 265), Fraction(140, 1219), Fraction(40, 53)]
         assert sum(want) == 1
         for g, w in zip(got, want):
-            assert g == pytest.approx(float(w), rel=1e-14)
+            assert g == pytest.approx(float(w), rel=1e-14, abs=0)
         # target out: no pair reaches the signal detector, so the channels
         # are independent
         p11, p10, p01, p00 = click_pattern_probabilities(source, channel, False, THERMAL_PAIRS)
-        assert (p11, p10, p01) == (0.0, 0.0, pytest.approx(0.2, rel=1e-15))
-        assert p00 == pytest.approx(0.8, rel=1e-15)
+        assert (p11, p10, p01) == (0.0, 0.0, pytest.approx(0.2, rel=1e-15, abs=0))
+        assert p00 == pytest.approx(0.8, rel=1e-15, abs=0)
 
-    def test_thermal_excess_keeps_its_digits_at_paper_default(self):
-        # at paper_default the excess is ~7000x smaller than each of the three
-        # logs it is the difference of; a Fraction-exact evaluation is the oracle
+    def test_thermal_forms_keep_their_digits_at_paper_default(self):
+        # At paper_default mu*eta_sig is ~1e-6, and the excess is ~7000x
+        # smaller than each of the three logs it is the difference of.
+        # Fraction arithmetic, rounded once before the final log1p, is the oracle.
         cfg = paper_default()
         mu, eta_h = cfg.source.mu, cfg.source.eta_herald
         eta_sig = cfg.channel.signal_arm_efficiency(True)
         fm, fs, fh = Fraction(mu), Fraction(eta_sig), Fraction(eta_h)
+        for q, fq in ((eta_sig, fs), (eta_h, fh)):
+            exact = -math.log1p(float(fm * fq))
+            assert THERMAL_PAIRS.log_pgf(mu, q) == pytest.approx(exact, rel=1e-14, abs=0)
         ratio = (1 + fm * fs) * (1 + fm * fh) / (1 + fm * (fs + fh - fs * fh))
         exact = math.log1p(float(ratio - 1))
-        assert THERMAL_PAIRS.log_pair_excess(mu, eta_sig, eta_h) == pytest.approx(exact, rel=1e-14)
+        got = THERMAL_PAIRS.log_pair_excess(mu, eta_sig, eta_h)
+        assert got == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_thermal_broadcasts(self):
         source = SourceParams(mu=0.5, eta_herald=0.5)

@@ -114,11 +114,11 @@ class TestThermalVariant:
         # Bose-Einstein: mean mu, variance mu (1 + mu), P(n >= 1) = mu / (1 + mu).
         # The first two factorial cumulants are the mean and variance - mean.
         mu = 0.5
-        assert factorial_cumulant(THERMAL_PAIRS, mu, 1) == pytest.approx(mu, rel=1e-8)
+        assert factorial_cumulant(THERMAL_PAIRS, mu, 1) == pytest.approx(mu, rel=1e-8, abs=0)
         variance = mu + factorial_cumulant(THERMAL_PAIRS, mu, 2)
-        assert variance == pytest.approx(mu * (1 + mu), rel=1e-6)
+        assert variance == pytest.approx(mu * (1 + mu), rel=1e-6, abs=0)
         p_ge1 = -math.expm1(THERMAL_PAIRS.log_pgf(mu, 1.0))
-        assert p_ge1 == pytest.approx(mu / (1 + mu), rel=1e-15)
+        assert p_ge1 == pytest.approx(mu / (1 + mu), rel=1e-15, abs=0)
         # Poisson for contrast: variance = mean
         assert factorial_cumulant(POISSON_PAIRS, mu, 2) == pytest.approx(0.0, abs=1e-6)
 
@@ -137,14 +137,15 @@ class TestPairLawPgf:
     )
     def test_matches_pmf_series(self, law, pmf, mu):
         # exp(log_pgf(mu, 1)) = G(0) = P(0)
-        assert math.exp(law.log_pgf(mu, 1.0)) == pytest.approx(pmf(mu, 0), rel=1e-14)
-        assert factorial_cumulant(law, mu, 1) == pytest.approx(mu, rel=1e-8)
+        assert math.exp(law.log_pgf(mu, 1.0)) == pytest.approx(pmf(mu, 0), rel=1e-14, abs=0)
+        assert factorial_cumulant(law, mu, 1) == pytest.approx(mu, rel=1e-8, abs=0)
         for q in (0.1, 0.5, 0.9):
-            assert math.exp(law.log_pgf(mu, q)) == pytest.approx(pgf_series(pmf, mu, 1 - q), rel=1e-13)
+            series = pgf_series(pmf, mu, 1 - q)
+            assert math.exp(law.log_pgf(mu, q)) == pytest.approx(series, rel=1e-13, abs=0)
         for q_s, q_h in ((0.3, 0.5), (0.9, 0.2), (1.0, 1.0)):
             three_logs = (
                 math.log(pgf_series(pmf, mu, (1 - q_s) * (1 - q_h)))
                 - math.log(pgf_series(pmf, mu, 1 - q_s))
                 - math.log(pgf_series(pmf, mu, 1 - q_h))
             )
-            assert law.log_pair_excess(mu, q_s, q_h) == pytest.approx(three_logs, rel=1e-9)
+            assert law.log_pair_excess(mu, q_s, q_h) == pytest.approx(three_logs, rel=1e-9, abs=0)
