@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +47,9 @@ class Channel(enum.IntEnum):
 
 class StreamOrderError(ValueError):
     """The tag stream is not time-ordered."""
+
+
+_DURATION_MAX = 2**64 - 1  # the u64 duration field of the QITT header
 
 
 @dataclass
@@ -67,6 +70,8 @@ class TimeTagStream:
 
     def __post_init__(self) -> None:
         self.duration_ps = int(self.duration_ps)
+        if not 0 <= self.duration_ps <= _DURATION_MAX:
+            raise ValueError(f"duration_ps {self.duration_ps} outside [0, 2**64 - 1]")
         c = np.asarray(self.channels)
         try:
             t = np.asarray(self.times_ps).astype(np.int64, copy=False)
@@ -183,7 +188,9 @@ def simulate_tags(
         raise ValueError("n_pulses must be non-negative")
     src, ch = config.source, config.channel
     period = config.pulse_period_ps
-    duration = n_pulses * period
+    duration = int(n_pulses) * period
+    if duration > np.iinfo(np.int64).max:  # pulse times k*T are int64
+        raise ValueError(f"{n_pulses} pulses of {period} ps pass the int64 picosecond range")
 
     p11, p10, p01, _ = click_pattern_probabilities(
         src, replace(ch, dark_signal_per_bin=0.0, stray_light_per_bin=0.0), target_in, pair_law
@@ -315,42 +322,143 @@ def read_qitt(path: str) -> TimeTagStream:
     return TimeTagStream(records["channel"], records["time_ps"], duration)
 
 
-_CSV_NAMES = {Channel.SIGNAL: "signal", Channel.HERALD: "herald"}
-_CSV_HEADER = "channel,time_ps"
-_CSV_BLOCK = 1 << 16  # tags formatted per write
+_CSV_HEADER = b"channel,time_ps"
+_CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
+_CSV_BLOCK = 1 << 20  # bytes per read or write
+_DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
+_INT64_MAX = b"%d" % np.iinfo(np.int64).max
+_SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
 
 
 def write_tags_csv(stream: TimeTagStream, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# duration_ps={stream.duration_ps}\n")
-        fh.write(f"{_CSV_HEADER}\n")
-        for s in range(0, len(stream), _CSV_BLOCK):
-            block = zip(
-                stream.channels[s : s + _CSV_BLOCK].tolist(),
-                stream.times_ps[s : s + _CSV_BLOCK].tolist(),
-            )
-            fh.write("".join([f"{_CSV_NAMES[c]},{t}\n" for c, t in block]))
+    """Write the duration comment, the header and one record per tag.
+
+    Times are sorted, so their digit counts never decrease: the tags of
+    one digit count d are one fixed-width byte matrix of 7 name bytes, d
+    digits and a newline, written in pieces of about `_CSV_BLOCK` bytes.
+    """
+    times, codes = stream.times_ps, stream.channels
+    edges = [0, *np.searchsorted(times, _DIGIT_BOUNDS).tolist(), len(stream)]
+    with open(path, "wb") as fh:
+        fh.write(b"# duration_ps=%d\n%s\n" % (stream.duration_ps, _CSV_HEADER))
+        for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+            step = _CSV_BLOCK // (d + 8)
+            for s in range(lo, hi, step):
+                e = min(s + step, hi)
+                v = times[s:e]
+                rows = np.empty((e - s, d + 8), dtype=np.uint8)
+                np.ndarray((e - s,), "S7", rows, 0, (d + 8,))[:] = _CSV_PREFIX[codes[s:e]]
+                for j in range(d + 6, 6, -1):
+                    q = v // 10
+                    rows[:, j] = v - 10 * q + ord("0")
+                    v = q
+                rows[:, -1] = ord("\n")
+                fh.write(rows.tobytes())
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
     """Read a tag CSV. Comment and blank lines may precede the header; a
-    `# duration_ps=N` comment among them sets the duration (0 without one)."""
-    duration, line = 0, ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in iter(fh.readline, ""):
+    `# duration_ps=N` comment among them sets the duration (0 without one).
+
+    The body is read in blocks of about `_CSV_BLOCK` bytes, each cut after
+    its last newline and parsed by `_csv_block` into arrays sized from the
+    file size.
+    """
+    duration, line, lineno = 0, b"", 0
+    with open(path, "rb") as fh:
+        for line in iter(fh.readline, b""):
+            lineno += 1
             line = line.strip()
-            if line and not line.startswith("#"):
+            if line and not line.startswith(b"#"):
                 break
-            if "duration_ps=" in line:
-                duration = int(line.split("duration_ps=", 1)[1])
+            if b"duration_ps=" in line:
+                duration = int(line.split(b"duration_ps=", 1)[1])
         if line != _CSV_HEADER:
-            raise ValueError(f"expected the header {_CSV_HEADER!r}, got {line!r}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # S7, one byte longer than the names: "signalX" is not cut to "signal"
-            body = np.loadtxt(fh, delimiter=",", dtype=[("name", "S7"), ("t", "<i8")], ndmin=1)
-    herald = body["name"] == b"herald"
-    unknown = ~herald & (body["name"] != b"signal")
-    if unknown.any():
-        raise ValueError(f"bad tag record: channel {body['name'][unknown][0]!r}")
-    return TimeTagStream(herald.astype(np.uint8), body["t"], duration)
+            got = line.decode(errors="replace")
+            raise ValueError(f"expected the header {_CSV_HEADER.decode()!r}, got {got!r}")
+        # A record takes at least 9 bytes ("signal,0\n"), so the file size
+        # bounds the record count; pages that are never written stay unmapped.
+        cap = os.fstat(fh.fileno()).st_size // 9 + 1
+        codes, times, n, tail = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0, b""
+        while True:
+            block = fh.read(_CSV_BLOCK)
+            buf = tail + (block or b"\n")  # at the end, the last line may lack its "\n"
+            cut = buf.rfind(b"\n") + 1
+            if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
+                codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
+            lineno, n = _csv_block(buf, cut, lineno, codes, times, n)
+            if not block:
+                break
+            tail = buf[cut:]
+    return TimeTagStream(codes[:n], times[:n], duration)
+
+
+def _csv_block(
+    buf: bytes, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
+) -> tuple[int, int]:
+    """Parse the lines in buf[:size], which ends in a newline or is empty,
+    into codes[n:] and times[n:], and return the last line number and the
+    new record count.
+
+    `lineno` is the file line number before the block. Empty lines and
+    lines starting with `#` are skipped and a `\\r` right before a `\\n`
+    is dropped. A record is 7 name bytes, which must be `signal,` or
+    `herald,`, then 1 to 19 digits that must not exceed the int64 maximum.
+    A bad record raises `ValueError` naming its line.
+    """
+    a = np.frombuffer(buf, dtype=np.uint8, count=size)
+    nl = np.flatnonzero(a == ord("\n"))
+    if nl.size == 0:
+        return lineno, n
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    crlf = np.zeros(nl.size, dtype=bool)
+    bad = []  # (line index in the block, reason) of the first bad line found by each check
+    grammar = "expected signal,<ps> or herald,<ps>"
+    n_cr = np.count_nonzero(a == ord("\r"))
+    if n_cr:
+        crlf = (nl > starts) & (a[nl - 1] == ord("\r"))
+        if n_cr != np.count_nonzero(crlf):
+            lone = a == ord("\r")
+            lone[nl[crlf] - 1] = False
+            bad.append((int(np.searchsorted(nl, np.argmax(lone))), "carriage return inside a line"))
+    length = nl - starts - crlf
+    rec = np.flatnonzero((length > 0) & (a[starts] != ord("#")))
+    # Records of one width are parsed together. In a sorted stream they are
+    # consecutive lines, a strided view of the block; otherwise they are
+    # gathered first. Widths past 26 are all bad, so they share one group.
+    width = np.minimum(length[rec], 27)
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        idx = np.flatnonzero(width == w)
+        lines, m, d = rec[idx], idx.size, w - 7
+        if not 1 <= d <= 19:
+            bad.append((int(lines[0]), grammar))
+            continue
+        ends = crlf[lines]
+        if lines[-1] - lines[0] == m - 1 and (ends.all() or not ends.any()):
+            rows, at, pitch = a, int(starts[lines[0]]), w + 1 + int(ends[0])
+            dest = slice(n + int(idx[0]), n + int(idx[0]) + m)
+        else:
+            rows, at, pitch = a[starts[lines, None] + np.arange(w)], 0, w
+            dest = n + idx
+        # the name and the first digit as one little-endian word; the mask drops the digit
+        name = np.ndarray((m,), "<u8", rows, at, (pitch,)) & np.uint64(2**56 - 1)
+        herald = name == _HERALD_WORD
+        ok = herald | (name == _SIGNAL_WORD)
+        digits = np.ndarray((m, d), np.uint8, rows, at + 7, (pitch, 1)) - ord("0")
+        if digits.max() > 9:  # rows are checked one by one only on failure
+            ok &= digits.max(axis=1) <= 9
+        if d == 19:
+            ok &= np.ndarray((m,), "S19", rows, at + 7, (pitch,)) <= _INT64_MAX
+        if not ok.all():
+            bad.append((int(lines[np.argmin(ok)]), grammar))
+            continue
+        v = digits[:, 0].astype(np.int64)
+        for j in range(1, d):
+            v *= 10
+            v += digits[:, j]
+        codes[dest], times[dest] = herald, v
+    if bad:
+        i, why = min(bad)
+        text = buf[starts[i] : nl[i]].decode("ascii", errors="replace")
+        raise ValueError(f"bad tag record at line {lineno + i + 1}: {why}: {text!r}")
+    return lineno + nl.size, n + rec.size

@@ -1,14 +1,20 @@
 import hashlib
 import math
+import os
 import struct
+import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from qisim import channel
 from qisim.analytics import click_pattern_probabilities, click_probabilities
 from qisim.channel import (
+    _CSV_BLOCK,
     _TAG_CHUNK,
     Channel,
     TimeTagStream,
@@ -249,6 +255,24 @@ class TestSimulateTags:
         with pytest.raises(ValueError, match="n_pulses"):
             simulate_tags(make_config(), True, -5, substream(8, 1))
 
+    def test_rejects_pulse_times_beyond_int64(self):
+        # 10**15 pulses of 12.5 ns pass 2**63 - 1 ps: k*T would wrap negative.
+        # The generator fails any draw, so a missing check cannot start a
+        # sampler sized for 10**15 pulses.
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the pulse count was checked")
+
+        with pytest.raises(ValueError, match="int64"):
+            simulate_tags(paper_default(), True, 10**15, NoDraws())
+
+    def test_longest_run_fits_int64(self):
+        cfg = make_config(mu=0.0)  # no light, so no draw scales with the pulse count
+        n = (2**63 - 1) // cfg.pulse_period_ps
+        assert simulate_tags(cfg, True, n, substream(8, 3)).duration_ps == n * cfg.pulse_period_ps
+        with pytest.raises(ValueError, match="int64"):
+            simulate_tags(cfg, True, n + 1, substream(8, 3))
+
     def test_dead_time_enforced(self):
         cfg = make_config(
             mu=0.0,
@@ -413,6 +437,27 @@ class TestStreamInvariant:
         with pytest.raises(ValueError, match="outside"):
             read_qitt(str(path))
 
+    @pytest.mark.parametrize("duration", [-5, -1, 2**64])
+    def test_duration_outside_u64_rejected(self, duration, tmp_path):
+        with pytest.raises(ValueError, match="duration"):
+            TimeTagStream.from_arrays([], [], duration)
+        path = tmp_path / "tags.csv"
+        path.write_text(f"# duration_ps={duration}\nchannel,time_ps\n")
+        with pytest.raises(ValueError, match="duration"):
+            read_tags_csv(str(path))
+
+    def test_largest_duration_round_trips(self, tmp_path):
+        # QITT's u64 header field holds it; the QITT reader accepts it too
+        path = tmp_path / "max.qitt"
+        path.write_bytes(struct.pack("<4sHHQ", b"QITT", 1, 0, 2**64 - 1))
+        assert read_qitt(str(path)).duration_ps == 2**64 - 1
+        stream = TimeTagStream.from_arrays([1], [2**63 - 1], 2**64 - 1)
+        for write, read in ((write_qitt, read_qitt), (write_tags_csv, read_tags_csv)):
+            write(stream, str(path))
+            back = read(str(path))
+            assert back.duration_ps == 2**64 - 1
+            assert back.times_ps.tolist() == [2**63 - 1] and back.channels.tolist() == [1]
+
     def test_csv_without_duration_rejected(self, tmp_path):
         # without a duration line the duration is 0, so no tag is in range
         path = tmp_path / "tags.csv"
@@ -424,6 +469,289 @@ class TestStreamInvariant:
         path = tmp_path / "tags.csv"
         path.write_text("# duration_ps=25000\nsignal,5\n")
         with pytest.raises(ValueError, match="header"):
+            read_tags_csv(str(path))
+
+
+def f_string_write_tags_csv(stream: TimeTagStream, path: str) -> None:
+    """The former writer, one f-string per tag: the oracle for `write_tags_csv`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# duration_ps={stream.duration_ps}\nchannel,time_ps\n")
+        for c, t in zip(stream.channels.tolist(), stream.times_ps.tolist()):
+            fh.write(f"{CSV_NAMES[c]},{t}\n")
+
+
+def loadtxt_read_tags_csv(path: str) -> TimeTagStream:
+    """The former reader, text mode and `np.loadtxt`: the oracle for `read_tags_csv`."""
+    duration, line = 0, ""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in iter(fh.readline, ""):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                break
+            if "duration_ps=" in line:
+                duration = int(line.split("duration_ps=", 1)[1])
+        if line != "channel,time_ps":
+            raise ValueError(f"expected the header, got {line!r}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(fh, delimiter=",", dtype=[("name", "S7"), ("t", "<i8")], ndmin=1)
+    herald = body["name"] == b"herald"
+    if (~herald & (body["name"] != b"signal")).any():
+        raise ValueError("bad tag record")
+    return TimeTagStream(herald.astype(np.uint8), body["t"], duration)
+
+
+def same_stream(a: TimeTagStream, b: TimeTagStream) -> bool:
+    return (
+        a.duration_ps == b.duration_ps
+        and np.array_equal(a.channels, b.channels)
+        and np.array_equal(a.times_ps, b.times_ps)
+    )
+
+
+# Every digit count a time can have, at both of its ends.
+DIGIT_EDGES = sorted({0, 2**63 - 1} | {10**k + e for k in range(1, 19) for e in (-1, 0)})
+CSV_HEAD = b"# duration_ps=%d\nchannel,time_ps\n"
+
+
+def csv_record_forms(clean: bool) -> st.SearchStrategy:
+    """(filler lines, name, zero padding, sign or space, suffix, line end)
+    of one record. Clean forms are all valid; the others add forms that
+    either reader may reject."""
+
+    def pick(good, bad):
+        return st.sampled_from(good if clean else good * 3 + bad)
+
+    filler = pick(["", "#", "# c", "#x,5"], [" ", "\t", "  # c"])
+    if not clean:
+        filler |= st.text(st.sampled_from("signalherd,0123456789#+- \t\r"), max_size=10)
+    return st.tuples(
+        st.lists(filler, max_size=2),
+        pick(["signal", "herald"], ["Signal", "heraldx", "", " signal"]),
+        pick(["", "", "0", "000"], ["0" * 20]),
+        pick([""], [" ", "\t", "+", "-"]),
+        pick([""], [" ", "#x", ",", ".0"]),
+        pick(["\n", "\r\n"], ["\r"]),
+    )
+
+
+RECORD_FORMS = st.sampled_from([csv_record_forms(True), csv_record_forms(False)])
+CSV_TIMES = st.lists(st.integers(0, 10**6) | st.integers(0, 2**63 + 10), max_size=12)
+
+
+@st.composite
+def csv_bodies(draw):
+    """ASCII tag-CSV bodies: sorted times in records between comment and
+    blank lines, with LF or CRLF line ends, leading zeros and sometimes no
+    newline at the end; half of them also carry rejectable forms."""
+    times = sorted(draw(CSV_TIMES))
+    forms = draw(st.lists(draw(RECORD_FORMS), min_size=len(times), max_size=len(times)))
+    body = "".join(
+        "".join(f + end for f in filler) + f"{name},{pre}{pad}{t}{post}{end}"
+        for t, (filler, name, pad, pre, post, end) in zip(times, forms)
+    )
+    if draw(st.booleans()):  # the last line without its line end
+        body = body.removesuffix("\n").removesuffix("\r")
+    return body.encode("ascii")
+
+
+class TestTagCsvCodec:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(stream=valid_streams())
+    @example(stream=TimeTagStream.from_arrays([], [], 0))
+    @example(
+        stream=TimeTagStream.from_arrays(
+            [0, 1] * len(DIGIT_EDGES), np.repeat(DIGIT_EDGES, 2).astype(np.int64), 2**63
+        )
+    )
+    def test_writer_matches_f_string_writer(self, stream, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_tags_csv(stream, str(new))
+        f_string_write_tags_csv(stream, str(old))
+        assert new.read_bytes() == old.read_bytes()
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(body=csv_bodies(), duration=st.sampled_from([10**6 + 1, 2**63]))
+    @example(body=b"signal,5\r\nherald,5\n# c\n\nsignal,0012\r\n\r\nherald,13", duration=100)
+    def test_reader_accepts_only_what_loadtxt_reads_alike(self, body, duration, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % duration + body)
+        try:
+            new = read_tags_csv(str(path))
+        except ValueError:
+            event("rejected")
+            return
+        event(f"accepted, {len(new)} tags")
+        assert same_stream(new, loadtxt_read_tags_csv(str(path)))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"signal, 5\n",
+            b"signal,\t5\n",
+            b"signal,5 \n",
+            b"signal,+5\n",
+            b"signal,5#x\n",  # an inline comment: the old reader read 5
+            b"signal,41497#1472863\n",
+            b"signal,5\rherald,6\n",  # a lone CR used to end a line
+            b"# c\rsignal,5\n",  # ... and so could end a comment
+            b"signal,%s5\n" % (b"0" * 19),  # 20 digits
+        ],
+    )
+    def test_newly_rejected_forms(self, body, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + body)
+        loadtxt_read_tags_csv(str(path))  # the old reader took these
+        with pytest.raises(ValueError, match="bad tag record at line 3"):
+            read_tags_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b" \nsignal,5\n",  # whitespace-only lines
+            b"\t\r\nsignal,5\n",
+            b"signal,9223372036854775808\n",  # one above the int64 maximum
+            b"signal,99999999999999999999\n",
+            b"signal,-5\n",
+            b"signal\n",
+            b"signal,\n",
+            b",5\n",
+            b"signal,5,\n",
+            b"SIGNAL,5\n",
+            b"signal\x00,5\n",
+            b"sig\xc3\xa9l,5\n",
+        ],
+    )
+    def test_rejected_forms(self, body, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + body)
+        with pytest.raises(ValueError, match="bad tag record at line 3"):
+            read_tags_csv(str(path))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(body=csv_bodies(), block=st.integers(1, 40))
+    def test_block_size_changes_nothing(self, body, block, tmp_path):
+        # every line of these bodies crosses block edges at some block size
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + body)
+
+        def outcome():
+            try:
+                return read_tags_csv(str(path))
+            except ValueError as err:
+                return str(err)
+
+        whole = outcome()
+        with mock.patch.object(channel, "_CSV_BLOCK", block):
+            cut = outcome()
+        assert same_stream(cut, whole) if isinstance(whole, TimeTagStream) else cut == whole
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe has no size to bound the record count, so the output arrays grow
+        stream = TimeTagStream.from_arrays([0, 1] * 3000, np.arange(6000) * 7, 10**6)
+        write_tags_csv(stream, str(tmp_path / "tags.csv"))
+        fifo = tmp_path / "tags.fifo"
+        os.mkfifo(fifo)
+        data = (tmp_path / "tags.csv").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with mock.patch.object(channel, "_CSV_BLOCK", 4096):
+            back = read_tags_csv(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_stream(back, stream)
+
+    def test_mixed_line_ends(self, tmp_path):
+        # records of one width with LF and CRLF ends are not evenly spaced
+        path = tmp_path / "tags.csv"
+        body = b"signal,10\r\nsignal,11\nherald,12\r\nsignal,13\nsignal,14\n"
+        path.write_bytes(CSV_HEAD % 100 + body)
+        back = read_tags_csv(str(path))
+        assert back.times_ps.tolist() == [10, 11, 12, 13, 14]
+        assert back.channels.tolist() == [0, 0, 1, 0, 0]
+
+    def test_int64_maximum_and_unterminated_last_line(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + b"signal,0\r\nherald,9223372036854775807")
+        back = read_tags_csv(str(path))
+        assert back.channels.tolist() == [0, 1]
+        assert back.times_ps.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"signal,10\nherald,1x\nsignal,12\n",
+            b"signal,10\nheralx,11\nsignal,12\n",
+            b"signal,10\r\nherald,1 \r\nsignal,12\r\n",
+            b"signal,9223372036854775806\nsignal,9223372036854775808\n",
+        ],
+    )
+    def test_bad_record_inside_a_run(self, body, tmp_path):
+        # the bad record has the length of the good one before it
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + body)
+        with pytest.raises(ValueError, match="bad tag record at line 4"):
+            read_tags_csv(str(path))
+
+    def test_error_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        head = b"# run 7\n\n" + CSV_HEAD % 100 + b"# body\n\nsignal,1\r\n"  # lines 1-7
+        path.write_bytes(head + b"herald,1x\n# c\rx\n")
+        with pytest.raises(ValueError, match="at line 8: expected"):
+            read_tags_csv(str(path))
+        path.write_bytes(head + b"# c\rx\nherald,1x\n")
+        with pytest.raises(ValueError, match="at line 8: carriage return"):
+            read_tags_csv(str(path))
+
+    def test_block_edges(self, tmp_path):
+        """Over three `_CSV_BLOCK`s: a comment line across the first block
+        edge, a second block of comments only, a CRLF record across the
+        second edge and a blank CRLF line across the third; the last line
+        has no newline."""
+        head = CSV_HEAD % 2**40
+        body, times, heralds = bytearray(), [], []
+
+        def fill(offset: int, comment: bytes = b"") -> None:
+            """Records, or copies of the comment, then one shorter comment
+            or blank line, up to `offset` bytes of body."""
+            while offset - len(body) >= 22:
+                if comment:
+                    body.extend(comment)
+                else:
+                    times.append(len(times))
+                    body.extend(b"signal,%013d\n" % times[-1])
+            rest = offset - len(body)
+            body.extend(b"#" * (rest - 1) + b"\n" if rest else b"")
+
+        fill(_CSV_BLOCK - 10)
+        body.extend(b"# across the first edge\n")
+        fill(2 * _CSV_BLOCK - 22, comment=b"# nothing but notes..\n")
+        assert b"," not in body[_CSV_BLOCK:]
+        heralds.append(len(times))
+        times.append(len(times))
+        body.extend(b"herald,%013d\r\n" % times[-1])
+        assert body[2 * _CSV_BLOCK - 2 : 2 * _CSV_BLOCK] == b"\r\n"
+        fill(3 * _CSV_BLOCK - 1)
+        body.extend(b"\r\n")
+        fill(3 * _CSV_BLOCK + 1000)
+        heralds.append(len(times))
+        times.append(len(times))
+        body.extend(b"herald,%d" % times[-1])
+
+        path = tmp_path / "tags.csv"
+        path.write_bytes(head + body)
+        back = read_tags_csv(str(path))
+        assert same_stream(back, loadtxt_read_tags_csv(str(path)))
+        assert back.times_ps.tolist() == times
+        assert np.flatnonzero(back.channels).tolist() == heralds
+
+        # a bad record in the fourth block names its file line
+        bad = body.rindex(b"signal,")
+        body[bad : bad + 6] = b"sIgnal"
+        path.write_bytes(head + body)
+        lineno = (head + body[:bad]).count(b"\n") + 1
+        with pytest.raises(ValueError, match=f"bad tag record at line {lineno}:"):
             read_tags_csv(str(path))
 
 
