@@ -38,7 +38,6 @@ from .channel import (
 )
 from .correlator import bin_and_count, estimate_g2, windowed_coincidences
 from .imaging import (
-    ImageKind,
     PixelImage,
     Scene,
     contrast,
@@ -71,7 +70,6 @@ from .source import (
     THERMAL_PAIRS,
     PairLaw,
     idler_wavelength,
-    mean_photon_number,
     poisson_pair_counts,
 )
 

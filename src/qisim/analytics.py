@@ -60,8 +60,6 @@ class SnrResult:
 
     value: float
     std_err: float
-    n_in: int
-    n_out: int
 
 
 def snr_from_counts(n_in: int, n_out: int) -> SnrResult:
@@ -76,7 +74,7 @@ def snr_from_counts(n_in: int, n_out: int) -> SnrResult:
         raise ValueError("n_in must be non-negative")
     value = n_in / n_out - 1.0
     var = n_in / n_out**2 + (n_in * n_in) / n_out**3
-    return SnrResult(value=value, std_err=math.sqrt(var), n_in=n_in, n_out=n_out)
+    return SnrResult(value=value, std_err=math.sqrt(var))
 
 
 def expected_snr_classical(eta: float, p_s: float, p_b: float) -> float:
@@ -133,7 +131,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    sweep_variable: str
     rows: tuple[SweepRow, ...]
 
 
@@ -167,7 +164,6 @@ def _run_sweep_row(
     index: int,
     value: float,
     dwell_pulses: int,
-    g2_dwell_pulses: int,
 ) -> SweepRow:
     """One sweep point; statistics that cannot be formed (for example an
     undefined SNR when the out tally is empty) are recorded per row without
@@ -185,6 +181,7 @@ def _run_sweep_row(
     problems: list[str] = []
 
     try:
+        validate_config(cfg)
         counts_in = simulate_counts(cfg, True, exposure, rng)
         counts_out = simulate_counts(cfg, False, exposure, rng)
     except ValueError as exc:
@@ -209,12 +206,13 @@ def _run_sweep_row(
         except ValueError as exc:
             problems.append(str(exc))
 
-    # Companion correlation measurement: jamming blocked, target held in,
-    # same scattered-channel efficiencies and detector noise.
+    # Companion correlation measurement over half the dwell: jamming
+    # blocked, target held in, same scattered-channel efficiencies and
+    # detector noise.
     g2 = None
     try:
         blocked = replace(cfg, channel=replace(cfg.channel, background_per_bin=0.0))
-        g2_counts = simulate_counts(blocked, True, g2_dwell_pulses, rng)
+        g2_counts = simulate_counts(blocked, True, dwell_pulses // 2, rng)
         g2 = estimate_g2(g2_counts)
     except ValueError as exc:
         problems.append(f"g2: {exc}")
@@ -237,7 +235,6 @@ def run_sweep(
     variable: str,
     values: Sequence[float],
     dwell_pulses: int,
-    g2_dwell_pulses: Optional[int] = None,
     max_workers: int = 1,
 ) -> SweepTable:
     """Toggled in/out acquisition at each sweep value.
@@ -254,15 +251,12 @@ def run_sweep(
         raise ValueError("empty sweep values")
     if dwell_pulses < 2 * config.toggle_period_pulses:
         raise ValueError("dwell_pulses must be at least two toggle periods")
-    if g2_dwell_pulses is None:
-        g2_dwell_pulses = dwell_pulses // 2
 
     ordered = sorted(float(v) for v in values)
     rows = tuple(
-        _run_sweep_row(config, variable, i, v, dwell_pulses, g2_dwell_pulses)
-        for i, v in enumerate(ordered)
+        _run_sweep_row(config, variable, i, v, dwell_pulses) for i, v in enumerate(ordered)
     )
-    return SweepTable(sweep_variable=variable, rows=rows)
+    return SweepTable(rows)
 
 
 def sweep_to_csv(table: SweepTable, path: str) -> None:

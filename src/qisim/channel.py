@@ -130,7 +130,6 @@ def simulate_counts(
         n_signal_clicks=int(n11 + n10),
         n_herald_clicks=int(n11 + n01),
         n_coincidences=int(n11),
-        target_in=target_in,
     )
 
 

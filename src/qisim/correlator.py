@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, StreamOrderError, TimeTagStream, bin_indices  # noqa: F401 (re-export)
+from .channel import Channel, TimeTagStream, bin_indices
 from .model import ClickCounts
 
 
@@ -24,9 +24,6 @@ class G2Estimate:
 
     value: float
     std_err: float
-    p_s: float
-    p_h: float
-    p_sh: float
 
 
 def bin_and_count(
@@ -120,4 +117,4 @@ def estimate_g2(counts: ClickCounts) -> G2Estimate:
         + counts.n_coincidences**2 / counts.n_signal_clicks
         + counts.n_coincidences**2 / counts.n_herald_clicks
     )
-    return G2Estimate(value=value, std_err=float(np.sqrt(var)), p_s=p_s, p_h=p_h, p_sh=p_sh)
+    return G2Estimate(value=value, std_err=float(np.sqrt(var)))

@@ -14,7 +14,6 @@ CSV of unscaled counts.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -24,17 +23,11 @@ from .model import ExperimentConfig, click_pattern_probabilities, validate_confi
 from .rng import PIXEL_SPACE, substream
 
 
-class ImageKind(enum.Enum):
-    CI = "CI"
-    QI = "QI"
-
-
 @dataclass
 class Scene:
-    """Reflectivity map in [0, 1]; pixel pitch is in arbitrary units."""
+    """Reflectivity map in [0, 1]."""
 
     grid: np.ndarray
-    pixel_pitch: float = 1.0
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -47,8 +40,6 @@ class Scene:
 @dataclass
 class PixelImage:
     grid: np.ndarray  # counts (or rates), non-negative
-    dwell_pulses: int
-    kind: ImageKind
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -58,17 +49,11 @@ class PixelImage:
             raise ValueError("image values must be non-negative")
 
 
-def two_level_scene(
-    height: int, width: int, fg_level: float = 1.0, bg_level: float = 0.0
-) -> tuple[Scene, np.ndarray]:
-    """Centered bright block on a dark field; returns (scene, foreground mask)."""
-    grid = np.full((height, width), bg_level, dtype=np.float64)
-    r0, r1 = height // 4, height - height // 4
-    c0, c1 = width // 4, width - width // 4
-    grid[r0:r1, c0:c1] = fg_level
+def two_level_scene(height: int, width: int) -> tuple[Scene, np.ndarray]:
+    """Centered block of reflectivity 1 on a field of 0; returns (scene, foreground mask)."""
     mask = np.zeros((height, width), dtype=bool)
-    mask[r0:r1, c0:c1] = True
-    return Scene(grid), mask
+    mask[height // 4 : height - height // 4, width // 4 : width - width // 4] = True
+    return Scene(mask.astype(np.float64)), mask
 
 
 def raster_scan(
@@ -94,8 +79,8 @@ def raster_scan(
     n11, n10 = counts[:, 0], counts[:, 1]
     shape = scene.grid.shape
     return (
-        PixelImage((n11 + n10).reshape(shape), dwell_pulses, ImageKind.CI),
-        PixelImage(n11.reshape(shape), dwell_pulses, ImageKind.QI),
+        PixelImage((n11 + n10).reshape(shape)),
+        PixelImage(n11.reshape(shape)),
     )
 
 
@@ -114,7 +99,7 @@ def interpolate4(image: PixelImage) -> PixelImage:
     out[::2, 1::2] = 0.5 * (g[:, :-1] + g[:, 1:])
     out[1::2, ::2] = 0.5 * (g[:-1, :] + g[1:, :])
     out[1::2, 1::2] = 0.25 * (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:])
-    return PixelImage(out, image.dwell_pulses, image.kind)
+    return PixelImage(out)
 
 
 def contrast(image: PixelImage, foreground_mask: np.ndarray) -> float:
@@ -168,30 +153,30 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
     return values.reshape(height, width), maxval
 
 
-def write_pgm(path: str, grid: np.ndarray, maxval: int = 65535) -> None:
-    """Write counts as P2, linearly rescaled so the peak maps to maxval."""
+def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
+    h, w = values.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"P2\n{w} {h}\n{maxval}\n")
+        for row in values:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def write_pgm(path: str, grid: np.ndarray) -> None:
+    """Write counts as P2, linearly rescaled so the peak maps to 65535."""
     g = np.asarray(grid, dtype=np.float64)
     peak = float(g.max()) if g.size else 0.0
-    scaled = np.zeros_like(g, dtype=np.int64) if peak <= 0 else np.rint(g * (maxval / peak)).astype(np.int64)
-    h, w = g.shape
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"P2\n{w} {h}\n{maxval}\n")
-        for row in scaled:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    scaled = np.zeros_like(g, dtype=np.int64) if peak <= 0 else np.rint(g * (65535 / peak)).astype(np.int64)
+    _write_p2(path, scaled, 65535)
 
 
-def scene_from_pgm(path: str, pixel_pitch: float = 1.0) -> Scene:
+def scene_from_pgm(path: str) -> Scene:
     values, maxval = read_pgm(path)
-    return Scene(values.astype(np.float64) / maxval, pixel_pitch)
+    return Scene(values.astype(np.float64) / maxval)
 
 
-def scene_to_pgm(scene: Scene, path: str, maxval: int = 255) -> None:
-    grid = np.rint(scene.grid * maxval).astype(np.int64)
-    h, w = grid.shape
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"P2\n{w} {h}\n{maxval}\n")
-        for row in grid:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+def scene_to_pgm(scene: Scene, path: str) -> None:
+    """Write a scene as P2 with maxval 255."""
+    _write_p2(path, np.rint(scene.grid * 255).astype(np.int64), 255)
 
 
 def image_to_csv(image: PixelImage, path: str) -> None:

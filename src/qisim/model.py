@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .source import POISSON_PAIRS, PairLaw
+from .source import POISSON_PAIRS, PairLaw, idler_wavelength
 
 PS_PER_SECOND = 10**12
 
@@ -61,10 +61,12 @@ class SourceParams:
     noise_herald_per_bin: float = DEFAULT_DARK_PER_BIN
 
     def __post_init__(self) -> None:
-        if self.herald_nm is None and self.pump_nm > 0 and self.signal_nm > 0:
-            inv = 2.0 / self.pump_nm - 1.0 / self.signal_nm
-            if inv > 0:
-                object.__setattr__(self, "herald_nm", 1.0 / inv)
+        if self.herald_nm is None:
+            try:
+                herald = idler_wavelength(self.pump_nm, self.signal_nm)
+            except ValueError:
+                return  # left None, which validate_config rejects
+            object.__setattr__(self, "herald_nm", herald)
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,6 @@ class ClickCounts:
     n_signal_clicks: int
     n_herald_clicks: int
     n_coincidences: int
-    target_in: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if min(self.n_pulses, self.n_signal_clicks, self.n_herald_clicks, self.n_coincidences) < 0:
@@ -153,17 +154,6 @@ class ClickCounts:
             raise ValueError("coincidences exceed a singles tally")
         if max(self.n_signal_clicks, self.n_herald_clicks) > self.n_pulses:
             raise ValueError("more clicks than pulses on one channel")
-
-    def __add__(self, other: "ClickCounts") -> "ClickCounts":
-        if self.target_in != other.target_in:
-            raise ValueError("cannot merge counts taken with different target states")
-        return ClickCounts(
-            n_pulses=self.n_pulses + other.n_pulses,
-            n_signal_clicks=self.n_signal_clicks + other.n_signal_clicks,
-            n_herald_clicks=self.n_herald_clicks + other.n_herald_clicks,
-            n_coincidences=self.n_coincidences + other.n_coincidences,
-            target_in=self.target_in,
-        )
 
 
 _FRECHET_TOL = 1e-9
@@ -291,8 +281,10 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
         v = getattr(s, name)
         if v is None or v <= 0:
             raise ConfigError(f"{name} out of range")
-    if 2.0 / s.pump_nm - 1.0 / s.signal_nm <= 0:
-        raise ConfigError("no energy-conserving idler for pump_nm and signal_nm")
+    try:
+        idler_wavelength(s.pump_nm, s.signal_nm)
+    except ValueError:
+        raise ConfigError("no energy-conserving idler for pump_nm and signal_nm") from None
     _check_range("eta_herald", s.eta_herald, 0.0, 1.0)
     _check_nonneg("noise_herald_per_bin", s.noise_herald_per_bin)
 
@@ -328,10 +320,6 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         source = SourceParams(**data["source"])
@@ -348,7 +336,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def dumps_config(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
 
 def loads_config(text: str) -> ExperimentConfig:
@@ -371,7 +359,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_digest(config: ExperimentConfig) -> str:
     """Content hash of a config, stable under key reordering."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -43,29 +43,12 @@ class PairLaw:
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
     """Energy-conserving idler wavelength in nm for a two-photon pump."""
-    if pump_nm <= 0 or signal_nm <= 0:
+    if not (pump_nm > 0 and signal_nm > 0):  # also rejects NaN
         raise ValueError("wavelengths must be positive")
     inv = 2.0 / pump_nm - 1.0 / signal_nm
-    if inv <= 0:
+    if not inv > 0:
         raise ValueError("no energy-conserving idler")
     return 1.0 / inv
-
-
-def mean_photon_number(
-    signal_counts_per_s: float, rep_rate_hz: float, eta_signal_detector: float
-) -> float:
-    """Mean photons per pulse inferred from a detected singles rate.
-
-    Inverts N_s = mu * R_p * eta_ds, the calibration used to quote source
-    brightness from the signal-arm count rate.
-    """
-    if rep_rate_hz <= 0:
-        raise ValueError("rep_rate_hz must be positive")
-    if not (0 < eta_signal_detector <= 1):
-        raise ValueError("eta_signal_detector must be in (0, 1]")
-    if signal_counts_per_s < 0:
-        raise ValueError("signal_counts_per_s must be non-negative")
-    return signal_counts_per_s / (rep_rate_hz * eta_signal_detector)
 
 
 def poisson_pair_counts(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -43,6 +44,34 @@ def fast_config_path(tmp_path):
         )
     )
     path = tmp_path / "fast.json"
+    save_config(cfg, str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def scene_path(tmp_path):
+    scene, _ = two_level_scene(8, 8)
+    path = tmp_path / "scene.pgm"
+    scene_to_pgm(scene, str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def imaging_config_path(tmp_path):
+    dark = 1.0 / 80e6
+    cfg = validate_config(
+        ExperimentConfig(
+            source=SourceParams(mu=7.9e-3, eta_herald=0.2, noise_herald_per_bin=dark),
+            channel=ChannelParams(
+                eta_transmit=1.0,
+                collection_fraction=2e-5 / 0.6,
+                background_per_bin=14000.0 / 80e6,
+                dark_signal_per_bin=dark,
+            ),
+            seed=44,
+        )
+    )
+    path = tmp_path / "imaging.json"
     save_config(cfg, str(path))
     return str(path)
 
@@ -248,6 +277,52 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "mu out of range" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "variable, value, field",
+        [
+            ("mu", "-0.001", "mu"),
+            ("background", "-0.001", "background_per_bin"),
+            ("mu", "1e400", "mu"),
+            ("background", "1e400", "background_per_bin"),
+        ],
+    )
+    def test_invalid_row_value_names_the_field(
+        self, fast_config_path, tmp_path, capsys, variable, value, field
+    ):
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep",
+            "--config", fast_config_path,
+            "--variable", variable,
+            "--values", value,
+            "--dwell-s", "0.25",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        row_value = repr(float(value))
+        assert f"row {row_value} failed: {field} out of range\n" in capsys.readouterr().err
+        assert out.read_text().splitlines()[1] == ",".join([row_value] + ["nan"] * 11)
+
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_row_leaves_other_rows(self, fast_config_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep",
+            "--config", fast_config_path,
+            "--variable", "mu",
+            "--values", "0.005,-0.001",
+            "--dwell-s", "0.25",
+            "--out", str(out),
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "row -0.001 failed: mu out of range\n"
+        assert "(1/2 rows ok)" in captured.out
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0] == ",".join(["-0.001"] + ["nan"] * 11)
+        assert rows[1].startswith("0.005,") and "nan" not in rows[1]
+
     def test_no_config_anywhere_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
         code = run_cli(
@@ -274,32 +349,6 @@ def open_config_text(cfg) -> str:
 
 
 class TestImage:
-    @pytest.fixture()
-    def scene_path(self, tmp_path):
-        scene, _ = two_level_scene(8, 8)
-        path = tmp_path / "scene.pgm"
-        scene_to_pgm(scene, str(path))
-        return str(path)
-
-    @pytest.fixture()
-    def imaging_config_path(self, tmp_path):
-        dark = 1.0 / 80e6
-        cfg = validate_config(
-            ExperimentConfig(
-                source=SourceParams(mu=7.9e-3, eta_herald=0.2, noise_herald_per_bin=dark),
-                channel=ChannelParams(
-                    eta_transmit=1.0,
-                    collection_fraction=2e-5 / 0.6,
-                    background_per_bin=14000.0 / 80e6,
-                    dark_signal_per_bin=dark,
-                ),
-                seed=44,
-            )
-        )
-        path = tmp_path / "imaging.json"
-        save_config(cfg, str(path))
-        return str(path)
-
     def test_writes_images_and_flips_contrast(
         self, imaging_config_path, scene_path, tmp_path, capsys
     ):
@@ -373,3 +422,52 @@ class TestRunLedger:
 
     def test_usage_error_on_unknown_command(self):
         assert run_cli("frobnicate") == cli.EXIT_USAGE
+
+
+def test_golden_output_digests(
+    config_path, fast_config_path, imaging_config_path, scene_path, tmp_path
+):
+    """SHA-256 of every file the three commands leave, taken with numpy 2.4.6.
+
+    The config and scene inputs are written by `save_config` and
+    `scene_to_pgm`, so they are pinned too. Only the run ledger, which holds
+    timestamps, is left out. Any change to what the commands compute or how
+    they format it changes these bytes; such a change must say so and
+    update the digests here.
+    """
+    out = tmp_path / "out"
+    out.mkdir()
+    argvs = [
+        ["characterize", "--config", config_path, "--mu", "0.001,0.01",
+         "--dwell-s", "0.05", "--out", str(out / "char.csv")],
+        ["sweep", "--config", fast_config_path, "--variable", "mu",
+         "--values", "0.005,0.01", "--dwell-s", "0.25", "--out", str(out / "mu.csv")],
+        ["sweep", "--config", fast_config_path, "--variable", "background",
+         "--values", "5000,20000", "--values-per-s", "--dwell-s", "0.25",
+         "--out", str(out / "bg.csv")],
+        ["image", "--config", imaging_config_path, "--scene", scene_path,
+         "--dwell-s", "1", "--out-prefix", str(out / "img"), "--smooth"],
+    ]
+    for argv in argvs:
+        assert run_cli(*argv) == 0
+    files = sorted(p for p in (*tmp_path.iterdir(), *out.iterdir()) if p.is_file())
+    digests = {
+        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in files
+        if p.name != "runs.jsonl"
+    }
+    assert digests == {
+        "config.json": "b00755769ff5ff84aeabd7f1a6c95b2caa128952ef2fafbc7b02ee59d8d1e2d8",
+        "fast.json": "3c791d5b863d0b43a8090b5da52438475dd79db9c96bb829bfb576b8d8d60a0a",
+        "imaging.json": "b100d4bf0d9ac1752c591d25d5dcfcb504f5b425989aaf5dd32bee4766a28818",
+        "scene.pgm": "3bf6b1be334521bc30aef4729c7a9f012c9eb755519982531a4cdf84eb026f62",
+        "out/char.csv": "c4c83784dc21e421928da93824eda47968ca79c9c3dbec68d77921526dfdfc56",
+        "out/mu.csv": "3f386747049fbf27a3abb37bc686758a954e0e6924e99ca71888f6222f607ea0",
+        "out/bg.csv": "00d0e1347871b0a89bf084ee07258b2aea0970b9185dcf3dc2ec353fc0ea8536",
+        "out/img_ci.pgm": "7318d8ac095d673a8401555bda09c85c4d3a045ad1d0a4ad659a373334a9dba2",
+        "out/img_ci.csv": "854668493fbcba1eb2bd16c090eedaac6a91e347264a0d9c3cde605c64daf00d",
+        "out/img_ci_smooth.pgm": "c1285a07e4d9e548a56df21abb73f4171880a5fc37c4d70dea6d782fded3dfce",
+        "out/img_qi.pgm": "9c9ea1fbe6ffa60d4c3460f84d91e576104afb5b6d2a41f7ec01afe4527be41b",
+        "out/img_qi.csv": "93cd69c2729a64a282f475720ca915173f3cb5448b6106dae297be4e4ff5b4dc",
+        "out/img_qi_smooth.pgm": "d935b2356596bd2667d0be7b9e7d67fc520b17d37f3e6d06ca9d2207c5c006a3",
+    }

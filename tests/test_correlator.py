@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qisim.channel import Channel, TimeTagStream
-from qisim.correlator import (
-    StreamOrderError,
-    bin_and_count,
-    estimate_g2,
-    windowed_coincidences,
-)
+from qisim.channel import Channel, StreamOrderError, TimeTagStream
+from qisim.correlator import bin_and_count, estimate_g2, windowed_coincidences
 from qisim.model import ClickCounts
 
 PERIOD = 12500

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qisim.imaging import (
-    ImageKind,
     PixelImage,
     Scene,
     contrast,
@@ -45,8 +44,8 @@ def imaging_config(mu=7.9e-3, beta=0.0, seed=1, eta_sig=2e-5, eta_h=0.2, dark_pe
     return validate_config(ExperimentConfig(source=source, channel=channel, seed=seed))
 
 
-def image(grid, kind=ImageKind.CI):
-    return PixelImage(np.asarray(grid, dtype=float), dwell_pulses=1, kind=kind)
+def image(grid):
+    return PixelImage(np.asarray(grid, dtype=float))
 
 
 class TestInterpolate4:
@@ -155,14 +154,14 @@ class TestRasterScan:
         b_ci, b_qi = raster_scan(scene, cfg, 100_000)
         assert np.array_equal(a_ci.grid, b_ci.grid)
         assert np.array_equal(a_qi.grid, b_qi.grid)
-        assert a_ci.kind is ImageKind.CI and a_qi.kind is ImageKind.QI
         # coincidences are a filtration of the singles from the same pass
         assert np.all(a_qi.grid <= a_ci.grid)
 
     def test_class_totals_match_closed_form(self):
         # non-square scene: a reshape or transpose error moves pixels between
         # classes, and a reflectivity applied twice shifts both class means
-        scene, mask = two_level_scene(6, 10, fg_level=0.6, bg_level=0.1)
+        _, mask = two_level_scene(6, 10)
+        scene = Scene(np.where(mask, 0.6, 0.1))
         cfg = imaging_config(mu=0.025, eta_sig=6e-3, beta=1e-4, seed=21)
         dwell = 10_000_000
         ci, qi = raster_scan(scene, cfg, dwell)
@@ -197,7 +196,7 @@ class TestRasterScan:
 
 class TestPgmIo:
     def test_scene_round_trip(self, tmp_path):
-        scene, _ = two_level_scene(5, 7, fg_level=1.0, bg_level=0.0)
+        scene, _ = two_level_scene(5, 7)
         path = tmp_path / "scene.pgm"
         scene_to_pgm(scene, str(path))
         back = scene_from_pgm(str(path))

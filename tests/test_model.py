@@ -137,15 +137,6 @@ def test_click_counts_invariants():
         ClickCounts(n_pulses=10, n_signal_clicks=-1, n_herald_clicks=0, n_coincidences=0)
 
 
-def test_click_counts_merge():
-    a = ClickCounts(10, 2, 3, 1, target_in=True)
-    b = ClickCounts(20, 1, 1, 0, target_in=True)
-    merged = a + b
-    assert merged == ClickCounts(30, 3, 4, 1, target_in=True)
-    with pytest.raises(ValueError):
-        a + ClickCounts(5, 0, 0, 0, target_in=False)
-
-
 def test_bin_probabilities_bounds():
     with pytest.raises(ValueError):
         BinProbabilities(p_signal=0.1, p_herald=0.1, p_coincidence=0.2, p_background=0.0)

@@ -10,7 +10,6 @@ from qisim.source import (
     POISSON_PAIRS,
     THERMAL_PAIRS,
     idler_wavelength,
-    mean_photon_number,
     poisson_pair_counts,
 )
 
@@ -35,6 +34,9 @@ class TestIdlerWavelength:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             idler_wavelength(0, 671)
+        for pump, signal in ((math.nan, 671), (793, math.nan)):
+            with pytest.raises(ValueError, match="wavelengths must be positive"):
+                idler_wavelength(pump, signal)
 
     @settings(max_examples=50)
     @given(
@@ -45,23 +47,6 @@ class TestIdlerWavelength:
         signal = pump * ratio
         herald = idler_wavelength(pump, signal)
         assert idler_wavelength(pump, herald) == pytest.approx(signal, rel=1e-9)
-
-
-class TestMeanPhotonNumber:
-    def test_quoted_rates(self):
-        assert mean_photon_number(1.3e6, 80e6, 0.6) == pytest.approx(0.0271, abs=5e-5)
-
-    def test_zero_counts(self):
-        assert mean_photon_number(0.0, 80e6, 0.6) == 0.0
-
-    def test_round_value(self):
-        assert mean_photon_number(4.8e5, 80e6, 0.6) == pytest.approx(0.01, rel=1e-12)
-
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(ValueError):
-            mean_photon_number(1e6, 0.0, 0.6)
-        with pytest.raises(ValueError):
-            mean_photon_number(1e6, 80e6, 0.0)
 
 
 class TestPairSampling:
