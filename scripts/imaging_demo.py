@@ -21,24 +21,22 @@ from qisim.imaging import (
     two_level_scene,
     write_pgm,
 )
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams, validate_config
+from qisim.model import ChannelParams, ExperimentConfig, SourceParams
 
 
 def imaging_config(background_cps: float, seed: int) -> ExperimentConfig:
     rep = 80e6
     dark = 1.0 / rep
-    return validate_config(
-        ExperimentConfig(
-            source=SourceParams(mu=7.9e-3, eta_herald=0.2, noise_herald_per_bin=dark),
-            channel=ChannelParams(
-                eta_transmit=1.0,
-                collection_fraction=2e-5 / 0.6,
-                eta_signal_detector=0.6,
-                background_per_bin=background_cps / rep,
-                dark_signal_per_bin=dark,
-            ),
-            seed=seed,
-        )
+    return ExperimentConfig(
+        source=SourceParams(mu=7.9e-3, eta_herald=0.2, noise_herald_per_bin=dark),
+        channel=ChannelParams(
+            eta_transmit=1.0,
+            collection_fraction=2e-5 / 0.6,
+            eta_signal_detector=0.6,
+            background_per_bin=background_cps / rep,
+            dark_signal_per_bin=dark,
+        ),
+        seed=seed,
     )
 
 

@@ -27,7 +27,6 @@ from .model import (
     ExperimentConfig,
     SourceParams,
     click_pattern_probabilities,
-    validate_config,
 )
 from .rng import SWEEP_SPACE, substream
 
@@ -174,14 +173,13 @@ def _run_sweep_row(
     pattern probabilities, so their summed tallies are one multinomial
     draw over the whole exposure.
     """
-    cfg = _with_value(config, variable, value)
     rng = substream(config.seed, SWEEP_SPACE, index)
-    toggle = cfg.toggle_period_pulses
+    toggle = config.toggle_period_pulses
     exposure = (dwell_pulses // (2 * toggle)) * toggle
     problems: list[str] = []
 
     try:
-        validate_config(cfg)
+        cfg = _with_value(config, variable, value)
         counts_in = simulate_counts(cfg, True, exposure, rng)
         counts_out = simulate_counts(cfg, False, exposure, rng)
     except ValueError as exc:
@@ -244,7 +242,6 @@ def run_sweep(
     Failures are recorded per row without aborting the rest. max_workers
     is accepted for compatibility and has no effect.
     """
-    validate_config(config)
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}")
     if not values:

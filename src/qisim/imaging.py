@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ExperimentConfig, click_pattern_probabilities, validate_config
+from .model import ExperimentConfig, click_pattern_probabilities
 from .rng import PIXEL_SPACE, substream
 
 
@@ -70,7 +70,6 @@ def raster_scan(
     the same seed is identical. max_workers is accepted for compatibility
     and has no effect.
     """
-    validate_config(config)
     if dwell_pulses < 1:
         raise ValueError("dwell_pulses must be at least 1")
     pixels = replace(config.channel, target_reflectivity=scene.grid.ravel())

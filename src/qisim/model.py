@@ -9,8 +9,9 @@ All quantities follow two conventions:
   coincidence bin (the per-bin Poisson intensity), not per second. Helpers
   on the CLI convert seconds-denominated inputs.
 
-Types are frozen dataclasses; after `validate_config` they are safe to
-share across concurrent workers.
+Types are frozen dataclasses. An `ExperimentConfig` runs `validate_config`
+when it is built, by any route, so every config that exists is valid; its
+`SourceParams` and `ChannelParams` are checked when they go into one.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class SourceParams:
             try:
                 herald = idler_wavelength(self.pump_nm, self.signal_nm)
             except ValueError:
-                return  # left None, which validate_config rejects
+                return  # left None; validate_config names the missing idler
             object.__setattr__(self, "herald_nm", herald)
 
 
@@ -123,6 +124,9 @@ class ExperimentConfig:
     n_pulses: int = 80_000_000
     seed: int = 1
     toggle_period_pulses: int = 80_000_000  # target shutter toggled every second
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
     @property
     def pulse_period_ps(self) -> int:
@@ -277,14 +281,15 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     _check_nonneg("mu", s.mu)
     if s.rep_rate_hz <= 0:
         raise ConfigError("rep_rate_hz out of range")
-    for name in ("pump_nm", "signal_nm", "herald_nm"):
-        v = getattr(s, name)
-        if v is None or v <= 0:
+    for name in ("pump_nm", "signal_nm"):
+        if getattr(s, name) <= 0:
             raise ConfigError(f"{name} out of range")
     try:
         idler_wavelength(s.pump_nm, s.signal_nm)
     except ValueError:
         raise ConfigError("no energy-conserving idler for pump_nm and signal_nm") from None
+    if s.herald_nm <= 0:  # None only without an idler, rejected above
+        raise ConfigError("herald_nm out of range")
     _check_range("eta_herald", s.eta_herald, 0.0, 1.0)
     _check_nonneg("noise_herald_per_bin", s.noise_herald_per_bin)
 
@@ -377,7 +382,7 @@ def paper_default(seed: int = 1) -> ExperimentConfig:
     Dark rates are an assumption (100 counts/s per detector); jamming is
     off until a sweep or the config turns it on.
     """
-    return validate_config(ExperimentConfig(seed=seed))
+    return ExperimentConfig(seed=seed)
 
 
 def bare_channel(channel: ChannelParams) -> ChannelParams:
@@ -402,4 +407,4 @@ def bare_source(seed: int = 1) -> ExperimentConfig:
     cfg = ExperimentConfig(seed=seed)
     source = replace(cfg.source, noise_herald_per_bin=0.0)
     channel = replace(bare_channel(cfg.channel), dark_signal_per_bin=0.0)
-    return validate_config(replace(cfg, source=source, channel=channel))
+    return replace(cfg, source=source, channel=channel)

@@ -194,6 +194,17 @@ class TestConfigTypes:
         assert f"{name} out of range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_impossible_wavelength_pair_names_the_idler(self, tmp_path, capsys):
+        raw = json.loads(open_config_text(paper_default()))
+        raw["source"].update(signal_nm=300.0, herald_nm=None)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(raw))
+        assert characterize_with(str(config), tmp_path / "char.csv") == cli.EXIT_CONFIG
+        assert (
+            "config error: no energy-conserving idler for pump_nm and signal_nm\n"
+            in capsys.readouterr().err
+        )
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
     @given(data=st.data())
     def test_bad_values_never_give_a_traceback(self, tmp_path, data):

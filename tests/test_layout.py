@@ -41,3 +41,21 @@ def test_no_unused_top_level_imports():
                     if name not in used:
                         offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
     assert not offenders, f"unused imports: {offenders}"
+
+
+def test_configs_are_validated_only_where_they_are_built():
+    # ExperimentConfig.__post_init__ runs validate_config, so a call anywhere
+    # else would re-check a config that cannot be invalid.
+    offenders = []
+    for path in sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "model.py":
+            for node in tree.body:
+                if getattr(node, "name", None) in ("ExperimentConfig", "validate_config"):
+                    allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            named = {getattr(node, a, None) for a in ("id", "attr", "name")}
+            if "validate_config" in named and id(node) not in allowed:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not offenders, f"validate_config named outside ExperimentConfig: {offenders}"

@@ -19,6 +19,7 @@ from qisim.model import (
     bare_source,
     click_pattern_probabilities,
     config_digest,
+    config_from_dict,
     dumps_config,
     load_config,
     loads_config,
@@ -38,16 +39,14 @@ def test_validate_accepts_defaults():
 
 
 def test_validate_rejects_negative_mu():
-    cfg = ExperimentConfig(source=SourceParams(mu=-0.001))
     with pytest.raises(ConfigError, match="mu out of range"):
-        validate_config(cfg)
+        ExperimentConfig(source=SourceParams(mu=-0.001))
 
 
 def test_validate_rejects_bin_wider_than_period():
     # 80 MHz means a 12500 ps period; a 20 ns bin cannot fit.
-    cfg = ExperimentConfig(channel=ChannelParams(bin_width_ps=20000))
     with pytest.raises(ConfigError, match="bin exceeds pulse period"):
-        validate_config(cfg)
+        ExperimentConfig(channel=ChannelParams(bin_width_ps=20000))
 
 
 @pytest.mark.parametrize(
@@ -59,9 +58,8 @@ def test_validate_rejects_bin_wider_than_period():
     ],
 )
 def test_validate_reports_source_field(field, value, message):
-    cfg = ExperimentConfig(source=dataclasses.replace(SourceParams(), **{field: value}))
     with pytest.raises(ConfigError, match=message):
-        validate_config(cfg)
+        ExperimentConfig(source=dataclasses.replace(SourceParams(), **{field: value}))
 
 
 @pytest.mark.parametrize(
@@ -74,15 +72,55 @@ def test_validate_reports_source_field(field, value, message):
     ],
 )
 def test_validate_reports_channel_field(field, value, message):
-    cfg = ExperimentConfig(channel=dataclasses.replace(ChannelParams(), **{field: value}))
     with pytest.raises(ConfigError, match=message):
-        validate_config(cfg)
+        ExperimentConfig(channel=dataclasses.replace(ChannelParams(), **{field: value}))
 
 
 def test_validate_rejects_unconservable_idler():
-    cfg = ExperimentConfig(source=SourceParams(pump_nm=800, signal_nm=390, herald_nm=970.0))
     with pytest.raises(ConfigError, match="energy-conserving"):
-        validate_config(cfg)
+        ExperimentConfig(source=SourceParams(pump_nm=800, signal_nm=390, herald_nm=970.0))
+
+
+def test_missing_idler_is_named_before_herald_nm():
+    # pump and signal admit no idler, so SourceParams leaves herald_nm None
+    with pytest.raises(
+        ConfigError, match="^no energy-conserving idler for pump_nm and signal_nm$"
+    ):
+        ExperimentConfig(source=SourceParams(pump_nm=793.0, signal_nm=300.0))
+
+
+def _built_directly(part, name, value):
+    params = {"source": SourceParams, "channel": ChannelParams}[part](**{name: value})
+    return ExperimentConfig(**{part: params})
+
+
+def _built_by_replace(part, name, value):
+    cfg = paper_default()
+    params = dataclasses.replace(getattr(cfg, part), **{name: value})
+    return dataclasses.replace(cfg, **{part: params})
+
+
+def _built_from_dict(part, name, value):
+    data = dataclasses.asdict(paper_default())
+    data[part][name] = value
+    return config_from_dict(data)
+
+
+@pytest.mark.parametrize("build", [_built_directly, _built_by_replace, _built_from_dict])
+@pytest.mark.parametrize(
+    "part,name,value,message",
+    [
+        ("source", "eta_herald", 1.5, "eta_herald out of range"),
+        ("channel", "bin_width_ps", 20000, "bin exceeds pulse period"),
+        ("channel", "bin_width_ps", 0, "bin_width_ps out of range"),
+        ("source", "mu", math.nan, "mu out of range"),
+        ("channel", "dead_time_ps", -5, "dead_time_ps out of range"),
+        ("channel", "jitter_signal_ps", -300, "jitter_signal_ps out of range"),
+    ],
+)
+def test_invalid_config_cannot_be_built(build, part, name, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build(part, name, value)
 
 
 def test_validate_is_idempotent():
