@@ -329,6 +329,15 @@ _INT64_MAX = b"%d" % np.iinfo(np.int64).max
 _SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
 
 
+def _put_digits(cols: np.ndarray, v: np.ndarray) -> None:
+    """Write the last `cols.shape[1]` decimal digits of each non-negative
+    v, right-aligned and zero-padded, as ASCII into the uint8 matrix cols."""
+    for j in range(cols.shape[1] - 1, -1, -1):
+        q = v // 10
+        cols[:, j] = v - 10 * q + ord("0")
+        v = q
+
+
 def write_tags_csv(stream: TimeTagStream, path: str) -> None:
     """Write the duration comment, the header and one record per tag.
 
@@ -344,13 +353,9 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
             step = _CSV_BLOCK // (d + 8)
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
-                v = times[s:e]
                 rows = np.empty((e - s, d + 8), dtype=np.uint8)
                 np.ndarray((e - s,), "S7", rows, 0, (d + 8,))[:] = _CSV_PREFIX[codes[s:e]]
-                for j in range(d + 6, 6, -1):
-                    q = v // 10
-                    rows[:, j] = v - 10 * q + ord("0")
-                    v = q
+                _put_digits(rows[:, 7:-1], times[s:e])
                 rows[:, -1] = ord("\n")
                 fh.write(rows.tobytes())
 

@@ -9,7 +9,10 @@ is one multinomial draw over per-pixel click-pattern probabilities.
 
 Scenes load from plain-text portable graymaps (PGM P2) with reflectivity
 gray/maxval; images export to PGM P2 rescaled to maxval 65535 plus a raw
-CSV of unscaled counts.
+CSV of unscaled counts. The CSV holds integral counts below 1e16, each
+written as `repr(float(count))`, that is its digits and `.0`; any other
+grid (an `interpolate4` output, say) is rejected with a `ValueError`.
+Scenes and images hold finite, non-empty grids.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import _DIGIT_BOUNDS, _put_digits
 from .model import ExperimentConfig, click_pattern_probabilities
 from .rng import PIXEL_SPACE, substream
 
@@ -32,21 +36,21 @@ class Scene:
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.ndim != 2 or min(self.grid.shape) < 1:
-            raise ValueError("scene grid must be a 2-D array")
-        if np.any(self.grid < 0) or np.any(self.grid > 1):
+            raise ValueError("scene grid must be a non-empty 2-D array")
+        if not np.all((self.grid >= 0) & (self.grid <= 1)):  # NaN fails too
             raise ValueError("scene reflectivity must lie in [0, 1]")
 
 
 @dataclass
 class PixelImage:
-    grid: np.ndarray  # counts (or rates), non-negative
+    grid: np.ndarray  # counts (or rates), finite and non-negative
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=np.float64)
-        if self.grid.ndim != 2:
-            raise ValueError("image grid must be a 2-D array")
-        if np.any(self.grid < 0):
-            raise ValueError("image values must be non-negative")
+        if self.grid.ndim != 2 or min(self.grid.shape) < 1:
+            raise ValueError("image grid must be a non-empty 2-D array")
+        if not np.all((self.grid >= 0) & (self.grid < np.inf)):  # NaN fails too
+            raise ValueError("image values must be finite and non-negative")
 
 
 def two_level_scene(height: int, width: int) -> tuple[Scene, np.ndarray]:
@@ -152,20 +156,49 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
     return values.reshape(height, width), maxval
 
 
+_ROW_BLOCK = 1 << 14  # samples per formatted block
+
+
+def _row_blocks(grid: np.ndarray):
+    """Slices of whole rows of grid, about `_ROW_BLOCK` samples each."""
+    step = max(1, _ROW_BLOCK // grid.shape[1])
+    return (grid[s : s + step] for s in range(0, grid.shape[0], step))
+
+
+def _write_rows(fh, grid: np.ndarray, tail: bytes, sep: bytes) -> None:
+    """Write a non-empty grid of integers in [0, 1e16) as one text line
+    per row: each sample is its digits, then tail, then sep, with a
+    newline in place of each row's last sep.
+
+    Each block of whole rows becomes one uint8 matrix, a matrix row per
+    sample holding its right-aligned digits, tail and sep; one boolean
+    compaction then drops each sample's unused leading columns.
+    """
+    w, end = grid.shape[1], np.frombuffer(tail + sep, np.uint8)
+    for block in _row_blocks(grid):
+        v = block.astype(np.int64).ravel()
+        short = np.searchsorted(_DIGIT_BOUNDS, v, side="right")  # digit count - 1
+        d = int(short.max()) + 1
+        m = np.empty((v.size, d + end.size), np.uint8)
+        _put_digits(m[:, :d], v)
+        m[:, d:] = end
+        m[w - 1 :: w, -1] = ord("\n")
+        fh.write(m[np.arange(m.shape[1]) >= (d - 1 - short)[:, None]].tobytes())
+
+
 def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
     h, w = values.shape
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"P2\n{w} {h}\n{maxval}\n")
-        for row in values:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"P2\n%d %d\n%d\n" % (w, h, maxval))
+        _write_rows(fh, values, b"", b" ")
 
 
 def write_pgm(path: str, grid: np.ndarray) -> None:
     """Write counts as P2, linearly rescaled so the peak maps to 65535."""
-    g = np.asarray(grid, dtype=np.float64)
-    peak = float(g.max()) if g.size else 0.0
-    scaled = np.zeros_like(g, dtype=np.int64) if peak <= 0 else np.rint(g * (65535 / peak)).astype(np.int64)
-    _write_p2(path, scaled, 65535)
+    g = PixelImage(grid).grid
+    peak = float(g.max())
+    scaled = g * (65535 / peak) if peak > 0 else np.zeros_like(g)
+    _write_p2(path, np.rint(scaled, out=scaled), 65535)
 
 
 def scene_from_pgm(path: str) -> Scene:
@@ -175,11 +208,19 @@ def scene_from_pgm(path: str) -> Scene:
 
 def scene_to_pgm(scene: Scene, path: str) -> None:
     """Write a scene as P2 with maxval 255."""
-    _write_p2(path, np.rint(scene.grid * 255).astype(np.int64), 255)
+    _write_p2(path, np.rint(scene.grid * 255), 255)
 
 
 def image_to_csv(image: PixelImage, path: str) -> None:
-    """Raw unscaled counts, one CSV row per image row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in image.grid:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Raw unscaled counts, one CSV row per image row, each count written
+    as `repr(float(count))`: its digits and `.0`.
+
+    Only integral counts below 1e16 are written; from 1e16 on `repr`
+    switches to exponent form. Any other grid raises `ValueError` before
+    the file is opened.
+    """
+    for block in _row_blocks(image.grid):
+        if not (block.max() < 1e16 and np.array_equal(block, np.floor(block))):
+            raise ValueError("image CSV holds integral counts below 1e16 only")
+    with open(path, "wb") as fh:
+        _write_rows(fh, image.grid, b".0", b",")

@@ -270,11 +270,15 @@ def _check_types(part) -> None:
 def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
-    Types come first: integer fields must hold integers and the other
+    Types come first: `source` and `channel` must be a `SourceParams` and a
+    `ChannelParams`, integer fields must hold integers and the other
     numeric fields finite real numbers. The first violated invariant is
-    reported by field name.
+    reported by part or field name.
     """
     s, c = raw.source, raw.channel
+    for name, part, cls in (("source", s, SourceParams), ("channel", c, ChannelParams)):
+        if type(part) is not cls:
+            raise ConfigError(f"{name} must be a {cls.__name__}, not {type(part).__name__}")
     for part in (s, c, raw):
         _check_types(part)
 

@@ -1,15 +1,20 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qisim import imaging
 from qisim.imaging import (
     PixelImage,
     Scene,
     contrast,
+    image_to_csv,
     interpolate4,
     raster_scan,
     read_pgm,
@@ -240,3 +245,131 @@ class TestPgmIo:
     def test_scene_reflectivity_bounds(self):
         with pytest.raises(ValueError):
             Scene(np.array([[0.5, 1.5]]))
+
+    def test_scene_rejects_nan(self):
+        with pytest.raises(ValueError, match="reflectivity"):
+            Scene(np.array([[math.nan, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([[math.nan, 1.0]], "finite and non-negative"),
+            ([[math.inf, 1.0]], "finite and non-negative"),
+            ([[-math.inf, 1.0]], "finite and non-negative"),
+            (np.zeros((0, 3)), "non-empty"),
+        ],
+    )
+    def test_image_rejects_non_finite_and_empty_grids(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            PixelImage(np.asarray(grid, dtype=float))
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [([[math.nan, 1.0]], "finite and non-negative"), (np.zeros((0, 3)), "non-empty")],
+    )
+    def test_write_pgm_rejects_nan_and_empty_grids(self, tmp_path, grid, message):
+        # the former writer cast NaN to garbage samples and wrote an empty
+        # grid as a header that read_pgm rejects
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match=message):
+            write_pgm(str(path), np.asarray(grid, dtype=float))
+        assert not path.exists()
+
+
+SHARED_TMP_PATH = HealthCheck.function_scoped_fixture
+P2_TOP = 65535
+CSV_TOP = 9999999999999998  # the largest float64 below 1e16
+
+
+def count_grids(top):
+    """Integral float64 grids of 1-40 x 1-40 counts in [0, top], rich in
+    the values where the digit count changes."""
+    edges = [v for k in range(1, 17) for v in (10**k - 1, 10**k) if v < top]
+    values = st.sampled_from([0, *edges, top]) | st.integers(0, top)
+    shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    return hnp.arrays(np.int64, shapes, elements=values).map(lambda a: a.astype(np.float64))
+
+
+# Row blocks of 1-64 samples cut grids of 1-40 columns at every row count,
+# including widths that do not divide the block; the default takes a whole grid.
+ROW_BLOCKS = st.integers(1, 64) | st.just(imaging._ROW_BLOCK)
+
+
+def join_write_pgm(path, grid):
+    """The former writer, one `str` per sample: the oracle for `write_pgm`."""
+    g = np.asarray(grid, dtype=np.float64)
+    peak = float(g.max())
+    scaled = np.zeros_like(g, dtype=np.int64) if peak <= 0 else np.rint(g * (65535 / peak)).astype(np.int64)
+    h, w = scaled.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"P2\n{w} {h}\n65535\n")
+        for row in scaled:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def repr_image_to_csv(image, path):
+    """The former writer, one `repr` per sample: the oracle for `image_to_csv`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in image.grid:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+class TestImageWriters:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(grid=count_grids(P2_TOP), block=ROW_BLOCKS)
+    def test_pgm_matches_join_writer_and_reads_back(self, grid, block, tmp_path):
+        grid[-1, -1] = P2_TOP  # peak 65535: every drawn count is written unscaled
+        new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+        with mock.patch.object(imaging, "_ROW_BLOCK", block):
+            write_pgm(str(new), grid)
+        join_write_pgm(str(old), grid)
+        assert new.read_bytes() == old.read_bytes()
+        values, maxval = read_pgm(str(new))
+        assert maxval == P2_TOP
+        assert np.array_equal(values, grid)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
+    @given(grid=count_grids(CSV_TOP), block=ROW_BLOCKS)
+    def test_csv_matches_repr_writer(self, grid, block, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        with mock.patch.object(imaging, "_ROW_BLOCK", block):
+            image_to_csv(PixelImage(grid), str(new))
+        repr_image_to_csv(PixelImage(grid), str(old))
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_csv_exact_bytes(self, tmp_path):
+        path = tmp_path / "img.csv"
+        image_to_csv(image([[0, 12], [345, 6789]]), str(path))
+        assert path.read_bytes() == b"0.0,12.0\n345.0,6789.0\n"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            interpolate4(image([[0.0, 1.0], [2.0, 4.0]])).grid,  # holds 0.5 and 1.75
+            [[1e16]],  # repr writes 1e+16
+            [[float(10**16 - 1)]],  # rounds to 1e16 in float64
+            [[3.0, 2.0**70]],
+        ],
+    )
+    def test_csv_rejects_non_integral_and_huge_counts(self, tmp_path, grid):
+        path = tmp_path / "img.csv"
+        with pytest.raises(ValueError, match="integral counts below 1e16"):
+            image_to_csv(image(grid), str(path))
+        assert not path.exists()
+
+    def test_writers_hold_no_whole_grid_temporaries(self, tmp_path):
+        # On a 1024 x 1024 grid the CSV writer holds one row block at a time,
+        # and the PGM writer one rescaled 8 MB copy of the grid plus a block.
+        grid = np.random.default_rng(4).integers(0, 10**6, (1024, 1024)).astype(np.float64)
+        img = PixelImage(grid)
+        for write, limit_mb in (
+            (lambda: image_to_csv(img, str(tmp_path / "img.csv")), 2),
+            (lambda: write_pgm(str(tmp_path / "img.pgm"), grid), 12),
+        ):
+            tracemalloc.start()
+            try:
+                write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit_mb * 2**20

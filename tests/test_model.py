@@ -123,6 +123,18 @@ def test_invalid_config_cannot_be_built(build, part, name, value, message):
         build(part, name, value)
 
 
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ({"source": None}, "^source must be a SourceParams, not NoneType$"),
+        ({"channel": {}}, "^channel must be a ChannelParams, not dict$"),
+    ],
+)
+def test_config_parts_must_have_their_dataclass_type(parts, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**parts)
+
+
 def test_validate_is_idempotent():
     cfg = validate_config(paper_default())
     assert validate_config(cfg) is cfg
