@@ -322,6 +322,7 @@ def read_qitt(path: str) -> TimeTagStream:
 
 
 _CSV_HEADER = b"channel,time_ps"
+_CSV_DURATION = b"# duration_ps="
 _CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
 _CSV_BLOCK = 1 << 20  # bytes per read or write
 _DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
@@ -348,7 +349,7 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
     times, codes = stream.times_ps, stream.channels
     edges = [0, *np.searchsorted(times, _DIGIT_BOUNDS).tolist(), len(stream)]
     with open(path, "wb") as fh:
-        fh.write(b"# duration_ps=%d\n%s\n" % (stream.duration_ps, _CSV_HEADER))
+        fh.write(b"%s%d\n%s\n" % (_CSV_DURATION, stream.duration_ps, _CSV_HEADER))
         for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
             step = _CSV_BLOCK // (d + 8)
             for s in range(lo, hi, step):
@@ -362,7 +363,9 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
 def read_tags_csv(path: str) -> TimeTagStream:
     """Read a tag CSV. Comment and blank lines may precede the header; a
-    `# duration_ps=N` comment among them sets the duration (0 without one).
+    comment line that begins `# duration_ps=` sets the duration (0 without
+    one) from the 1 to 20 digits that follow, or raises `ValueError`
+    naming its line if anything else follows.
 
     The body is read in blocks of about `_CSV_BLOCK` bytes, each cut after
     its last newline and parsed by `_csv_block` into arrays sized from the
@@ -375,8 +378,12 @@ def read_tags_csv(path: str) -> TimeTagStream:
             line = line.strip()
             if line and not line.startswith(b"#"):
                 break
-            if b"duration_ps=" in line:
-                duration = int(line.split(b"duration_ps=", 1)[1])
+            if line.startswith(_CSV_DURATION):
+                value = line[len(_CSV_DURATION) :]
+                if not (value.isdigit() and len(value) <= 20):
+                    got = value.decode(errors="replace")
+                    raise ValueError(f"bad duration comment at line {lineno}: {got!r}")
+                duration = int(value)
         if line != _CSV_HEADER:
             got = line.decode(errors="replace")
             raise ValueError(f"expected the header {_CSV_HEADER.decode()!r}, got {got!r}")

@@ -18,7 +18,7 @@ command, outputs, summary) to an append-only JSON-lines ledger next to
 its outputs. Output files themselves carry no timestamps, so a rerun with
 the same config, seed and arguments is byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 config error, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 config or input error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class RunRecord:
     summary: dict
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # RFC 8259 JSON has no NaN or Infinity; a summary holds null instead
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, allow_nan=False)
 
 
 def append_run_record(ledger_path: str, record: RunRecord) -> None:
@@ -210,12 +211,10 @@ def cmd_image(args: argparse.Namespace) -> int:
     levels = np.unique(scene.grid)
     if levels.size >= 2:
         mask = scene.grid > 0.5 * (levels.min() + levels.max())
-        summary["ci_contrast"] = imaging.contrast(ci, mask)
-        summary["qi_contrast"] = imaging.contrast(qi, mask)
-        print(
-            f"ci_contrast={summary['ci_contrast']:.4g} "
-            f"qi_contrast={summary['qi_contrast']:.4g}"
-        )
+        ci_contrast, qi_contrast = imaging.contrast(ci, mask), imaging.contrast(qi, mask)
+        print(f"ci_contrast={ci_contrast:.4g} qi_contrast={qi_contrast:.4g}")
+        for key, value in (("ci_contrast", ci_contrast), ("qi_contrast", qi_contrast)):
+            summary[key] = value if math.isfinite(value) else None
     _record_run(args.out_prefix + "_ci.pgm", config, "image", outputs, summary)
     print(f"wrote {', '.join(outputs)}")
     return EXIT_OK
@@ -281,8 +280,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except model.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -21,11 +21,10 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
 
 import numpy as np
 
-from .source import POISSON_PAIRS, PairLaw, idler_wavelength
+from .source import POISSON_PAIRS, PairLaw
 
 PS_PER_SECOND = 10**12
 
@@ -44,7 +43,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Photon-pair source statistics and wavelength bookkeeping.
+    """Photon-pair source statistics.
 
     mu is the mean number of pairs generated per pump pulse. eta_herald is
     the total herald-arm detection probability per idler photon (coupling,
@@ -55,24 +54,13 @@ class SourceParams:
 
     mu: float = 5.8e-3
     rep_rate_hz: float = DEFAULT_REP_RATE_HZ
-    pump_nm: float = 793.0
-    signal_nm: float = 671.0
-    herald_nm: Optional[float] = None  # derived from energy conservation if None
     eta_herald: float = 0.075
     noise_herald_per_bin: float = DEFAULT_DARK_PER_BIN
-
-    def __post_init__(self) -> None:
-        if self.herald_nm is None:
-            try:
-                herald = idler_wavelength(self.pump_nm, self.signal_nm)
-            except ValueError:
-                return  # left None; validate_config names the missing idler
-            object.__setattr__(self, "herald_nm", herald)
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Signal-arm geometry, efficiencies and noise.
+    """Signal-arm efficiencies, noise and detector timing.
 
     The signal arm keeps its loss factors separate (transmitter throughput,
     target reflectivity, collection fraction of the diffusely scattered
@@ -82,8 +70,6 @@ class ChannelParams:
     uniform in time.
     """
 
-    d_m: float = 0.03
-    dist_m: float = 0.32
     collection_fraction: float = 3e-4
     eta_signal_detector: float = 0.6
     eta_transmit: float = 0.8
@@ -242,15 +228,15 @@ def _check_nonneg(name: str, value: float) -> None:
 
 # (name, annotation) of each numeric field, read once from the dataclasses.
 _NUMERIC_FIELDS = {
-    cls: [(f.name, f.type) for f in fields(cls) if f.type in ("int", "float", "Optional[float]")]
+    cls: [(f.name, f.type) for f in fields(cls) if f.type in ("int", "float")]
     for cls in (SourceParams, ChannelParams, ExperimentConfig)
 }
 
 
 def _check_types(part) -> None:
     """Fields annotated `int` hold an integer, fields annotated `float` a
-    finite real number (an `Optional[float]` may also be None). A bool is
-    neither. The exact-type tests skip the slower abstract-class checks."""
+    finite real number. A bool is neither. The exact-type tests skip the
+    slower abstract-class checks."""
     for name, kind in _NUMERIC_FIELDS[type(part)]:
         value = getattr(part, name)
         if kind == "int":
@@ -258,7 +244,7 @@ def _check_types(part) -> None:
                 isinstance(value, bool) or not isinstance(value, numbers.Integral)
             ):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
-        elif value is not None or kind == "float":
+        else:
             if type(value) is not float and (
                 isinstance(value, bool) or not isinstance(value, numbers.Real)
             ):
@@ -285,21 +271,9 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     _check_nonneg("mu", s.mu)
     if s.rep_rate_hz <= 0:
         raise ConfigError("rep_rate_hz out of range")
-    for name in ("pump_nm", "signal_nm"):
-        if getattr(s, name) <= 0:
-            raise ConfigError(f"{name} out of range")
-    try:
-        idler_wavelength(s.pump_nm, s.signal_nm)
-    except ValueError:
-        raise ConfigError("no energy-conserving idler for pump_nm and signal_nm") from None
-    if s.herald_nm <= 0:  # None only without an idler, rejected above
-        raise ConfigError("herald_nm out of range")
     _check_range("eta_herald", s.eta_herald, 0.0, 1.0)
     _check_nonneg("noise_herald_per_bin", s.noise_herald_per_bin)
 
-    _check_nonneg("d_m", c.d_m)
-    if c.dist_m <= 0:
-        raise ConfigError("dist_m out of range")
     _check_range("collection_fraction", c.collection_fraction, 0.0, 1.0)
     _check_range("eta_signal_detector", c.eta_signal_detector, 0.0, 1.0)
     _check_range("eta_transmit", c.eta_transmit, 0.0, 1.0)
@@ -329,19 +303,31 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _exact_keys(cls, data, name: str) -> dict:
+    """`data`, once it is a JSON object whose keys are exactly the fields
+    of `cls`. `name` is its key in the file ("" at the top); an error names
+    every unknown key of the object, or else every missing one."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"malformed config: {name or 'the config'} is not a JSON object")
+    names = [f.name for f in fields(cls)]
+    for what, keys in (
+        ("unknown", [k for k in data if k not in names]),
+        ("missing", [k for k in names if k not in data]),
+    ):
+        if keys:
+            dotted = ", ".join(f"{name}.{k}" if name else k for k in keys)
+            raise ConfigError(f"malformed config: {what} key {dotted}")
+    return data
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    try:
-        source = SourceParams(**data["source"])
-        channel = ChannelParams(**data["channel"])
-        return ExperimentConfig(
-            source=source,
-            channel=channel,
-            n_pulses=data["n_pulses"],
-            seed=data["seed"],
-            toggle_period_pulses=data["toggle_period_pulses"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    """Build a config from parsed JSON. At every level the keys must be
+    exactly the dataclass field names: an unknown or missing key, or a part
+    that is not an object, raises `ConfigError` naming it."""
+    top = dict(_exact_keys(ExperimentConfig, data, ""))
+    for name, cls in (("source", SourceParams), ("channel", ChannelParams)):
+        top[name] = cls(**_exact_keys(cls, top[name], name))
+    return ExperimentConfig(**top)
 
 
 def dumps_config(config: ExperimentConfig) -> str:
@@ -381,8 +367,9 @@ def paper_default(seed: int = 1) -> ExperimentConfig:
     """Tabletop standoff preset.
 
     80 MHz source, 793/671/~969 nm wavelength triple, 2 ns bins, measured
-    collection fraction 3e-4 at 32 cm, 60% signal detector, herald arm
-    lumped to 7.5% so singles run about thirteen times the coincidences.
+    collection fraction 3e-4 (3 cm collectable mode at 32 cm), 60% signal
+    detector, herald arm lumped to 7.5% so singles run about thirteen
+    times the coincidences.
     Dark rates are an assumption (100 counts/s per detector); jamming is
     off until a sweep or the config turns it on.
     """

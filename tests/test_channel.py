@@ -471,6 +471,26 @@ class TestStreamInvariant:
         with pytest.raises(ValueError, match="header"):
             read_tags_csv(str(path))
 
+    @pytest.mark.parametrize("comment", [b"# duration_ps=+1_000", b"# duration_ps= 100 "])
+    def test_csv_duration_must_be_digits(self, comment, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"# run 7\n" + comment + b"\nchannel,time_ps\n")
+        with pytest.raises(ValueError, match="^bad duration comment at line 2: "):
+            read_tags_csv(str(path))
+
+    def test_csv_duration_mentioned_later_in_a_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(
+            b"# duration_ps=25000\n# note: duration_ps=3 was wrong\nchannel,time_ps\nsignal,5\n"
+        )
+        assert read_tags_csv(str(path)).duration_ps == 25000
+
+    @pytest.mark.parametrize("duration", [0, 1, 25_000, 2**64 - 1])
+    def test_csv_duration_round_trips(self, duration, tmp_path):
+        path = tmp_path / "tags.csv"
+        write_tags_csv(TimeTagStream.from_arrays([], [], duration), str(path))
+        assert read_tags_csv(str(path)).duration_ps == duration
+
 
 def f_string_write_tags_csv(stream: TimeTagStream, path: str) -> None:
     """The former writer, one f-string per tag: the oracle for `write_tags_csv`."""

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qisim import cli
-from qisim.imaging import scene_to_pgm, two_level_scene
+from qisim.imaging import Scene, scene_to_pgm, two_level_scene
 from qisim.model import (
     ChannelParams,
     ExperimentConfig,
@@ -171,7 +171,7 @@ class TestConfigTypes:
             ("source", "mu", True),
             ("channel", "bin_width_ps", 2000.5),
             ("channel", "dead_time_ps", 10.5),
-            ("channel", "dist_m", math.nan),
+            ("channel", "stray_light_per_bin", math.nan),
             (None, "seed", 1.7),
             (None, "n_pulses", True),
         ],
@@ -194,16 +194,43 @@ class TestConfigTypes:
         assert f"{name} out of range" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_impossible_wavelength_pair_names_the_idler(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section, name, message",
+        [
+            (None, "n_pulse", "unknown key n_pulse"),  # a typo of n_pulses
+            ("source", "pump_nm", "unknown key source.pump_nm"),
+            ("channel", "dist_m", "unknown key channel.dist_m"),
+            (None, "seed", "missing key seed"),
+            ("source", "mu", "missing key source.mu"),
+            ("channel", "dead_time_ps", "missing key channel.dead_time_ps"),
+        ],
+    )
+    def test_unknown_or_missing_key_is_config_error(
+        self, tmp_path, capsys, section, name, message
+    ):
         raw = json.loads(open_config_text(paper_default()))
-        raw["source"].update(signal_nm=300.0, herald_nm=None)
+        part = raw[section] if section else raw
+        if name in part:
+            del part[name]
+        else:
+            part[name] = 5
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(raw))
+        out = tmp_path / "char.csv"
+        assert characterize_with(str(config), out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: malformed config: {message}\n"
+        assert not out.exists()
+
+    def test_config_file_with_dropped_fields_names_them(self, tmp_path, capsys):
+        # paper_default as save_config wrote it while the config carried the
+        # wavelengths and the collection geometry
+        raw = json.loads(open_config_text(paper_default()))
+        raw["source"].update(pump_nm=793.0, signal_nm=671.0, herald_nm=969.2222222222223)
+        raw["channel"].update(d_m=0.03, dist_m=0.32)
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
         assert characterize_with(str(config), tmp_path / "char.csv") == cli.EXIT_CONFIG
-        assert (
-            "config error: no energy-conserving idler for pump_nm and signal_nm\n"
-            in capsys.readouterr().err
-        )
+        assert "source.pump_nm" in capsys.readouterr().err
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
     @given(data=st.data())
@@ -214,13 +241,12 @@ class TestConfigTypes:
         fields += [(sec, n, v) for sec in ("source", "channel") for n, v in raw[sec].items()]
         section, name, default = data.draw(st.sampled_from(fields))
         bad = st.one_of(
+            st.none(),
             st.text(max_size=5),
             st.booleans(),
             st.lists(st.integers(), max_size=2),
             st.sampled_from([math.nan, math.inf, -math.inf]),
         )
-        if name != "herald_nm":  # None means: derive it from the pump and signal
-            bad |= st.none()
         if isinstance(default, int):
             bad |= st.floats()
         config = write_config_with(tmp_path / "bad.json", section, name, data.draw(bad))
@@ -406,6 +432,21 @@ class TestImage:
         assert code == cli.EXIT_CONFIG
         assert "bad scene" in capsys.readouterr().err
 
+    def test_short_scene_is_input_error(self, imaging_config_path, tmp_path, capsys):
+        # a fault of the scene file, not of the config
+        bad = tmp_path / "short.pgm"
+        bad.write_text("P2\n2 2\n255\n0 255 0\n")
+        code = run_cli(
+            "image",
+            "--config", imaging_config_path,
+            "--scene", str(bad),
+            "--out-prefix", str(tmp_path / "img"),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "input error: bad scene: sample count does not match dimensions\n"
+        )
+
 
 class TestRunLedger:
     def test_append_only(self, fast_config_path, tmp_path):
@@ -433,6 +474,33 @@ class TestRunLedger:
 
     def test_usage_error_on_unknown_command(self):
         assert run_cli("frobnicate") == cli.EXIT_USAGE
+
+    def test_infinite_contrast_is_null_in_the_ledger(self, imaging_config_path, tmp_path, capsys):
+        # one pixel per class: both classes have zero variance
+        scene = tmp_path / "pair.pgm"
+        scene_to_pgm(Scene(np.array([[0.0, 1.0]])), str(scene))
+        code = run_cli(
+            "image",
+            "--config", imaging_config_path,
+            "--scene", str(scene),
+            "--dwell-s", "1",
+            "--out-prefix", str(tmp_path / "img"),
+        )
+        assert code == 0
+        assert "ci_contrast=inf " in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert len(records) == 1
+        assert records[0]["summary"]["ci_contrast"] is None
+
+    def test_ledger_refuses_non_finite_values(self):
+        record = cli.RunRecord("t", "d", 1, "image", (), {"qi_contrast": math.nan})
+        with pytest.raises(ValueError):
+            record.to_json()
 
 
 def test_golden_output_digests(
@@ -468,9 +536,9 @@ def test_golden_output_digests(
         if p.name != "runs.jsonl"
     }
     assert digests == {
-        "config.json": "b00755769ff5ff84aeabd7f1a6c95b2caa128952ef2fafbc7b02ee59d8d1e2d8",
-        "fast.json": "3c791d5b863d0b43a8090b5da52438475dd79db9c96bb829bfb576b8d8d60a0a",
-        "imaging.json": "b100d4bf0d9ac1752c591d25d5dcfcb504f5b425989aaf5dd32bee4766a28818",
+        "config.json": "d9d0f3f96cb7d93cc7c027df026ce0bf72ed6e894f4315d4f9f2da4b50732d52",
+        "fast.json": "4dfbc7342d2cd04638aba6e2fa2db0276f022fd1b2a83d2c80f6fe1359d7619d",
+        "imaging.json": "415994f764781daec1903e47dfd9e422af79920481ebc658bf019bff5d0f18ee",
         "scene.pgm": "3bf6b1be334521bc30aef4729c7a9f012c9eb755519982531a4cdf84eb026f62",
         "out/char.csv": "c4c83784dc21e421928da93824eda47968ca79c9c3dbec68d77921526dfdfc56",
         "out/mu.csv": "3f386747049fbf27a3abb37bc686758a954e0e6924e99ca71888f6222f607ea0",

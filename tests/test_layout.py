@@ -59,3 +59,37 @@ def test_configs_are_validated_only_where_they_are_built():
             if "validate_config" in named and id(node) not in allowed:
                 offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not offenders, f"validate_config named outside ExperimentConfig: {offenders}"
+
+
+def test_every_config_field_is_read_by_the_model():
+    # A field that only the checks read is a value a config file can set and
+    # nothing uses; validate_config and _check_types do not count as readers.
+    model = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    config_fields = {
+        f"{node.name}.{item.target.id}"
+        for node in model.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in ("SourceParams", "ChannelParams", "ExperimentConfig")
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
+    assert {f.split(".")[0] for f in config_fields} == {
+        "SourceParams", "ChannelParams", "ExperimentConfig"
+    }
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        checks = set()
+        if path.name == "model.py":
+            for node in tree.body:
+                if getattr(node, "name", None) in ("validate_config", "_check_types"):
+                    checks |= {id(n) for n in ast.walk(node)}
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in checks
+        }
+    unread = sorted(f for f in config_fields if f.split(".")[1] not in read)
+    assert not unread, f"config fields read only by the checks: {unread}"

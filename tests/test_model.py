@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -68,25 +69,11 @@ def test_validate_reports_source_field(field, value, message):
         ("background_per_bin", -0.1, "background_per_bin out of range"),
         ("collection_fraction", 1.1, "collection_fraction out of range"),
         ("bin_width_ps", 0, "bin_width_ps out of range"),
-        ("dist_m", 0.0, "dist_m out of range"),
     ],
 )
 def test_validate_reports_channel_field(field, value, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(channel=dataclasses.replace(ChannelParams(), **{field: value}))
-
-
-def test_validate_rejects_unconservable_idler():
-    with pytest.raises(ConfigError, match="energy-conserving"):
-        ExperimentConfig(source=SourceParams(pump_nm=800, signal_nm=390, herald_nm=970.0))
-
-
-def test_missing_idler_is_named_before_herald_nm():
-    # pump and signal admit no idler, so SourceParams leaves herald_nm None
-    with pytest.raises(
-        ConfigError, match="^no energy-conserving idler for pump_nm and signal_nm$"
-    ):
-        ExperimentConfig(source=SourceParams(pump_nm=793.0, signal_nm=300.0))
 
 
 def _built_directly(part, name, value):
@@ -140,11 +127,6 @@ def test_validate_is_idempotent():
     assert validate_config(cfg) is cfg
 
 
-def test_herald_wavelength_derived_when_omitted():
-    src = SourceParams(pump_nm=793, signal_nm=671, herald_nm=None)
-    assert src.herald_nm == pytest.approx(969.222, abs=1e-3)
-
-
 def test_round_trip_identity(tmp_path):
     cfg = paper_default(seed=42)
     path = tmp_path / "config.json"
@@ -163,6 +145,59 @@ def test_config_keys_match_field_names():
     assert set(data) == {"source", "channel", "n_pulses", "seed", "toggle_period_pulses"}
     assert "eta_signal_detector" in data["channel"]
     assert "noise_herald_per_bin" in data["source"]
+
+
+def paper_default_data() -> dict:
+    return json.loads(dumps_config(paper_default()))
+
+
+# (top-level key, None) and (part, key in it) of every key in a config file
+PART_KEYS = [(key, None) for key in paper_default_data()] + [
+    (part, key) for part in ("source", "channel") for key in paper_default_data()[part]
+]
+
+
+@pytest.mark.parametrize("part,key", PART_KEYS)
+def test_missing_key_is_named(part, key):
+    data = paper_default_data()
+    if key is None:
+        del data[part]
+        name = part
+    else:
+        del data[part][key]
+        name = f"{part}.{key}"
+    with pytest.raises(ConfigError, match=f"^malformed config: missing key {name}$"):
+        config_from_dict(data)
+
+
+def test_every_unknown_key_of_an_object_is_named_before_missing_ones():
+    data = paper_default_data()
+    data["channel"]["d_m"] = data["channel"]["dist_m"] = 1.0
+    del data["channel"]["dead_time_ps"]
+    with pytest.raises(
+        ConfigError, match="^malformed config: unknown key channel.d_m, channel.dist_m$"
+    ):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "part,name", [(None, "the config"), ("source", "source"), ("channel", "channel")]
+)
+def test_object_that_is_a_list_is_named(part, name):
+    data = paper_default_data()
+    if part:
+        data[part] = list(data[part].values())
+    else:
+        data = list(data.values())
+    with pytest.raises(ConfigError, match=f"^malformed config: {name} is not a JSON object$"):
+        config_from_dict(data)
+
+
+def test_readme_config_example_is_paper_default():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert loads_config(example) == paper_default(seed=7)
 
 
 def test_digest_stable_under_key_reordering():
