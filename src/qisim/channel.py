@@ -205,6 +205,9 @@ def simulate_tags(
         t = (idx * period).astype(np.float64)
         if jitter > 0:
             t += rng.normal(0.0, jitter, idx.size)
+            # a time jittered past the int64 range is outside [0, duration)
+            # too; drop it here, as the cast of such a value is undefined
+            t = t[np.abs(t) < 2.0**63]
         locked.append(np.rint(t).astype(np.int64))
     sig_times, her_times = locked
 
@@ -362,10 +365,12 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
-    """Read a tag CSV. Comment and blank lines may precede the header; a
-    comment line that begins `# duration_ps=` sets the duration (0 without
-    one) from the 1 to 20 digits that follow, or raises `ValueError`
-    naming its line if anything else follows.
+    """Read a tag CSV. Comment lines (first byte `#`) and empty lines may
+    precede the header. Only the line end (`\\n` or `\\r\\n`) is cut from
+    these lines, so a line with any other whitespace is none of the three.
+    A comment line that begins `# duration_ps=` sets the duration (0
+    without one) from the 1 to 20 digits that follow, or raises
+    `ValueError` naming its line if anything else follows.
 
     The body is read in blocks of about `_CSV_BLOCK` bytes, each cut after
     its last newline and parsed by `_csv_block` into arrays sized from the
@@ -375,7 +380,8 @@ def read_tags_csv(path: str) -> TimeTagStream:
     with open(path, "rb") as fh:
         for line in iter(fh.readline, b""):
             lineno += 1
-            line = line.strip()
+            if line.endswith(b"\n"):
+                line = line[: -2 if line.endswith(b"\r\n") else -1]
             if line and not line.startswith(b"#"):
                 break
             if line.startswith(_CSV_DURATION):

@@ -134,7 +134,8 @@ def contrast(image: PixelImage, foreground_mask: np.ndarray) -> float:
 
 
 def read_pgm(path: str) -> tuple[np.ndarray, int]:
-    """Read a P2 graymap; returns (values, maxval). Comments are skipped."""
+    """Read a P2 graymap; returns (values, maxval). Comments are skipped.
+    Every other token must be ASCII digits, and maxval lies in [1, 65535]."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         tokens: list[str] = []
         for line in fh:
@@ -142,16 +143,23 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
             tokens.extend(body.split())
     if not tokens or tokens[0] != "P2":
         raise ValueError("bad scene: not a plain PGM (P2) file")
+    # int() would also take signs and underscores; bytes.isdigit is ASCII only
+    if not "".join(tokens[1:]).encode().isdigit():
+        raise ValueError("bad scene: malformed PGM header or samples")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
         values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:  # too few tokens, or one of over 4300 digits
         raise ValueError("bad scene: malformed PGM header or samples") from exc
+    except OverflowError as exc:  # beyond int64
+        raise ValueError("bad scene: sample out of range") from exc
     if width < 1 or height < 1 or maxval < 1:
         raise ValueError("bad scene: non-positive PGM dimensions")
+    if maxval > 65535:
+        raise ValueError("bad scene: malformed PGM header or samples")
     if values.size != width * height:
         raise ValueError("bad scene: sample count does not match dimensions")
-    if np.any(values < 0) or np.any(values > maxval):
+    if np.any(values > maxval):
         raise ValueError("bad scene: sample out of range")
     return values.reshape(height, width), maxval
 

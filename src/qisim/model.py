@@ -12,6 +12,8 @@ All quantities follow two conventions:
 Types are frozen dataclasses. An `ExperimentConfig` runs `validate_config`
 when it is built, by any route, so every config that exists is valid; its
 `SourceParams` and `ChannelParams` are checked when they go into one.
+Each numeric field must lie in its closed interval in `_BOUNDS`; the only
+other value rule is that the coincidence bin fits in the pulse period.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -216,85 +219,69 @@ def click_pattern_probabilities(
     return p11, p10, p01, p00
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (lo <= value <= hi):
-        raise ConfigError(f"{name} out of range")
+_FLOAT_MAX = sys.float_info.max
 
+# The closed interval [lo, hi] of each numeric config field. Float fields end
+# at the largest finite double, so NaN, the infinities and integers too large
+# for a double fail the same comparison as any other value out of range.
+_BOUNDS = {
+    "mu": (0.0, _FLOAT_MAX),
+    "rep_rate_hz": (5e-324, _FLOAT_MAX),  # the smallest positive double
+    "eta_herald": (0.0, 1.0),
+    "noise_herald_per_bin": (0.0, _FLOAT_MAX),
+    "collection_fraction": (0.0, 1.0),
+    "eta_signal_detector": (0.0, 1.0),
+    "eta_transmit": (0.0, 1.0),
+    "background_per_bin": (0.0, _FLOAT_MAX),
+    "dark_signal_per_bin": (0.0, _FLOAT_MAX),
+    "stray_light_per_bin": (0.0, _FLOAT_MAX),
+    "bin_width_ps": (1, math.inf),  # and at most the pulse period
+    "target_reflectivity": (0.0, 1.0),
+    "jitter_signal_ps": (0.0, _FLOAT_MAX),
+    "jitter_herald_ps": (0.0, _FLOAT_MAX),
+    "dead_time_ps": (0, math.inf),
+    "n_pulses": (1, 2**63 - 1),  # pulse counts are drawn and summed as int64
+    "seed": (0, 2**64 - 1),
+    "toggle_period_pulses": (1, 2**63 - 1),
+}
 
-def _check_nonneg(name: str, value: float) -> None:
-    if value < 0:
-        raise ConfigError(f"{name} out of range")
-
-
-# (name, annotation) of each numeric field, read once from the dataclasses.
+# Per config class, (name, exact types, number class, noun, lo, hi) of each
+# field annotated `int` or `float`, in declaration order.
+_KINDS = {
+    "int": ((int,), numbers.Integral, "an integer"),
+    "float": ((float, int), numbers.Real, "a real number"),
+}
 _NUMERIC_FIELDS = {
-    cls: [(f.name, f.type) for f in fields(cls) if f.type in ("int", "float")]
+    cls: [(f.name, *_KINDS[f.type], *_BOUNDS[f.name]) for f in fields(cls) if f.type in _KINDS]
     for cls in (SourceParams, ChannelParams, ExperimentConfig)
 }
 
 
-def _check_types(part) -> None:
-    """Fields annotated `int` hold an integer, fields annotated `float` a
-    finite real number. A bool is neither. The exact-type tests skip the
-    slower abstract-class checks."""
-    for name, kind in _NUMERIC_FIELDS[type(part)]:
-        value = getattr(part, name)
-        if kind == "int":
-            if type(value) is not int and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-        else:
-            if type(value) is not float and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ConfigError(f"{name} must be a real number, not {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} out of range")
-
-
 def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
-    """Check every type invariant; return the config unchanged if all hold.
+    """Check every invariant; return the config unchanged if all hold.
 
-    Types come first: `source` and `channel` must be a `SourceParams` and a
-    `ChannelParams`, integer fields must hold integers and the other
-    numeric fields finite real numbers. The first violated invariant is
-    reported by part or field name.
+    `source` and `channel` must be a `SourceParams` and a `ChannelParams`.
+    Then each numeric field, in declaration order (source, channel, top
+    level), must have its annotated type and lie in its `_BOUNDS`
+    interval; last, the bin must fit in the pulse period. The first
+    violated invariant is reported by part or field name.
     """
     s, c = raw.source, raw.channel
     for name, part, cls in (("source", s, SourceParams), ("channel", c, ChannelParams)):
         if type(part) is not cls:
             raise ConfigError(f"{name} must be a {cls.__name__}, not {type(part).__name__}")
     for part in (s, c, raw):
-        _check_types(part)
-
-    _check_nonneg("mu", s.mu)
-    if s.rep_rate_hz <= 0:
-        raise ConfigError("rep_rate_hz out of range")
-    _check_range("eta_herald", s.eta_herald, 0.0, 1.0)
-    _check_nonneg("noise_herald_per_bin", s.noise_herald_per_bin)
-
-    _check_range("collection_fraction", c.collection_fraction, 0.0, 1.0)
-    _check_range("eta_signal_detector", c.eta_signal_detector, 0.0, 1.0)
-    _check_range("eta_transmit", c.eta_transmit, 0.0, 1.0)
-    _check_range("target_reflectivity", c.target_reflectivity, 0.0, 1.0)
-    for name in ("background_per_bin", "dark_signal_per_bin", "stray_light_per_bin"):
-        _check_nonneg(name, getattr(c, name))
-    for name in ("jitter_signal_ps", "jitter_herald_ps"):
-        _check_nonneg(name, getattr(c, name))
-    if c.dead_time_ps < 0:
-        raise ConfigError("dead_time_ps out of range")
-    if c.bin_width_ps <= 0:
-        raise ConfigError("bin_width_ps out of range")
+        for name, exact, number, noun, lo, hi in _NUMERIC_FIELDS[type(part)]:
+            value = getattr(part, name)
+            if type(value) not in exact:  # plain ints and floats skip the slower tests
+                if isinstance(value, bool) or not isinstance(value, number):  # bool is neither
+                    raise ConfigError(f"{name} must be {noun}, not {value!r}")
+                if isinstance(value, np.floating):  # a float32 would compare in float32
+                    value = float(value)
+            if not lo <= value <= hi:
+                raise ConfigError(f"{name} out of range")
     if c.bin_width_ps > raw.pulse_period_ps:
         raise ConfigError("bin exceeds pulse period")
-
-    # Pulse counts are drawn and summed as int64.
-    for name in ("n_pulses", "toggle_period_pulses"):
-        _check_range(name, getattr(raw, name), 1, 2**63 - 1)
-    if not (0 <= raw.seed < 2**64):
-        raise ConfigError("seed out of range")
-
     return raw
 
 
@@ -334,9 +321,20 @@ def dumps_config(config: ExperimentConfig) -> str:
     return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, unless a key appears in it twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"malformed config: duplicate key {key}")
+        data[key] = value
+    return data
+
+
 def loads_config(text: str) -> ExperimentConfig:
+    """Parse a config file's text; a key repeated in one object is an error."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return config_from_dict(data)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -251,6 +252,21 @@ class TestSimulateTags:
             "4b78d9d4d7b651e09a0c65a7fde9451fcd8fc31f135ad300712b8de6e2c9d567",
         )
 
+    def test_times_jittered_past_int64_are_dropped_before_the_cast(self):
+        # sigma_s = 1e300 puts nearly every locked signal time past the int64
+        # range; pytest turns the cast's RuntimeWarning into an error. The
+        # normal draws do not depend on sigma, so the heralds are unchanged.
+        jammed = dataclasses.replace(paper_default().channel, background_per_bin=1e-3)
+        streams = {}
+        for sigma in (300.0, 1e300):
+            ch = dataclasses.replace(jammed, jitter_signal_ps=sigma)
+            cfg = dataclasses.replace(paper_default(), channel=ch)
+            streams[sigma] = simulate_tags(cfg, True, 200_000, substream(6, 1))
+        heralds = [s.times_ps[s.channels == Channel.HERALD] for s in streams.values()]
+        assert heralds[0].size > 50 and np.array_equal(*heralds)
+        signals = [s.times_ps[s.channels == Channel.SIGNAL] for s in streams.values()]
+        assert signals[0].size > 100 and signals[1].size < 5
+
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(ValueError, match="n_pulses"):
             simulate_tags(make_config(), True, -5, substream(8, 1))
@@ -477,6 +493,28 @@ class TestStreamInvariant:
         path.write_bytes(b"# run 7\n" + comment + b"\nchannel,time_ps\n")
         with pytest.raises(ValueError, match="^bad duration comment at line 2: "):
             read_tags_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "preamble,message",
+        [
+            (b"# duration_ps=100 \t\nchannel,time_ps\n", "^bad duration comment at line 1: "),
+            # leading whitespace: not a comment, so it stands where the header should
+            (b"  # duration_ps=100 \t\nchannel,time_ps\n", "^expected the header .*, got '  #"),
+            (b"# duration_ps=100\n\t channel,time_ps  \n", "^expected the header "),
+            (b"# duration_ps=100\n \nchannel,time_ps\n", "^expected the header .*, got ' '$"),
+        ],
+    )
+    def test_csv_preamble_whitespace_rejected(self, preamble, message, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(preamble + b"signal,5\n")
+        with pytest.raises(ValueError, match=message):
+            read_tags_csv(str(path))
+
+    def test_csv_preamble_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"# duration_ps=100\r\n\r\nchannel,time_ps\r\nsignal,5\r\n")
+        stream = read_tags_csv(str(path))
+        assert (stream.duration_ps, stream.times_ps.tolist()) == (100, [5])
 
     def test_csv_duration_mentioned_later_in_a_comment_is_ignored(self, tmp_path):
         path = tmp_path / "tags.csv"

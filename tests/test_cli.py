@@ -221,6 +221,20 @@ class TestConfigTypes:
         assert capsys.readouterr().err == f"config error: malformed config: {message}\n"
         assert not out.exists()
 
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys):
+        text = open_config_text(paper_default(seed=3))
+        config = tmp_path / "dup.json"
+        config.write_text(text.replace('"seed": 3', '"seed": 3, "seed": 9'))
+        out = tmp_path / "char.csv"
+        assert characterize_with(str(config), out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: malformed config: duplicate key seed\n"
+        assert not out.exists()
+
+    def test_integer_beyond_the_largest_double_is_out_of_range(self, tmp_path, capsys):
+        config = write_config_with(tmp_path / "big.json", "source", "mu", 10**400)
+        assert characterize_with(config, tmp_path / "char.csv") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: mu out of range\n"
+
     def test_config_file_with_dropped_fields_names_them(self, tmp_path, capsys):
         # paper_default as save_config wrote it while the config carried the
         # wavelengths and the collection geometry

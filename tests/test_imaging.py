@@ -242,6 +242,30 @@ class TestPgmIo:
         with pytest.raises(ValueError, match="bad scene"):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("P2\n2 1\n255\n+5 0\n", "malformed"),  # int() takes a sign,
+            ("P2\n2 1\n255\n1_0 0\n", "malformed"),  # underscores
+            ("P2\n2 1\n255\n-0 0\n", "malformed"),  # and a negative zero
+            ("P2\n2 1\n2_55\n5 0\n", "malformed"),
+            ("P2\n2 1\n65536\n5 0\n", "malformed"),  # the Netpbm maxval limit
+            ("P2\n2 1\n0\n0 0\n", "non-positive"),
+            ("P2\n2 1\n255\n%s 0\n" % ("9" * 30), "sample out of range"),  # past int64
+        ],
+    )
+    def test_tokens_pgm_does_not_allow_rejected(self, tmp_path, content, message):
+        path = tmp_path / "bad.pgm"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^bad scene: {message}"):
+            read_pgm(str(path))
+
+    def test_largest_maxval_read(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        path.write_text("P2\n2 1\n65535\n65535 00007\n")
+        values, maxval = read_pgm(str(path))
+        assert maxval == 65535 and values.tolist() == [[65535, 7]]
+
     def test_scene_reflectivity_bounds(self):
         with pytest.raises(ValueError):
             Scene(np.array([[0.5, 1.5]]))

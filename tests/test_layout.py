@@ -63,7 +63,7 @@ def test_configs_are_validated_only_where_they_are_built():
 
 def test_every_config_field_is_read_by_the_model():
     # A field that only the checks read is a value a config file can set and
-    # nothing uses; validate_config and _check_types do not count as readers.
+    # nothing uses; validate_config does not count as a reader.
     model = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
     config_fields = {
         f"{node.name}.{item.target.id}"
@@ -82,7 +82,7 @@ def test_every_config_field_is_read_by_the_model():
         checks = set()
         if path.name == "model.py":
             for node in tree.body:
-                if getattr(node, "name", None) in ("validate_config", "_check_types"):
+                if getattr(node, "name", None) == "validate_config":
                     checks |= {id(n) for n in ast.walk(node)}
         read |= {
             node.attr

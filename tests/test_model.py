@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import json
 import math
+import numbers
 import pathlib
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qisim.model import (
+    _BOUNDS,
     BinProbabilities,
     ChannelParams,
     ClickCounts,
@@ -193,6 +198,17 @@ def test_object_that_is_a_list_is_named(part, name):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key,value", [('"seed": 3', '"seed": 3, "seed": 9'), ('"mu": ', '"mu": 1, "mu": ')]
+)
+def test_duplicate_key_is_named(key, value):
+    text = dumps_config(paper_default(seed=3))
+    assert text.count(key) == 1
+    name = key.split('"')[1]
+    with pytest.raises(ConfigError, match=f"^malformed config: duplicate key {name}$"):
+        loads_config(text.replace(key, value))
+
+
 def test_readme_config_example_is_paper_default():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
@@ -256,6 +272,189 @@ def test_validate_bounds_pulse_counts_to_int64(name):
     for bad in (2**63, 2**64):
         with pytest.raises(ConfigError, match=f"{name} out of range"):
             validate_config(dataclasses.replace(cfg, **{name: bad}))
+
+
+# --- the per-field checks that the bounds table replaced: the oracle -------
+
+ORACLE_NUMERIC_FIELDS = {
+    cls: [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+    for cls in (SourceParams, ChannelParams, ExperimentConfig)
+}
+
+
+def _check_range(name, value, lo, hi):
+    if not (lo <= value <= hi):
+        raise ConfigError(f"{name} out of range")
+
+
+def _check_nonneg(name, value):
+    if value < 0:
+        raise ConfigError(f"{name} out of range")
+
+
+def _check_types(part):
+    for name, kind in ORACLE_NUMERIC_FIELDS[type(part)]:
+        value = getattr(part, name)
+        if kind == "int":
+            if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        else:
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ConfigError(f"{name} must be a real number, not {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} out of range")
+
+
+def written_out_validate_config(raw):
+    """`validate_config` as each rule was written out before `_BOUNDS`."""
+    s, c = raw.source, raw.channel
+    for name, part, cls in (("source", s, SourceParams), ("channel", c, ChannelParams)):
+        if type(part) is not cls:
+            raise ConfigError(f"{name} must be a {cls.__name__}, not {type(part).__name__}")
+    for part in (s, c, raw):
+        _check_types(part)
+
+    _check_nonneg("mu", s.mu)
+    if s.rep_rate_hz <= 0:
+        raise ConfigError("rep_rate_hz out of range")
+    _check_range("eta_herald", s.eta_herald, 0.0, 1.0)
+    _check_nonneg("noise_herald_per_bin", s.noise_herald_per_bin)
+
+    _check_range("collection_fraction", c.collection_fraction, 0.0, 1.0)
+    _check_range("eta_signal_detector", c.eta_signal_detector, 0.0, 1.0)
+    _check_range("eta_transmit", c.eta_transmit, 0.0, 1.0)
+    _check_range("target_reflectivity", c.target_reflectivity, 0.0, 1.0)
+    for name in ("background_per_bin", "dark_signal_per_bin", "stray_light_per_bin"):
+        _check_nonneg(name, getattr(c, name))
+    for name in ("jitter_signal_ps", "jitter_herald_ps"):
+        _check_nonneg(name, getattr(c, name))
+    if c.dead_time_ps < 0:
+        raise ConfigError("dead_time_ps out of range")
+    if c.bin_width_ps <= 0:
+        raise ConfigError("bin_width_ps out of range")
+    if c.bin_width_ps > raw.pulse_period_ps:
+        raise ConfigError("bin exceeds pulse period")
+
+    for name in ("n_pulses", "toggle_period_pulses"):
+        _check_range(name, getattr(raw, name), 1, 2**63 - 1)
+    if not (0 <= raw.seed < 2**64):
+        raise ConfigError("seed out of range")
+
+    return raw
+
+
+# (part, name, annotation) of every numeric field; part None is the top level
+NUMERIC_FIELDS = [
+    (part, name, kind)
+    for part, cls in zip(("source", "channel", None), ORACLE_NUMERIC_FIELDS)
+    for name, kind in ORACLE_NUMERIC_FIELDS[cls]
+]
+VALUE_POOL = [
+    0, 1, -1, 0.5, 1.5, 0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf,
+    True, "1", None, [1], np.int64(3), np.float64(0.2), np.float32(0.2),
+    2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), 10**400, 12500, 12501, 20000,
+]
+
+
+def substituted(part, name, value):
+    """paper_default with one numeric field replaced, built without validation."""
+    cfg = copy.copy(paper_default())
+    if part is None:
+        object.__setattr__(cfg, name, value)
+    else:
+        object.__setattr__(cfg, part, dataclasses.replace(getattr(cfg, part), **{name: value}))
+    return cfg
+
+
+def outcome(check, cfg):
+    """"accepted", or the type and message of what `check(cfg)` raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            check(cfg)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+def differs_from_oracle(part, name, kind, value) -> bool:
+    """Whether `validate_config` judges one substitution otherwise than the
+    oracle. Only a Python int beyond the largest double in a float field
+    may differ, and only as `<name> out of range` where the oracle's
+    float conversion overflows (or, just above the largest double, where
+    it rounds down and the oracle accepts)."""
+    cfg = substituted(part, name, value)
+    new, old = outcome(validate_config, cfg), outcome(written_out_validate_config, cfg)
+    if type(value) is int and kind == "float" and abs(value) > sys.float_info.max:
+        assert new == ("ConfigError", f"{name} out of range")
+        if abs(value) >= 2**1024 - 2**970:  # float(value) overflows
+            assert old[0] == "OverflowError"
+        return new != old
+    assert new == old, (part, name, value)
+    return False
+
+
+class TestBoundsTable:
+    def test_pool_substitutions_judged_as_by_the_oracle(self):
+        differing = {
+            (name, repr(value))
+            for part, name, kind in NUMERIC_FIELDS
+            for value in VALUE_POOL
+            if differs_from_oracle(part, name, kind, value)
+        }
+        float_fields = {name for _, name, kind in NUMERIC_FIELDS if kind == "float"}
+        assert len(float_fields) == 13
+        assert differing == {(name, repr(10**400)) for name in float_fields}
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        field=st.sampled_from(NUMERIC_FIELDS),
+        value=st.floats() | st.integers() | st.integers(-(2**1100), 2**1100),
+    )
+    def test_drawn_substitutions_judged_as_by_the_oracle(self, field, value):
+        differs_from_oracle(*field, value)
+
+    def test_first_invalid_field_in_declaration_order_is_named(self):
+        # the oracle checked every type first, so it named seed here
+        cfg = substituted("source", "mu", -1.0)
+        object.__setattr__(cfg, "seed", "7")
+        with pytest.raises(ConfigError, match="^mu out of range$"):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            written_out_validate_config(cfg)
+
+    def test_every_bound_names_one_numeric_field(self):
+        names = [name for _, name, _ in NUMERIC_FIELDS]
+        assert names == list(_BOUNDS)  # each field once, in declaration order
+        for lo, hi in _BOUNDS.values():
+            assert lo <= hi
+
+    def test_readme_bounds_table_is_bounds(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        rows = [
+            [cell.strip(" `") for cell in line.strip("|").split("|")]
+            for line in section.split("\n## ", 1)[0].splitlines()
+            if line.startswith("| `")
+        ]
+
+        def number(text):
+            if text == "∞":
+                return math.inf
+            return float(text) if "." in text or "e" in text else int(text)
+
+        table = {row[0]: (row[1], number(row[2]), number(row[3])) for row in rows}
+        assert len(table) == len(rows)
+        want = {
+            f"{part}.{name}" if part else name: (kind, *_BOUNDS[name])
+            for part, name, kind in NUMERIC_FIELDS
+        }
+        assert list(table) == list(want)
+        assert table == want
 
 
 def poisson_patterns_written_out(source, channel, target_in):
