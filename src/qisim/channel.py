@@ -241,11 +241,17 @@ def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pu
     """Nearest-pulse index of each tag and whether it lies inside that bin.
 
     Bin k is the window [k*T - w/2, k*T + w/2) around pulse time k*T, for
-    pulses 0 <= k < n_pulses.
+    pulses 0 <= k < n_pulses. The nearest pulse is k = (t + T//2) // T,
+    found from t = q*T + r, 0 <= r < T, as q, or q + 1 when r >= T - T//2;
+    so no step leaves the int64 range, even for times near 2^63.
     """
-    k = (times + pulse_period_ps // 2) // pulse_period_ps
+    k = times // pulse_period_ps  # q and r; np.divmod takes longer than // and a product
     offset = times - k * pulse_period_ps
-    in_bin = (2 * offset >= -bin_width_ps) & (2 * offset < bin_width_ps)
+    later = offset >= pulse_period_ps - pulse_period_ps // 2
+    k += later
+    offset -= later * pulse_period_ps
+    # -w/2 <= offset < w/2 in integers
+    in_bin = (offset >= -(bin_width_ps // 2)) & (offset < (bin_width_ps + 1) // 2)
     in_bin &= (k >= 0) & (k < n_pulses)
     return k, in_bin
 

@@ -3,9 +3,13 @@
 Binning is pulse-locked: bin k is the window [k*T - w/2, k*T + w/2) around
 pulse time k*T. A coincidence is at least one tag on each channel inside
 the same bin; repeated tags in a bin count once and tags between bins are
-discarded. Counting is a single vectorized pass over the stream, whose
-order, channel codes and time range `TimeTagStream` checked when it was
-built.
+discarded. The stream's order, channel codes and time range were checked
+by `TimeTagStream` when it was built.
+
+Both reductions fold the stream in blocks of about `_BLOCK` tags, so their
+temporaries stay block-sized whatever the stream length. Each reduction
+moves a block's end to where no unit it counts (a bin, a cluster) spans
+two blocks, so the per-block tallies simply add.
 """
 
 from __future__ import annotations
@@ -26,29 +30,60 @@ class G2Estimate:
     std_err: float
 
 
+_BLOCK = 1 << 16  # tags per reduction block, before its end moves to a safe cut
+
+
+def _blocks(n: int, end_at):
+    """Consecutive slices covering range(n), each of about `_BLOCK` items.
+
+    A block that would end at index i < n ends at end_at(i) >= i instead,
+    the first index where the caller lets a block end.
+    """
+    start = 0
+    while start < n:
+        stop = start + _BLOCK
+        stop = end_at(stop) if stop < n else n
+        yield slice(start, stop)
+        start = stop
+
+
 def bin_and_count(
     stream: TimeTagStream, bin_width_ps: int, pulse_period_ps: int
 ) -> ClickCounts:
-    """Reduce a stream to per-run tallies with click-detector semantics."""
+    """Reduce a stream to per-run tallies with click-detector semantics.
+
+    A block ends only where the nearest pulse changes, at a time
+    (k + 1)*T - T//2, so no bin spans two blocks.
+    """
     if not (0 < bin_width_ps <= pulse_period_ps):
         raise ValueError("bin_width_ps must be in (0, pulse_period_ps]")
     n_pulses = int(stream.duration_ps // pulse_period_ps)
+    times, codes = stream.times_ps, stream.channels
+    half = pulse_period_ps // 2
 
-    occupied = []
-    for chan in (Channel.SIGNAL, Channel.HERALD):
-        times = stream.times_ps[stream.channels == int(chan)]
-        k, in_bin = bin_indices(times, bin_width_ps, pulse_period_ps, n_pulses)
-        k = k[in_bin]
-        if k.size > 1:  # already sorted; drop repeats within a bin
-            k = k[np.concatenate(([True], k[1:] != k[:-1]))]
-        occupied.append(k)
+    def next_pulse(i: int) -> int:  # first tag nearer a later pulse than tag i - 1
+        k = (int(times[i - 1]) + half) // pulse_period_ps
+        edge = (k + 1) * pulse_period_ps - half
+        return int(np.searchsorted(times, edge)) if edge <= int(times[-1]) else times.size
 
-    sig_bins, her_bins = occupied
-    n_coinc = int(np.intersect1d(sig_bins, her_bins, assume_unique=True).size)
+    n_sig = n_her = n_coinc = 0
+    for block in _blocks(times.size, next_pulse):
+        k, in_bin = bin_indices(times[block], bin_width_ps, pulse_period_ps, n_pulses)
+        k, code = k[in_bin], codes[block][in_bin]
+        if k.size == 0:
+            continue
+        # the tags of a bin are consecutive; its lowest and highest channel
+        # codes tell whether it holds a signal tag and a herald tag
+        firsts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        has_sig = np.minimum.reduceat(code, firsts) == int(Channel.SIGNAL)
+        has_her = np.maximum.reduceat(code, firsts) == int(Channel.HERALD)
+        n_sig += int(np.count_nonzero(has_sig))
+        n_her += int(np.count_nonzero(has_her))
+        n_coinc += int(np.count_nonzero(has_sig & has_her))
     return ClickCounts(
         n_pulses=n_pulses,
-        n_signal_clicks=int(sig_bins.size),
-        n_herald_clicks=int(her_bins.size),
+        n_signal_clicks=n_sig,
+        n_herald_clicks=n_her,
         n_coincidences=n_coinc,
     )
 
@@ -64,13 +99,29 @@ def windowed_coincidences(stream: TimeTagStream, half_window_ps: int) -> int:
     the window apart. No pair spans two clusters, and the merge finishes one
     cluster before it touches the next, so clusters count independently: a
     two-tag cluster is one pair exactly when its channels differ, and only
-    the tags of clusters of three or more go through the merge.
+    the tags of clusters of three or more go through the merge. A block
+    ends only where a cluster does.
     """
     if half_window_ps < 0:
         raise ValueError("half_window_ps must be non-negative")
-    t, c = stream.times_ps, stream.channels
-    if t.size == 0:
-        return 0
+    times, codes = stream.times_ps, stream.channels
+
+    def next_cluster(i: int) -> int:  # first tag from i on that starts a cluster
+        while i < times.size:
+            gaps = np.flatnonzero(np.diff(times[i - 1 : i + _BLOCK]) > half_window_ps)
+            if gaps.size:
+                return i + int(gaps[0])
+            i += _BLOCK
+        return times.size
+
+    return sum(
+        _cluster_pairs(times[block], codes[block], half_window_ps)
+        for block in _blocks(times.size, next_cluster)
+    )
+
+
+def _cluster_pairs(t: np.ndarray, c: np.ndarray, half_window_ps: int) -> int:
+    """`windowed_coincidences` of a non-empty run of whole clusters."""
     starts = np.flatnonzero(np.concatenate(([True], np.diff(t) > half_window_ps)))
     sizes = np.diff(np.append(starts, t.size))
     two = starts[sizes == 2]

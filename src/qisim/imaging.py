@@ -18,6 +18,7 @@ Scenes and images hold finite, non-empty grids.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,23 +134,27 @@ def contrast(image: PixelImage, foreground_mask: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+_PGM_COMMENT = rb"#[^\r\n]*"  # to the end of its line; compiled on first use
+_PGM_ALLOWED = b"0123456789 \t\n\r\v\f"  # digits and the whitespace of bytes.split
+
+
 def read_pgm(path: str) -> tuple[np.ndarray, int]:
     """Read a P2 graymap; returns (values, maxval). Comments are skipped.
     Every other token must be ASCII digits, and maxval lies in [1, 65535]."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        tokens: list[str] = []
-        for line in fh:
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
+    with open(path, "rb") as fh:
+        data = re.sub(_PGM_COMMENT, b"", fh.read())
+    tokens = data.split(None, 4)  # magic, width, height, maxval, samples
+    if not tokens or tokens[0] != b"P2":
         raise ValueError("bad scene: not a plain PGM (P2) file")
+    samples = tokens[4] if len(tokens) == 5 else b""
     # int() would also take signs and underscores; bytes.isdigit is ASCII only
-    if not "".join(tokens[1:]).encode().isdigit():
+    header_ok = len(tokens) >= 4 and b"".join(tokens[1:4]).isdigit()
+    if not header_ok or samples.translate(None, _PGM_ALLOWED):
         raise ValueError("bad scene: malformed PGM header or samples")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
-        values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
-    except ValueError as exc:  # too few tokens, or one of over 4300 digits
+        values = _digit_tokens(samples)
+    except ValueError as exc:  # a token of over 4300 digits
         raise ValueError("bad scene: malformed PGM header or samples") from exc
     except OverflowError as exc:  # beyond int64
         raise ValueError("bad scene: sample out of range") from exc
@@ -162,6 +167,29 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
     if np.any(values > maxval):
         raise ValueError("bad scene: sample out of range")
     return values.reshape(height, width), maxval
+
+
+def _digit_tokens(text: bytes) -> np.ndarray:
+    """The whitespace-separated tokens of text, all ASCII digits, as int64.
+
+    Tokens are summed one digit column at a time, from the right, over all
+    tokens at once. A token of more than 18 digits goes through int(),
+    which raises ValueError past 4300 digits; a value past int64 raises
+    OverflowError when it is stored.
+    """
+    a = np.frombuffer(text, np.uint8)
+    digit = np.zeros(a.size + 2, dtype=bool)
+    np.less(a - np.uint8(ord("0")), 10, out=digit[1:-1])
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # token starts and ends, alternating
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
+    for j in range(1, min(int(lengths.max(initial=0)), 18) + 1):
+        at = ends - j  # before its token's start (or negative), it is masked
+        values += np.where(at >= starts, a[at].astype(np.int64) - ord("0"), 0) * 10 ** (j - 1)
+    for i in np.flatnonzero(lengths > 18).tolist():
+        values[i] = int(text[starts[i] : ends[i]])
+    return values
 
 
 _ROW_BLOCK = 1 << 14  # samples per formatted block

@@ -226,7 +226,7 @@ _FLOAT_MAX = sys.float_info.max
 # for a double fail the same comparison as any other value out of range.
 _BOUNDS = {
     "mu": (0.0, _FLOAT_MAX),
-    "rep_rate_hz": (5e-324, _FLOAT_MAX),  # the smallest positive double
+    "rep_rate_hz": (1e-6, _FLOAT_MAX),  # a pulse period of at most 1e18 ps, inside int64
     "eta_herald": (0.0, 1.0),
     "noise_herald_per_bin": (0.0, _FLOAT_MAX),
     "collection_fraction": (0.0, 1.0),

@@ -21,6 +21,7 @@ from qisim.channel import (
     TimeTagStream,
     _apply_dead_time,
     _bernoulli_indices,
+    _dedupe_bins,
     collection_fraction_max,
     read_qitt,
     read_tags_csv,
@@ -288,6 +289,13 @@ class TestSimulateTags:
         assert simulate_tags(cfg, True, n, substream(8, 3)).duration_ps == n * cfg.pulse_period_ps
         with pytest.raises(ValueError, match="int64"):
             simulate_tags(cfg, True, n + 1, substream(8, 3))
+
+    def test_click_per_bin_near_int64_max(self):
+        # t + T//2 passes 2^63 in the last whole period below it
+        period = 12500
+        last = (2**63 - 1) // period * period
+        times = np.array([last - 5, last, last + 5], dtype=np.int64)
+        assert _dedupe_bins(times, 2000, period, (2**64 - 1) // period).tolist() == [last - 5]
 
     def test_dead_time_enforced(self):
         cfg = make_config(

@@ -235,6 +235,11 @@ class TestConfigTypes:
         assert characterize_with(config, tmp_path / "char.csv") == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: mu out of range\n"
 
+    def test_rate_with_an_infinite_pulse_period_is_out_of_range(self, tmp_path, capsys):
+        config = write_config_with(tmp_path / "slow.json", "source", "rep_rate_hz", 1e-300)
+        assert characterize_with(config, tmp_path / "char.csv") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: rep_rate_hz out of range\n"
+
     def test_config_file_with_dropped_fields_names_them(self, tmp_path, capsys):
         # paper_default as save_config wrote it while the config carried the
         # wavelengths and the collection geometry

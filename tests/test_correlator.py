@@ -1,13 +1,18 @@
+import dataclasses
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qisim.channel import Channel, StreamOrderError, TimeTagStream
+from qisim import correlator
+from qisim.channel import Channel, StreamOrderError, TimeTagStream, simulate_tags
 from qisim.correlator import bin_and_count, estimate_g2, windowed_coincidences
-from qisim.model import ClickCounts
+from qisim.model import ClickCounts, paper_default
+from qisim.rng import substream
 
 PERIOD = 12500
 WIDTH = 2000
@@ -42,6 +47,52 @@ def two_pointer_pairs(stream, half_window_ps):
     n_s, n_h = sig.size, her.size
     while i < n_s and j < n_h:
         dt = int(sig[i]) - int(her[j])
+        if abs(dt) <= half_window_ps:
+            count += 1
+            i += 1
+            j += 1
+        elif dt < 0:
+            i += 1
+        else:
+            j += 1
+    return count
+
+
+def whole_stream_bin_and_count(stream, bin_width_ps, pulse_period_ps):
+    """Oracle: the single-pass `bin_and_count` that the blocked one replaced,
+    with its binning rule written out (exact for times below 2^63 - T/2)."""
+    n_pulses = int(stream.duration_ps // pulse_period_ps)
+    occupied = []
+    for chan in (Channel.SIGNAL, Channel.HERALD):
+        times = stream.times_ps[stream.channels == int(chan)]
+        k = (times + pulse_period_ps // 2) // pulse_period_ps
+        offset = times - k * pulse_period_ps
+        in_bin = (2 * offset >= -bin_width_ps) & (2 * offset < bin_width_ps)
+        k = k[in_bin & (k >= 0) & (k < n_pulses)]
+        if k.size > 1:
+            k = k[np.concatenate(([True], k[1:] != k[:-1]))]
+        occupied.append(k)
+    sig_bins, her_bins = occupied
+    n_coinc = int(np.intersect1d(sig_bins, her_bins, assume_unique=True).size)
+    return ClickCounts(n_pulses, int(sig_bins.size), int(her_bins.size), n_coinc)
+
+
+def whole_stream_windowed(stream, half_window_ps):
+    """Oracle: the single-pass `windowed_coincidences` that the blocked one
+    replaced."""
+    t, c = stream.times_ps, stream.channels
+    if t.size == 0:
+        return 0
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(t) > half_window_ps)))
+    sizes = np.diff(np.append(starts, t.size))
+    two = starts[sizes == 2]
+    count = int(np.count_nonzero(c[two] != c[two + 1]))
+    in_large = np.repeat(sizes > 2, sizes)
+    sig = t[in_large & (c == int(Channel.SIGNAL))].tolist()
+    her = t[in_large & (c == int(Channel.HERALD))].tolist()
+    i = j = 0
+    while i < len(sig) and j < len(her):
+        dt = sig[i] - her[j]
         if abs(dt) <= half_window_ps:
             count += 1
             i += 1
@@ -99,6 +150,13 @@ class TestBinAndCount:
             bin_and_count(stream, 0, PERIOD)
         with pytest.raises(ValueError):
             bin_and_count(stream, PERIOD + 1, PERIOD)
+
+    def test_tags_near_int64_max_are_binned(self):
+        # t + T//2 passes 2^63 at the last whole period below it
+        last = (2**63 - 1) // PERIOD * PERIOD
+        for t in (last, last - PERIOD):
+            counts = bin_and_count(stream_from([t], [t], 2**64 - 1), WIDTH, PERIOD)
+            assert counts == ClickCounts((2**64 - 1) // PERIOD, 1, 1, 1), t
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(1234)
@@ -178,6 +236,88 @@ class TestWindowedCoincidences:
         stream = stream_from(signal, herald, duration)
         binned = bin_and_count(stream, WIDTH, PERIOD)
         assert windowed_coincidences(stream, WIDTH // 2) == binned.n_coincidences
+
+
+@st.composite
+def cut_testing_streams(draw):
+    """Short streams for small blocks: loose tags (in bins, between bins and
+    nearer pulse n_pulses than any counted one), tags next to the edges of
+    bins and of nearest-pulse spans, a crowd in one bin, and a chain of
+    tags at most 50 ps apart, one cluster for windows from 50 ps."""
+    n_pulses = draw(st.integers(1, 8))
+    duration = n_pulses * PERIOD + draw(st.integers(0, PERIOD - 1))
+    times = draw(st.lists(st.integers(0, duration - 1), max_size=40))
+    edge = st.sampled_from([-1, 0, 1]).map(lambda d: d - PERIOD // 2) | st.sampled_from(
+        [-1001, -1000, -999, -1, 0, 998, 999, 1000]
+    )
+    times += draw(st.lists(st.builds(lambda k, d: k * PERIOD + d, st.integers(0, n_pulses), edge)))
+    crowd_at = draw(st.integers(0, n_pulses)) * PERIOD
+    crowd = draw(st.lists(st.integers(-WIDTH // 2, WIDTH // 2 - 1), max_size=40))
+    chain_at = draw(st.integers(0, duration - 1))
+    chain = np.cumsum([chain_at] + draw(st.lists(st.integers(0, 50), max_size=60)))
+    times += [crowd_at + d for d in crowd] + chain.tolist()
+    times = [t for t in times if 0 <= t < duration]
+    channels = draw(st.lists(st.sampled_from([0, 1]), min_size=len(times), max_size=len(times)))
+    return TimeTagStream.from_arrays(
+        np.array(channels, dtype=np.uint8), np.array(times, dtype=np.int64), duration
+    )
+
+
+@pytest.fixture(scope="module")
+def jammed_stream():
+    """10 s of `paper_default` at 80 MHz under pulse-locked jamming of 1e-3
+    per bin: about 1.16M tags, the size of a recorded replay stream."""
+    cfg = paper_default()
+    cfg = dataclasses.replace(
+        cfg, channel=dataclasses.replace(cfg.channel, background_per_bin=1e-3)
+    )
+    stream = simulate_tags(cfg, True, 800_000_000, substream(15, 0))
+    assert len(stream) > 1_000_000
+    return stream
+
+
+class TestBlockedReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=cut_testing_streams(), block=st.integers(1, 40))
+    @example(stream=stream_from([], [], PERIOD), block=1)
+    @example(stream=stream_from(range(12000, 13000, 10), [12900], 2 * PERIOD), block=3)
+    @example(stream=stream_from(range(0, 400, 20), range(10, 410, 20), PERIOD), block=2)
+    def test_blocks_add_up_to_the_whole_stream(self, stream, block):
+        with mock.patch.object(correlator, "_BLOCK", block):
+            for width in (1, 999, WIDTH, PERIOD):
+                assert bin_and_count(stream, width, PERIOD) == whole_stream_bin_and_count(
+                    stream, width, PERIOD
+                ), width
+            for half_window in (0, 1, 10, 50, 1000, PERIOD):
+                assert windowed_coincidences(stream, half_window) == whole_stream_windowed(
+                    stream, half_window
+                ), half_window
+
+    def test_replay_sized_stream_equals_whole_stream(self, jammed_stream):
+        assert bin_and_count(jammed_stream, WIDTH, PERIOD) == whole_stream_bin_and_count(
+            jammed_stream, WIDTH, PERIOD
+        )
+        assert windowed_coincidences(jammed_stream, 1000) == whole_stream_windowed(
+            jammed_stream, 1000
+        )
+
+    @pytest.mark.parametrize(
+        "reduce",
+        [
+            lambda s: bin_and_count(s, WIDTH, PERIOD),
+            lambda s: windowed_coincidences(s, 1000),
+        ],
+        ids=["bin_and_count", "windowed_coincidences"],
+    )
+    def test_temporaries_stay_block_sized(self, jammed_stream, reduce):
+        # the whole-stream passes peaked at about 26 MB on this 10.4 MB stream
+        tracemalloc.start()
+        try:
+            reduce(jammed_stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestEstimateG2:

@@ -260,6 +260,14 @@ class TestPgmIo:
         with pytest.raises(ValueError, match=f"^bad scene: {message}"):
             read_pgm(str(path))
 
+    def test_samples_are_separated_by_ascii_whitespace(self, tmp_path):
+        path = tmp_path / "ws.pgm"
+        path.write_bytes(b"P2 4 1 255\t1\v2\f3\r\n4")
+        assert read_pgm(str(path))[0].tolist() == [[1, 2, 3, 4]]
+        path.write_bytes(b"P2 2 1 255 1\x1c2")  # a separator to str.split, not to PGM
+        with pytest.raises(ValueError, match="^bad scene: malformed"):
+            read_pgm(str(path))
+
     def test_largest_maxval_read(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_text("P2\n2 1\n65535\n65535 00007\n")

@@ -61,11 +61,18 @@ def test_validate_rejects_bin_wider_than_period():
         ("eta_herald", 1.5, "eta_herald out of range"),
         ("noise_herald_per_bin", -1e-9, "noise_herald_per_bin out of range"),
         ("rep_rate_hz", 0.0, "rep_rate_hz out of range"),
+        ("rep_rate_hz", 1e-300, "rep_rate_hz out of range"),  # an infinite period
+        ("rep_rate_hz", 0.99e-6, "rep_rate_hz out of range"),
     ],
 )
 def test_validate_reports_source_field(field, value, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(source=dataclasses.replace(SourceParams(), **{field: value}))
+
+
+def test_lowest_rep_rate_has_an_int64_period():
+    cfg = ExperimentConfig(source=dataclasses.replace(SourceParams(), rep_rate_hz=1e-6))
+    assert cfg.pulse_period_ps == 10**18 < 2**63
 
 
 @pytest.mark.parametrize(
@@ -383,12 +390,20 @@ def outcome(check, cfg):
 
 def differs_from_oracle(part, name, kind, value) -> bool:
     """Whether `validate_config` judges one substitution otherwise than the
-    oracle. Only a Python int beyond the largest double in a float field
-    may differ, and only as `<name> out of range` where the oracle's
-    float conversion overflows (or, just above the largest double, where
-    it rounds down and the oracle accepts)."""
+    oracle. Two cases may differ, both as `<name> out of range`:
+
+    * a Python int beyond the largest double in a float field, where the
+      oracle's float conversion overflows (or, just above the largest
+      double, where it rounds down and the oracle accepts);
+    * a positive `rep_rate_hz` below 1e-6, whose pulse period the oracle
+      accepts, or fails to convert with an `OverflowError` once it is
+      infinite (below about 5.6e-297)."""
     cfg = substituted(part, name, value)
     new, old = outcome(validate_config, cfg), outcome(written_out_validate_config, cfg)
+    if name == "rep_rate_hz" and type(value) in (int, float) and 0 < value < 1e-6:
+        assert new == ("ConfigError", "rep_rate_hz out of range")
+        assert old == "accepted" or old[0] == "OverflowError"
+        return new != old
     if type(value) is int and kind == "float" and abs(value) > sys.float_info.max:
         assert new == ("ConfigError", f"{name} out of range")
         if abs(value) >= 2**1024 - 2**970:  # float(value) overflows
@@ -408,7 +423,10 @@ class TestBoundsTable:
         }
         float_fields = {name for _, name, kind in NUMERIC_FIELDS if kind == "float"}
         assert len(float_fields) == 13
-        assert differing == {(name, repr(10**400)) for name in float_fields}
+        # the oracle's pulse period overflows at 5e-324
+        assert differing == {(name, repr(10**400)) for name in float_fields} | {
+            ("rep_rate_hz", repr(5e-324))
+        }
 
     @settings(max_examples=500, deadline=None)
     @given(
