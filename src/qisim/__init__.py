@@ -65,12 +65,6 @@ from .model import (
     validate_config,
 )
 from .rng import substream
-from .source import (
-    POISSON_PAIRS,
-    THERMAL_PAIRS,
-    PairLaw,
-    idler_wavelength,
-    poisson_pair_counts,
-)
+from .source import idler_wavelength, poisson_pair_counts
 
 __version__ = "0.1.0"

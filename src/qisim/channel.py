@@ -13,8 +13,7 @@ and so produce the same per-bin statistics:
   one tag per channel per bin. It draws only the pulses that carry a
   pulse-locked click, found by geometric gap sampling of one Bernoulli
   process, so the cost is O(events), not O(pulses). It exists to exercise
-  the correlator and the timing model, and it accepts a pair-number law
-  (`source.PairLaw`).
+  the correlator and the timing model.
 
 Timing is integer picoseconds. Jamming light is pulse-locked (it is
 engineered to be indistinguishable from the signal photons); dark and
@@ -37,7 +36,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ClickCounts, ExperimentConfig, click_pattern_probabilities
-from .source import POISSON_PAIRS, PairLaw
 
 
 class Channel(enum.IntEnum):
@@ -164,20 +162,16 @@ def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def simulate_tags(
-    config: ExperimentConfig,
-    target_in: bool,
-    n_pulses: int,
-    rng: np.random.Generator,
-    pair_law: PairLaw = POISSON_PAIRS,
+    config: ExperimentConfig, target_in: bool, n_pulses: int, rng: np.random.Generator
 ) -> TimeTagStream:
     """Explicit time-tag acquisition.
 
     Pulse k sits at time k*T. Each pulse's pulse-locked click pattern (both
     channels, signal only, herald only) comes from
-    `model.click_pattern_probabilities` under `pair_law`, with dark and stray
-    light left out because they are uniform in time. The pulses with any
-    locked click are one Bernoulli process over the pulses, and each of them
-    takes one categorical draw among the three patterns. Locked clicks are
+    `model.click_pattern_probabilities`, with dark and stray light left out
+    because they are uniform in time. The pulses with any locked click are
+    one Bernoulli process over the pulses, and each of them takes one
+    categorical draw among the three patterns. Locked clicks are
     stamped k*T plus per-detector Gaussian jitter. Dark and stray counts
     arrive uniformly over the run. At most one tag survives per channel per
     bin (click-detector semantics); tags jittered outside [0, duration) are
@@ -192,7 +186,7 @@ def simulate_tags(
         raise ValueError(f"{n_pulses} pulses of {period} ps pass the int64 picosecond range")
 
     p11, p10, p01, _ = click_pattern_probabilities(
-        src, replace(ch, dark_signal_per_bin=0.0, stray_light_per_bin=0.0), target_in, pair_law
+        src, replace(ch, dark_signal_per_bin=0.0, stray_light_per_bin=0.0), target_in
     )
     p_locked = p11 + p10 + p01
     pulses = _bernoulli_indices(min(1.0, p_locked), n_pulses, rng)

@@ -106,7 +106,10 @@ def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
         return config.n_pulses
     if not math.isfinite(dwell_s):
         raise UsageError(f"dwell {dwell_s} s is not a finite number of seconds")
-    dwell = config.pulses_for_seconds(dwell_s)
+    try:
+        dwell = config.pulses_for_seconds(dwell_s)
+    except OverflowError:  # the pulse count is +-inf
+        dwell = math.copysign(math.inf, dwell_s)
     if dwell < 1:
         raise UsageError("dwell too short for one pulse")
     if dwell > np.iinfo(np.int64).max:

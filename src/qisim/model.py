@@ -27,8 +27,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .source import POISSON_PAIRS, PairLaw
-
 PS_PER_SECOND = 10**12
 
 DEFAULT_REP_RATE_HZ = 80e6
@@ -172,27 +170,24 @@ class BinProbabilities:
             raise ValueError("p_coincidence violates joint-probability bounds")
 
 
-def click_pattern_probabilities(
-    source: SourceParams, channel: ChannelParams, target_in: bool, pair_law: PairLaw = POISSON_PAIRS
-):
+def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, target_in: bool):
     """Probabilities of the four per-pulse click patterns.
 
-    The per-bin model: a pulse makes N pairs, from `pair_law` with mean mu
-    (Poisson by default); each pair's signal photon is detected with the
-    full arm efficiency eta_sig and its herald with eta_h, independently;
-    jamming, dark and stray light add independent Poisson intensities.
-    Click detectors fire on one or more photons. With G the pair law's
-    generating function,
+    The per-bin model: a pulse makes a Poisson number of pairs with mean
+    mu; each pair's signal photon is detected with the full arm efficiency
+    eta_sig and its herald with eta_h, independently; jamming, dark and
+    stray light add independent Poisson intensities. Click detectors fire
+    on one or more photons, so
 
-        P(no S) = G(1 - eta_sig) * exp(-(beta + delta_s)),  P_s = 1 - P(no S)
-        P(no H) = G(1 - eta_h) * exp(-delta_h),             P_h = 1 - P(no H)
-        P_sh = P_s*P_h + P(no S)*P(no H) * expm1(excess)
+        P(no S) = exp(-(mu*eta_sig + beta + delta_s)),  P_s = 1 - P(no S)
+        P(no H) = exp(-(mu*eta_h + delta_h)),           P_h = 1 - P(no H)
+        P_sh = P_s*P_h + P(no S)*P(no H) * expm1(mu*eta_sig*eta_h)
 
-    where excess = `pair_law.log_pair_excess(mu, eta_sig, eta_h)` and the
-    second P_sh term is the pair-correlation excess over independent
-    channels. For Poisson pairs P_s = 1 - exp(-(mu*eta_sig + beta +
-    delta_s)) and excess = mu*eta_sig*eta_h. These forms are exact for
-    either law and are the oracle the Monte Carlo modes are tested against.
+    where the second P_sh term is the pair-correlation excess over
+    independent channels. With x = mu*eta_sig*eta_h it is evaluated as
+    exp(log P(no S) + log P(no H) + x) * -expm1(-x), whose exponent is never
+    positive, so no factor overflows at any accepted mu. These forms are
+    exact and are the oracle the Monte Carlo modes are tested against.
 
     Returned as (both, signal only, herald only, neither); each term is
     computed in a cancellation-free form so the tiny pattern probabilities
@@ -205,11 +200,12 @@ def click_pattern_probabilities(
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
 
-    log_no_s = pair_law.log_pgf(mu, eta_sig) - channel.signal_noise_per_bin
-    log_no_h = pair_law.log_pgf(mu, eta_h) - source.noise_herald_per_bin
+    log_no_s = -mu * eta_sig - channel.signal_noise_per_bin
+    log_no_h = -mu * eta_h - source.noise_herald_per_bin
     p_s = -np.expm1(log_no_s)
     p_h = -np.expm1(log_no_h)
-    excess = np.exp(log_no_s + log_no_h) * np.expm1(pair_law.log_pair_excess(mu, eta_sig, eta_h))
+    x = mu * eta_sig * eta_h
+    excess = np.exp(log_no_s + log_no_h + x) * -np.expm1(-x)
     p11 = p_s * p_h + excess
     p10 = np.maximum(0.0, p_s - p11)
     p01 = np.maximum(0.0, p_h - p11)

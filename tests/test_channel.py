@@ -38,7 +38,6 @@ from qisim.model import (
     validate_config,
 )
 from qisim.rng import substream
-from qisim.source import THERMAL_PAIRS
 
 from .conftest import SIGMA, assert_within_sigma, binomial_std
 
@@ -198,22 +197,9 @@ class TestSimulateTags:
                 std = math.sqrt(2.0) * binomial_std(n, p)
                 assert_within_sigma(get(tagged), get(counted), std, f"{name} pair {pair}")
 
-    def test_thermal_sampler_rejects_nothing(self):
-        # herald clicks: no noise click and no surviving herald photon,
-        # E[(1 - eta_h)^n] = 1 / (1 + mu eta_h) for the thermal law
-        cfg = make_config(mu=0.5, eta_herald=0.5, noise_herald_per_bin=1e-3, jitter_herald_ps=0.0)
-        n = 10**5
-        stream = simulate_tags(cfg, True, n, substream(8, 0), pair_law=THERMAL_PAIRS)
-        assert in_stream_order(stream)
-        from qisim.correlator import bin_and_count
-
-        counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
-        p_h = 1.0 - math.exp(-1e-3) / (1.0 + 0.5 * 0.5)
-        assert_within_sigma(counts.n_herald_clicks, n * p_h, binomial_std(n, p_h), "thermal heralds")
-
-    def test_thermal_tags_match_closed_form(self):
-        # the thermal oracle, not Poisson: at mu = 0.5 the Poisson signal
-        # singles, herald singles and coincidences sit 19, 37 and 5 sigma away
+    def test_multi_pair_tags_match_closed_form(self):
+        # mu = 0.5, where multi-pair pulses are common, with zero jitter and
+        # every noise source on
         cfg = make_config(
             mu=0.5,
             eta_herald=0.5,
@@ -228,15 +214,15 @@ class TestSimulateTags:
         n = 500_000
         from qisim.correlator import bin_and_count
 
-        stream = simulate_tags(cfg, True, n, substream(8, 2), pair_law=THERMAL_PAIRS)
+        stream = simulate_tags(cfg, True, n, substream(8, 2))
         counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
-        p11, p10, p01, _ = click_pattern_probabilities(cfg.source, cfg.channel, True, THERMAL_PAIRS)
+        p11, p10, p01, _ = click_pattern_probabilities(cfg.source, cfg.channel, True)
         for label, observed, p in (
             ("signal", counts.n_signal_clicks, p11 + p10),
             ("herald", counts.n_herald_clicks, p11 + p01),
             ("coinc", counts.n_coincidences, p11),
         ):
-            assert_within_sigma(observed, n * p, binomial_std(n, p), f"thermal {label}")
+            assert_within_sigma(observed, n * p, binomial_std(n, p), f"multi-pair {label}")
 
     def test_golden_stream_digest(self):
         """SHA-256 of one fixed-seed stream, taken with numpy 2.4.6.

@@ -137,7 +137,7 @@ class TestCharacterize:
         assert code == cli.EXIT_CONFIG
         assert "mu out of range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan"])
+    @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan", "1e301"])
     def test_unusable_dwell_is_usage_error(self, config_path, tmp_path, dwell):
         out = tmp_path / "x.csv"
         code = run_cli(

@@ -93,3 +93,33 @@ def test_every_config_field_is_read_by_the_model():
         }
     unread = sorted(f for f in config_fields if f.split(".")[1] not in read)
     assert not unread, f"config fields read only by the checks: {unread}"
+
+
+def test_every_export_is_read_by_program_code():
+    # A public name that only tests use is API kept alive for its tests.
+    # Program code is the package modules, the scripts, the benchmark and
+    # the acceptance suite; a name counts as read when it is loaded, as a
+    # name or an attribute, or imported by name.
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = set()
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            exported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            exported |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert "simulate_tags" in exported and "__version__" in exported
+    repo = PACKAGE.parents[1]
+    program = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
+    program += [*(repo / "scripts").rglob("*.py"), *(repo / "perfbench").rglob("*.py")]
+    program.append(repo / "tests" / "test_acceptance.py")
+    read = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    unread = sorted(exported - read)
+    assert not unread, f"exports no program code reads: {unread}"

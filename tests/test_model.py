@@ -6,7 +6,6 @@ import numbers
 import pathlib
 import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,8 +32,6 @@ from qisim.model import (
     save_config,
     validate_config,
 )
-
-from qisim.source import THERMAL_PAIRS
 
 from . import conftest
 
@@ -476,7 +473,8 @@ class TestBoundsTable:
 
 
 def poisson_patterns_written_out(source, channel, target_in):
-    """The Poisson-only pattern formula that the pair-law form replaced."""
+    """The Poisson patterns with the excess written as P(no S) P(no H) expm1(x):
+    an independent reference for the model's overflow-free evaluation order."""
     mu = source.mu
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
@@ -507,50 +505,58 @@ class TestClickPatternProbabilities:
         for g, w in zip(got, want):
             assert g == pytest.approx(float(w), rel=1e-14, abs=1e-15 * scale)
 
-    def test_thermal_hand_evaluated(self):
-        # G(1 - q) = 1 / (1 + mu q) at mu = 1/2, eta_h = 1/2, eta_sig = 0.3, no
-        # noise: P(no S) = 20/23, P(no H) = 4/5, P(neither) = 1/(1 + 0.325) = 40/53
-        source = SourceParams(mu=0.5, eta_herald=0.5, noise_herald_per_bin=0.0)
+    @pytest.mark.parametrize("mu", [0.02, 0.5])
+    def test_matches_poisson_pmf_series(self, mu):
+        # no noise: P(no S) = sum_n P(n) (1 - eta_sig)^n, and likewise for
+        # the herald and for neither; the efficiencies are arrays, so the
+        # broadcast path meets the oracle too
+        eta_sig = np.array([0.3, 0.9, 1.0, 0.1, 0.0])
+        eta_h = np.array([0.5, 0.2, 1.0, 0.9, 0.4])
+        source = SourceParams(mu=mu, eta_herald=eta_h, noise_herald_per_bin=0.0)
         channel = ChannelParams(
+            collection_fraction=eta_sig,
+            eta_signal_detector=1.0,
             eta_transmit=1.0,
-            collection_fraction=0.5,
-            eta_signal_detector=0.6,
             dark_signal_per_bin=0.0,
         )
-        assert channel.signal_arm_efficiency(True) == pytest.approx(0.3, rel=1e-15, abs=0)
-        got = click_pattern_probabilities(source, channel, True, THERMAL_PAIRS)
-        want = [Fraction(519, 6095), Fraction(12, 265), Fraction(140, 1219), Fraction(40, 53)]
-        assert sum(want) == 1
-        for g, w in zip(got, want):
-            assert g == pytest.approx(float(w), rel=1e-14, abs=0)
-        # target out: no pair reaches the signal detector, so the channels
-        # are independent
-        p11, p10, p01, p00 = click_pattern_probabilities(source, channel, False, THERMAL_PAIRS)
-        assert (p11, p10, p01) == (0.0, 0.0, pytest.approx(0.2, rel=1e-15, abs=0))
-        assert p00 == pytest.approx(0.8, rel=1e-15, abs=0)
+        p11, p10, p01, p00 = click_pattern_probabilities(source, channel, True)
 
-    def test_thermal_forms_keep_their_digits_at_paper_default(self):
-        # At paper_default mu*eta_sig is ~1e-6, and the excess is ~7000x
-        # smaller than each of the three logs it is the difference of.
-        # Fraction arithmetic, rounded once before the final log1p, is the oracle.
-        cfg = paper_default()
-        mu, eta_h = cfg.source.mu, cfg.source.eta_herald
-        eta_sig = cfg.channel.signal_arm_efficiency(True)
-        fm, fs, fh = Fraction(mu), Fraction(eta_sig), Fraction(eta_h)
-        for q, fq in ((eta_sig, fs), (eta_h, fh)):
-            exact = -math.log1p(float(fm * fq))
-            assert THERMAL_PAIRS.log_pgf(mu, q) == pytest.approx(exact, rel=1e-14, abs=0)
-        ratio = (1 + fm * fs) * (1 + fm * fh) / (1 + fm * (fs + fh - fs * fh))
-        exact = math.log1p(float(ratio - 1))
-        got = THERMAL_PAIRS.log_pair_excess(mu, eta_sig, eta_h)
-        assert got == pytest.approx(exact, rel=1e-14, abs=0)
+        def series(z):
+            return math.fsum(math.exp(-mu) * mu**n / math.factorial(n) * z**n for n in range(80))
 
-    def test_thermal_broadcasts(self):
-        source = SourceParams(mu=0.5, eta_herald=0.5)
-        reflectivity = np.array([0.0, 0.25, 1.0])
-        channel = ChannelParams(target_reflectivity=reflectivity)
-        arrays = click_pattern_probabilities(source, channel, True, THERMAL_PAIRS)
-        for i, r in enumerate(reflectivity):
-            one = dataclasses.replace(channel, target_reflectivity=float(r))
-            scalars = click_pattern_probabilities(source, one, True, THERMAL_PAIRS)
-            assert [a[i] for a in arrays] == list(scalars)
+        for i, (q_s, q_h) in enumerate(zip(eta_sig, eta_h)):
+            for got, z in (
+                (p01[i] + p00[i], 1 - q_s),
+                (p10[i] + p00[i], 1 - q_h),
+                (p00[i], (1 - q_s) * (1 - q_h)),
+            ):
+                assert got == pytest.approx(series(z), rel=1e-13, abs=0)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        source=st.builds(
+            SourceParams,
+            **{n: st.floats(*_BOUNDS[n]) for n in ("mu", "eta_herald", "noise_herald_per_bin")},
+        ),
+        channel=st.builds(
+            ChannelParams,
+            **{
+                n: st.floats(*_BOUNDS[n])
+                for n in (
+                    "collection_fraction",
+                    "eta_signal_detector",
+                    "eta_transmit",
+                    "target_reflectivity",
+                    "background_per_bin",
+                    "dark_signal_per_bin",
+                    "stray_light_per_bin",
+                )
+            },
+        ),
+        target_in=st.booleans(),
+    )
+    def test_patterns_are_probabilities_over_the_accepted_domain(self, source, channel, target_in):
+        # every value _BOUNDS accepts, up to mu = float max: no overflow, no NaN
+        got = click_pattern_probabilities(source, channel, target_in)
+        assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in got), got
+        assert math.fsum(got) == pytest.approx(1.0, rel=0, abs=1e-12)

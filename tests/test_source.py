@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qisim.rng import substream
-from qisim.source import (
-    POISSON_PAIRS,
-    THERMAL_PAIRS,
-    idler_wavelength,
-    poisson_pair_counts,
-)
+from qisim.source import idler_wavelength, poisson_pair_counts
 
 from .conftest import assert_within_sigma
 
@@ -74,63 +69,3 @@ class TestPairSampling:
         with pytest.raises(ValueError):
             poisson_pair_counts(-0.1, substream(1), 1000)
 
-
-def poisson_pmf(mu: float, n: int) -> float:
-    return math.exp(-mu) * mu**n / math.factorial(n)
-
-
-def thermal_pmf(mu: float, n: int) -> float:
-    return mu**n / (1.0 + mu) ** (n + 1)
-
-
-def pgf_series(pmf, mu: float, z: float) -> float:
-    """G(z) = sum_n P(n) z^n, summed until the terms vanish (mu <= 0.5)."""
-    return math.fsum(pmf(mu, n) * z**n for n in range(80))
-
-
-def factorial_cumulant(law, mu: float, order: int, h: float = 1e-4) -> float:
-    """d^k/ds^k log G(1 + s) at s = 0, by central differences of log_pgf(mu, -s)."""
-    f = [float(law.log_pgf(mu, -s)) for s in (-h, 0.0, h)]
-    return (f[2] - f[0]) / (2 * h) if order == 1 else (f[2] - 2 * f[1] + f[0]) / h**2
-
-
-class TestThermalVariant:
-    def test_moments(self):
-        # Bose-Einstein: mean mu, variance mu (1 + mu), P(n >= 1) = mu / (1 + mu).
-        # The first two factorial cumulants are the mean and variance - mean.
-        mu = 0.5
-        assert factorial_cumulant(THERMAL_PAIRS, mu, 1) == pytest.approx(mu, rel=1e-8, abs=0)
-        variance = mu + factorial_cumulant(THERMAL_PAIRS, mu, 2)
-        assert variance == pytest.approx(mu * (1 + mu), rel=1e-6, abs=0)
-        p_ge1 = -math.expm1(THERMAL_PAIRS.log_pgf(mu, 1.0))
-        assert p_ge1 == pytest.approx(mu / (1 + mu), rel=1e-15, abs=0)
-        # Poisson for contrast: variance = mean
-        assert factorial_cumulant(POISSON_PAIRS, mu, 2) == pytest.approx(0.0, abs=1e-6)
-
-    def test_mu_zero(self):
-        # no pairs: nothing is ever detected and the channels are uncorrelated
-        for law in (POISSON_PAIRS, THERMAL_PAIRS):
-            for q in (0.0, 0.3, 1.0):
-                assert law.log_pgf(0.0, q) == 0.0
-                assert law.log_pair_excess(0.0, q, 0.5) == 0.0
-
-
-class TestPairLawPgf:
-    @pytest.mark.parametrize("mu", [0.02, 0.5])
-    @pytest.mark.parametrize(
-        "law, pmf", [(POISSON_PAIRS, poisson_pmf), (THERMAL_PAIRS, thermal_pmf)], ids=["poisson", "thermal"]
-    )
-    def test_matches_pmf_series(self, law, pmf, mu):
-        # exp(log_pgf(mu, 1)) = G(0) = P(0)
-        assert math.exp(law.log_pgf(mu, 1.0)) == pytest.approx(pmf(mu, 0), rel=1e-14, abs=0)
-        assert factorial_cumulant(law, mu, 1) == pytest.approx(mu, rel=1e-8, abs=0)
-        for q in (0.1, 0.5, 0.9):
-            series = pgf_series(pmf, mu, 1 - q)
-            assert math.exp(law.log_pgf(mu, q)) == pytest.approx(series, rel=1e-13, abs=0)
-        for q_s, q_h in ((0.3, 0.5), (0.9, 0.2), (1.0, 1.0)):
-            three_logs = (
-                math.log(pgf_series(pmf, mu, (1 - q_s) * (1 - q_h)))
-                - math.log(pgf_series(pmf, mu, 1 - q_s))
-                - math.log(pgf_series(pmf, mu, 1 - q_h))
-            )
-            assert law.log_pair_excess(mu, q_s, q_h) == pytest.approx(three_logs, rel=1e-9, abs=0)
