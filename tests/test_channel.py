@@ -224,6 +224,32 @@ class TestSimulateTags:
         ):
             assert_within_sigma(observed, n * p, binomial_std(n, p), f"multi-pair {label}")
 
+    def test_target_out_tags_are_independent(self):
+        # target out at mu = 0.5: signal clicks are noise alone, so the
+        # coincidences are accidentals, n P_s P_h
+        cfg = make_config(
+            mu=0.5,
+            eta_herald=0.5,
+            noise_herald_per_bin=1e-3,
+            background_per_bin=1e-2,
+            dark_signal_per_bin=1e-4,
+            jitter_signal_ps=0.0,
+            jitter_herald_ps=0.0,
+        )
+        n = 500_000
+        from qisim.correlator import bin_and_count
+
+        stream = simulate_tags(cfg, False, n, substream(8, 3))
+        counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
+        p_s = -math.expm1(-cfg.channel.signal_noise_per_bin)
+        p_h = -math.expm1(-(0.5 * 0.5 + 1e-3))
+        for label, observed, p in (
+            ("signal", counts.n_signal_clicks, p_s),
+            ("herald", counts.n_herald_clicks, p_h),
+            ("coinc", counts.n_coincidences, p_s * p_h),
+        ):
+            assert_within_sigma(observed, n * p, binomial_std(n, p), f"target out {label}")
+
     def test_golden_stream_digest(self):
         """SHA-256 of one fixed-seed stream, taken with numpy 2.4.6.
 

@@ -137,6 +137,22 @@ class TestCharacterize:
         assert code == cli.EXIT_CONFIG
         assert "mu out of range" in capsys.readouterr().err
 
+    def test_large_mu_with_unit_herald_is_all_coincidences(self, tmp_path):
+        # mu eta_sig eta_h above ~709.78 once made the patterns NaN, and
+        # numpy's multinomial draw failed on a valid config
+        config = write_config_with(tmp_path / "unit.json", "source", "eta_herald", 1.0)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "characterize", "--config", config, "--mu", "1200", "--dwell-s", "0.001",
+            "--out", str(out),
+        )
+        assert code == 0
+        header, row = out.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        n = int(fields["n_pulses"])
+        assert n > 0
+        assert [int(fields[k]) for k in ("n_signal", "n_herald", "n_coinc")] == [n, n, n]
+
     @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan", "1e301"])
     def test_unusable_dwell_is_usage_error(self, config_path, tmp_path, dwell):
         out = tmp_path / "x.csv"

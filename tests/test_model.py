@@ -532,6 +532,62 @@ class TestClickPatternProbabilities:
             ):
                 assert got == pytest.approx(series(z), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("mu", [0.02, 0.5, 5.0])
+    def test_log_excess_is_mu_eta_sig_eta_h(self, mu):
+        # log P(neither) - log P(no S) - log P(no H) = mu eta_sig eta_h for
+        # Poisson pairs; the noise factors cancel, so noise stays on
+        eta_sig = np.array([0.3, 0.9, 1.0])
+        eta_h = np.array([0.5, 0.2, 1.0])
+        source = SourceParams(mu=mu, eta_herald=eta_h, noise_herald_per_bin=2e-3)
+        channel = ChannelParams(
+            collection_fraction=eta_sig,
+            eta_signal_detector=1.0,
+            eta_transmit=1.0,
+            background_per_bin=1e-3,
+            dark_signal_per_bin=1e-4,
+        )
+        _, p10, p01, p00 = click_pattern_probabilities(source, channel, True)
+        got = np.log(p00) - np.log(p01 + p00) - np.log(p10 + p00)
+        for g, want in zip(got, mu * eta_sig * eta_h):
+            assert g == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_mu_zero_channels_are_independent(self):
+        # no pairs: each channel clicks on its own noise alone
+        source = SourceParams(mu=0.0, eta_herald=0.5, noise_herald_per_bin=3e-3)
+        channel = ChannelParams(background_per_bin=1e-3, dark_signal_per_bin=1e-4)
+        p_s = -math.expm1(-channel.signal_noise_per_bin)
+        p_h = -math.expm1(-3e-3)
+        for target_in in (True, False):
+            p11, p10, p01, p00 = click_pattern_probabilities(source, channel, target_in)
+            assert p11 == pytest.approx(p_s * p_h, rel=1e-15, abs=0)
+            assert p10 == pytest.approx(p_s * (1 - p_h), rel=1e-14, abs=0)
+            assert p01 == pytest.approx(p_h * (1 - p_s), rel=1e-14, abs=0)
+            assert p00 == pytest.approx((1 - p_s) * (1 - p_h), rel=1e-15, abs=0)
+
+    def test_target_out_has_no_signal_pairs(self):
+        # target out and no signal noise: the signal detector never fires,
+        # and the herald clicks with P(N eta_h >= 1) = 1 - exp(-mu eta_h)
+        source = SourceParams(mu=0.5, eta_herald=0.5, noise_herald_per_bin=0.0)
+        channel = ChannelParams(
+            eta_transmit=1.0, collection_fraction=0.5, eta_signal_detector=0.6, dark_signal_per_bin=0.0
+        )
+        p11, p10, p01, p00 = click_pattern_probabilities(source, channel, False)
+        assert (p11, p10) == (0.0, 0.0)
+        assert p01 == pytest.approx(-math.expm1(-0.25), rel=1e-15, abs=0)
+        assert p00 == pytest.approx(math.exp(-0.25), rel=1e-15, abs=0)
+
+    def test_large_mu_unit_efficiencies_is_a_certain_coincidence(self):
+        # mu eta_sig eta_h = 1200: expm1 of the excess exponent would be inf,
+        # and P(no S) P(no H) * inf is NaN; every pulse clicks both channels
+        source = SourceParams(mu=1200.0, eta_herald=1.0, noise_herald_per_bin=0.0)
+        channel = ChannelParams(
+            eta_transmit=1.0, collection_fraction=1.0, eta_signal_detector=1.0, dark_signal_per_bin=0.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = click_pattern_probabilities(source, channel, True)
+        assert got == (1.0, 0.0, 0.0, 0.0)
+
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(
         source=st.builds(

@@ -53,6 +53,14 @@ class TestPairSampling:
         draws = poisson_pair_counts(mu, substream(7, 1), n)
         assert_within_sigma(draws.mean(), mu, math.sqrt(mu / n), "pair mean")
 
+    def test_sample_variance_equals_mean(self):
+        # Poisson: Var N = mu, where a thermal law would give mu (1 + mu)
+        mu, n = 0.5, 10**6
+        draws = poisson_pair_counts(mu, substream(7, 3), n)
+        # Var of the sample variance: (mu4 - sigma^4) / n, mu4 = mu (1 + 3 mu)
+        std = math.sqrt((mu * (1 + 3 * mu) - mu**2) / n)
+        assert_within_sigma(draws.var(), mu, std, "pair variance")
+
     def test_multi_pair_tail(self):
         mu, n = 0.01, 10**7
         draws = poisson_pair_counts(mu, substream(7, 2), n)
