@@ -374,7 +374,9 @@ def read_tags_csv(path: str) -> TimeTagStream:
 
     The body is read in blocks of about `_CSV_BLOCK` bytes, each cut after
     its last newline and parsed by `_csv_block` into arrays sized from the
-    file size.
+    file size. A block of records of one width, as the writer makes between
+    two digit counts, is read as one record matrix; any other block is
+    split into lines first, and only that path raises.
     """
     duration, line, lineno = 0, b"", 0
     with open(path, "rb") as fh:
@@ -399,11 +401,13 @@ def read_tags_csv(path: str) -> TimeTagStream:
         codes, times, n, tail = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0, b""
         while True:
             block = fh.read(_CSV_BLOCK)
-            buf = tail + (block or b"\n")  # at the end, the last line may lack its "\n"
+            # at the end, the last line may lack its "\n"; without a tail, no line is left
+            buf = tail + (block or b"\n") if tail else block
             cut = buf.rfind(b"\n") + 1
             if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
                 codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
-            lineno, n = _csv_block(buf, cut, lineno, codes, times, n)
+            if cut:
+                lineno, n = _csv_block(buf, cut, lineno, codes, times, n)
             if not block:
                 break
             tail = buf[cut:]
@@ -413,20 +417,79 @@ def read_tags_csv(path: str) -> TimeTagStream:
 def _csv_block(
     buf: bytes, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
 ) -> tuple[int, int]:
-    """Parse the lines in buf[:size], which ends in a newline or is empty,
-    into codes[n:] and times[n:], and return the last line number and the
-    new record count.
+    """Parse the lines in buf[:size], which ends in a newline, into
+    codes[n:] and times[n:], and return the last line number and the new
+    record count.
 
     `lineno` is the file line number before the block. Empty lines and
     lines starting with `#` are skipped and a `\\r` right before a `\\n`
     is dropped. A record is 7 name bytes, which must be `signal,` or
     `herald,`, then 1 to 19 digits that must not exceed the int64 maximum.
-    A bad record raises `ValueError` naming its line.
+
+    Two stages read the block. The first takes the width w of the first
+    line and, if the block is a whole number of w + 1 byte rows, each
+    ending in a newline, checks and reads all rows as records of that
+    width. It never raises: if any row is not such a record, it stores
+    nothing and the second stage, `_csv_lines`, reads the block line by
+    line and raises `ValueError` naming the first bad line.
     """
     a = np.frombuffer(buf, dtype=np.uint8, count=size)
+    w = buf.find(b"\n", 0, size)
+    # A CRLF line is never a record of its width, so such a block skips
+    # the record checks, which would take as long as the line search.
+    if (
+        8 <= w <= 26
+        and a[w - 1] != ord("\r")
+        and size % (w + 1) == 0
+        and (a[w :: w + 1] == ord("\n")).all()
+    ):
+        m = size // (w + 1)
+        if _csv_records(a, 0, w + 1, m, w - 7, codes, times, slice(n, n + m)) < 0:
+            return lineno + m, n + m
+    return _csv_lines(buf, size, lineno, codes, times, n)
+
+
+def _csv_records(
+    rows: np.ndarray,
+    at: int,
+    pitch: int,
+    m: int,
+    d: int,
+    codes: np.ndarray,
+    times: np.ndarray,
+    dest: slice | np.ndarray,
+) -> int:
+    """Check the m records of d digits that start at byte `at` of the
+    uint8 array rows, `pitch` bytes apart, then store their channels in
+    codes[dest] and their times in times[dest] and return -1. If a record
+    is bad, store nothing and return the index of the first bad one."""
+    # the name and the first digit as one little-endian word; the mask drops the digit
+    name = np.ndarray((m,), "<u8", rows, at, (pitch,)) & np.uint64(2**56 - 1)
+    herald = name == _HERALD_WORD
+    ok = herald | (name == _SIGNAL_WORD)
+    digits = np.ndarray((m, d), np.uint8, rows, at + 7, (pitch, 1)) - ord("0")
+    if digits.max() > 9:  # rows are checked one by one only on failure
+        ok &= digits.max(axis=1) <= 9
+    if d == 19:
+        ok &= np.ndarray((m,), "S19", rows, at + 7, (pitch,)) <= _INT64_MAX
+    if not ok.all():
+        return int(np.argmin(ok))
+    v = digits[:, 0].astype(np.int64)
+    for j in range(1, d):
+        v *= 10
+        v += digits[:, j]
+    codes[dest], times[dest] = herald, v
+    return -1
+
+
+def _csv_lines(
+    buf: bytes, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
+) -> tuple[int, int]:
+    """The second stage of `_csv_block`: locate every line of buf[:size],
+    read the records of each width with `_csv_records`, and raise
+    `ValueError` naming the first bad line."""
+    a = np.frombuffer(buf, dtype=np.uint8, count=size)
     nl = np.flatnonzero(a == ord("\n"))
-    if nl.size == 0:
-        return lineno, n
     starts = np.concatenate(([0], nl[:-1] + 1))
     crlf = np.zeros(nl.size, dtype=bool)
     bad = []  # (line index in the block, reason) of the first bad line found by each check
@@ -457,23 +520,9 @@ def _csv_block(
         else:
             rows, at, pitch = a[starts[lines, None] + np.arange(w)], 0, w
             dest = n + idx
-        # the name and the first digit as one little-endian word; the mask drops the digit
-        name = np.ndarray((m,), "<u8", rows, at, (pitch,)) & np.uint64(2**56 - 1)
-        herald = name == _HERALD_WORD
-        ok = herald | (name == _SIGNAL_WORD)
-        digits = np.ndarray((m, d), np.uint8, rows, at + 7, (pitch, 1)) - ord("0")
-        if digits.max() > 9:  # rows are checked one by one only on failure
-            ok &= digits.max(axis=1) <= 9
-        if d == 19:
-            ok &= np.ndarray((m,), "S19", rows, at + 7, (pitch,)) <= _INT64_MAX
-        if not ok.all():
-            bad.append((int(lines[np.argmin(ok)]), grammar))
-            continue
-        v = digits[:, 0].astype(np.int64)
-        for j in range(1, d):
-            v *= 10
-            v += digits[:, j]
-        codes[dest], times[dest] = herald, v
+        i = _csv_records(rows, at, pitch, m, d, codes, times, dest)
+        if i >= 0:
+            bad.append((int(lines[i]), grammar))
     if bad:
         i, why = min(bad)
         text = buf[starts[i] : nl[i]].decode("ascii", errors="replace")

@@ -200,12 +200,16 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
 
-    log_no_s = -mu * eta_sig - channel.signal_noise_per_bin
-    log_no_h = -mu * eta_h - source.noise_herald_per_bin
+    # A log term below -float max is -inf, its limit; numpy arrays would
+    # warn of the overflow where Python floats do not.
+    with np.errstate(over="ignore"):
+        log_no_s = -mu * eta_sig - channel.signal_noise_per_bin
+        log_no_h = -mu * eta_h - source.noise_herald_per_bin
+        x = mu * eta_sig * eta_h
+        log_excess = log_no_s + log_no_h + x
     p_s = -np.expm1(log_no_s)
     p_h = -np.expm1(log_no_h)
-    x = mu * eta_sig * eta_h
-    excess = np.exp(log_no_s + log_no_h + x) * -np.expm1(-x)
+    excess = np.exp(log_excess) * -np.expm1(-x)
     p11 = p_s * p_h + excess
     p10 = np.maximum(0.0, p_s - p11)
     p01 = np.maximum(0.0, p_h - p11)

@@ -698,6 +698,7 @@ class TestTagCsvCodec:
             b"SIGNAL,5\n",
             b"signal\x00,5\n",
             b"sig\xc3\xa9l,5\n",
+            b"signal,1\r5\n",  # one row of one width, but a lone CR among its digits
         ],
     )
     def test_rejected_forms(self, body, tmp_path):
@@ -740,14 +741,67 @@ class TestTagCsvCodec:
         assert not writer.is_alive()
         assert same_stream(back, stream)
 
-    def test_mixed_line_ends(self, tmp_path):
-        # records of one width with LF and CRLF ends are not evenly spaced
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"signal,10\r\nsignal,11\nherald,12\r\nsignal,13\nsignal,14\n",
+            b"signal,10\r\nsignal,11\r\nherald,12\r\nsignal,13\r\nsignal,14\r\n",
+        ],
+    )
+    def test_mixed_line_ends(self, body, tmp_path):
+        # records of one width with LF and CRLF ends are not evenly spaced;
+        # with CRLF ends only they are, and a CR sits where a last digit would
         path = tmp_path / "tags.csv"
-        body = b"signal,10\r\nsignal,11\nherald,12\r\nsignal,13\nsignal,14\n"
         path.write_bytes(CSV_HEAD % 100 + body)
         back = read_tags_csv(str(path))
         assert back.times_ps.tolist() == [10, 11, 12, 13, 14]
         assert back.channels.tolist() == [0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"signal,10\n#########\nherald,11\n",  # a comment as wide as the records
+            b"signal,01\n\nsignal,2\n",  # a newline every 10 bytes, but a blank line
+            b"signal,01\nherald,2\n",  # a newline at byte 9 of the only whole 10-byte row
+        ],
+    )
+    def test_one_width_lookalikes_read_like_loadtxt(self, body, tmp_path):
+        # each block looks like rows of its first line's width, each ending
+        # in a newline, yet holds lines that are not records of that width
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 100 + body)
+        back = read_tags_csv(str(path))
+        assert len(back) == 2
+        assert same_stream(back, loadtxt_read_tags_csv(str(path)))
+
+    def test_only_blocks_with_two_widths_are_split_into_lines(self, tmp_path):
+        # Counts calls, takes no time: a block of records of one width is
+        # read without locating its lines, so a sorted stream goes through
+        # the line search only in the blocks where its times gain a digit.
+        # A block of CRLF lines goes straight to the line search.
+        path = tmp_path / "tags.csv"
+        steps = np.arange(4000) * 7
+
+        def read(start: int, crlf: bool = False):
+            stream = TimeTagStream.from_arrays([0, 1] * 2000, start + steps, 10**6)
+            write_tags_csv(stream, str(path))
+            if crlf:
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            lines = mock.MagicMock(wraps=channel._csv_lines)
+            records = mock.MagicMock(wraps=channel._csv_records)
+            with mock.patch.object(channel, "_CSV_BLOCK", 4096):
+                with mock.patch.multiple(channel, _csv_lines=lines, _csv_records=records):
+                    assert same_stream(read_tags_csv(str(path)), stream)
+            return lines, records.call_count
+
+        lines, n_records = read(10**5)  # 6 digits each
+        assert lines.call_count == 0 and n_records > 10
+        lines, n_records = read(10**5, crlf=True)
+        assert lines.call_count == n_records > 10  # one width group per block
+        lines, _ = read(10**5 - 2000 * 7)  # 5, then 6 digits
+        assert lines.call_count == 1
+        buf, size = lines.call_args.args[:2]
+        assert {len(line) for line in buf[:size].splitlines()} == {12, 13}
 
     def test_int64_maximum_and_unterminated_last_line(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -763,10 +817,14 @@ class TestTagCsvCodec:
             b"signal,10\nheralx,11\nsignal,12\n",
             b"signal,10\r\nherald,1 \r\nsignal,12\r\n",
             b"signal,9223372036854775806\nsignal,9223372036854775808\n",
+            b"signal,10\nherald,1x\n",  # the last row of a block of one width
+            b"signal,10\nheralx,11\n",
+            b"signal,10\nsignal,110signal,12\n",  # no newline at its row's end
         ],
     )
     def test_bad_record_inside_a_run(self, body, tmp_path):
-        # the bad record has the length of the good one before it
+        # the bad record has the length of the good one before it, or the
+        # block is a whole number of rows of the first line's width
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 2**63 + body)
         with pytest.raises(ValueError, match="bad tag record at line 4"):

@@ -616,3 +616,14 @@ class TestClickPatternProbabilities:
         got = click_pattern_probabilities(source, channel, target_in)
         assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in got), got
         assert math.fsum(got) == pytest.approx(1.0, rel=0, abs=1e-12)
+        # the array path (one reflectivity per pixel) gives the same numbers, without a warning
+        reflectivities = (channel.target_reflectivity, 1.0)
+        each = [
+            click_pattern_probabilities(
+                source, dataclasses.replace(channel, target_reflectivity=r), target_in
+            )
+            for r in reflectivities
+        ]
+        pixels = dataclasses.replace(channel, target_reflectivity=np.array(reflectivities))
+        for k, p in enumerate(click_pattern_probabilities(source, pixels, target_in)):
+            assert np.array_equal(np.broadcast_to(p, 2), [e[k] for e in each]), (k, p, each)
