@@ -58,7 +58,10 @@ class TimeTagStream:
     [0, duration_ps), sorted by time, ties broken Signal before Herald.
     The constructor checks this invariant, so every stream (simulated,
     read from a file or built directly) holds it: bad order raises
-    `StreamOrderError`, any other violation `ValueError`.
+    `StreamOrderError`, any other violation `ValueError`. The checks run in
+    this order, and the first that fails raises: the codes, before the cast
+    to uint8; the time range, after the cast to int64 (a u64 time of 2**63
+    or more is out of range); the order.
     Arrays are treated as read-only after construction.
     """
 
@@ -70,22 +73,29 @@ class TimeTagStream:
         self.duration_ps = int(self.duration_ps)
         if not 0 <= self.duration_ps <= _DURATION_MAX:
             raise ValueError(f"duration_ps {self.duration_ps} outside [0, 2**64 - 1]")
-        c = np.asarray(self.channels)
-        try:
-            t = np.asarray(self.times_ps).astype(np.int64, copy=False)
+        try:  # times first: copying the codes first fragments the heap (+6 MB RSS)
+            t = np.asarray(self.times_ps).astype(np.int64, order="C", copy=False)
         except OverflowError:  # a Python int beyond the int64 range
             raise ValueError(f"tag time outside [0, {self.duration_ps}) ps") from None
+        c = np.ascontiguousarray(self.channels)  # the caller's dtype, so no code has wrapped yet
         if c.ndim != 1 or c.shape != t.shape:
             raise ValueError("channels and times_ps must be 1-D and of equal length")
-        bad = (c != Channel.SIGNAL) & (c != Channel.HERALD)
+        bad = (c != 0) & (c != 1)  # against the enum members, numpy makes int64 copies
         if bad.any():
             raise ValueError(f"channel code {c[bad][0]} is not signal (0) or herald (1)")
+        # A break is a tag no later than the one before it; it is out of
+        # order if its time is lower, or if it is a Signal tied to the Herald
+        # before it.
+        breaks = np.flatnonzero(t[1:] <= t[:-1])
+        unsorted = bool(np.any((t[breaks + 1] < t[breaks]) | (c[breaks + 1] < c[breaks])))
         # On the int64 values: a u64 time of 2**63 or more has wrapped negative.
-        if t.size and (t.min() < 0 or t.max() >= self.duration_ps):
-            raise ValueError(f"tag time outside [0, {self.duration_ps}) ps")
-        if np.any((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1]))):
+        if t.size:
+            first, last = (t.min(), t.max()) if unsorted else (t[0], t[-1])
+            if first < 0 or int(last) >= self.duration_ps:
+                raise ValueError(f"tag time outside [0, {self.duration_ps}) ps")
+        if unsorted:
             raise StreamOrderError("unsorted stream")
-        self.channels, self.times_ps = np.ascontiguousarray(c, np.uint8), np.ascontiguousarray(t)
+        self.channels, self.times_ps = c.astype(np.uint8, copy=False), t
 
     def __len__(self) -> int:
         return int(self.times_ps.shape[0])
@@ -232,21 +242,23 @@ def simulate_tags(
 
 
 def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pulses: int):
-    """Nearest-pulse index of each tag and whether it lies inside that bin.
+    """Bin index of each tag time t >= 0 and whether the tag lies inside that bin.
 
     Bin k is the window [k*T - w/2, k*T + w/2) around pulse time k*T, for
-    pulses 0 <= k < n_pulses. The nearest pulse is k = (t + T//2) // T,
-    found from t = q*T + r, 0 <= r < T, as q, or q + 1 when r >= T - T//2;
-    so no step leaves the int64 range, even for times near 2^63.
+    pulses 0 <= k < n_pulses and 0 < w <= T. With t = q*T + r, 0 <= r < T,
+    a tag is in bin q when r < ceil(w/2) and in bin q + 1 when
+    r >= T - floor(w/2): the bin of its nearest pulse. A tag between bins
+    gets k = q, the last pulse before it, and a tag in the window of pulse
+    n_pulses or later gets that pulse; both have in_bin False. No step adds
+    to t, so times near 2^63 stay in the int64 range.
     """
     k = times // pulse_period_ps  # q and r; np.divmod takes longer than // and a product
-    offset = times - k * pulse_period_ps
-    later = offset >= pulse_period_ps - pulse_period_ps // 2
+    r = times - k * pulse_period_ps
+    later = r >= pulse_period_ps - bin_width_ps // 2
+    in_bin = r < (bin_width_ps + 1) // 2
+    in_bin |= later
     k += later
-    offset -= later * pulse_period_ps
-    # -w/2 <= offset < w/2 in integers
-    in_bin = (offset >= -(bin_width_ps // 2)) & (offset < (bin_width_ps + 1) // 2)
-    in_bin &= (k >= 0) & (k < n_pulses)
+    in_bin &= k < n_pulses
     return k, in_bin
 
 

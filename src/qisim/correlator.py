@@ -10,6 +10,10 @@ Both reductions fold the stream in blocks of about `_BLOCK` tags, so their
 temporaries stay block-sized whatever the stream length. Each reduction
 moves a block's end to where no unit it counts (a bin, a cluster) spans
 two blocks, so the per-block tallies simply add.
+
+`bin_and_count` counts occupied bins with whole-block comparisons. A bin
+with tags on both channels counts once in each singles tally and once
+among the occupied bins, so coincidences = signal + herald - occupied.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ def bin_and_count(
     """Reduce a stream to per-run tallies with click-detector semantics.
 
     A block ends only where the nearest pulse changes, at a time
-    (k + 1)*T - T//2, so no bin spans two blocks.
+    (k + 1)*T - T//2, so no bin spans two blocks. A tag alone in its bin
+    counts on its channel; only the tags of bins that hold several are
+    gathered, to count their distinct bins per channel.
     """
     if not (0 < bin_width_ps <= pulse_period_ps):
         raise ValueError("bin_width_ps must be in (0, pulse_period_ps]")
@@ -66,26 +72,36 @@ def bin_and_count(
         edge = (k + 1) * pulse_period_ps - half
         return int(np.searchsorted(times, edge)) if edge <= int(times[-1]) else times.size
 
-    n_sig = n_her = n_coinc = 0
+    n_sig = n_her = n_any = 0
     for block in _blocks(times.size, next_pulse):
         k, in_bin = bin_indices(times[block], bin_width_ps, pulse_period_ps, n_pulses)
-        k, code = k[in_bin], codes[block][in_bin]
-        if k.size == 0:
-            continue
-        # the tags of a bin are consecutive; its lowest and highest channel
-        # codes tell whether it holds a signal tag and a herald tag
-        firsts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        has_sig = np.minimum.reduceat(code, firsts) == int(Channel.SIGNAL)
-        has_her = np.maximum.reduceat(code, firsts) == int(Channel.HERALD)
-        n_sig += int(np.count_nonzero(has_sig))
-        n_her += int(np.count_nonzero(has_her))
-        n_coinc += int(np.count_nonzero(has_sig & has_her))
+        her = codes[block].view(bool)  # codes are 0 (signal) and 1 (herald)
+        # The tags of a bin are consecutive. same[i]: tags i and i + 1 are in
+        # one bin. A tag between bins has the k of the bin before it, which
+        # no later tag is in, so testing tag i + 1 alone suffices.
+        same = k[1:] == k[:-1]
+        same &= in_bin[1:]
+        n_any += int(np.count_nonzero(in_bin)) - int(np.count_nonzero(same))
+        shared = np.concatenate(([False], same)) | np.concatenate((same, [False]))
+        alone = in_bin & ~shared
+        n_alone_her = int(np.count_nonzero(alone & her))
+        n_sig += int(np.count_nonzero(alone)) - n_alone_her
+        n_her += n_alone_her
+        crowd = np.flatnonzero(shared)  # the few tags of bins with several tags
+        k, her = k[crowd], her[crowd]
+        n_sig += _distinct(k[~her])
+        n_her += _distinct(k[her])
     return ClickCounts(
         n_pulses=n_pulses,
         n_signal_clicks=n_sig,
         n_herald_clicks=n_her,
-        n_coincidences=n_coinc,
+        n_coincidences=n_sig + n_her - n_any,
     )
+
+
+def _distinct(k: np.ndarray) -> int:
+    """Number of distinct values in a sorted array."""
+    return 1 + int(np.count_nonzero(k[1:] != k[:-1])) if k.size else 0
 
 
 def windowed_coincidences(stream: TimeTagStream, half_window_ps: int) -> int:

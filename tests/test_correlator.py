@@ -277,11 +277,25 @@ def jammed_stream():
 
 
 class TestBlockedReduction:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     @given(stream=cut_testing_streams(), block=st.integers(1, 40))
     @example(stream=stream_from([], [], PERIOD), block=1)
     @example(stream=stream_from(range(12000, 13000, 10), [12900], 2 * PERIOD), block=3)
     @example(stream=stream_from(range(0, 400, 20), range(10, 410, 20), PERIOD), block=2)
+    # bins of several tags (S H S, H S H, H H, S S S) between lone tags and
+    # tags between bins, each cut by small blocks
+    @example(
+        stream=stream_from([6000, 12400, 12600, 25000, 37900], [12500, 24900, 25100], 4 * PERIOD),
+        block=1,
+    )
+    @example(
+        stream=stream_from([0, 12400, 12600, 25000, 37900], [12500, 24900, 25100], 4 * PERIOD),
+        block=2,
+    )
+    @example(stream=stream_from([200, 24990, 25000, 25010], [-1 + PERIOD, PERIOD], 3 * PERIOD), block=3)
+    @example(stream=stream_from([12000, 12500, 12999], [6000, 12700], 2 * PERIOD), block=2)
+    # the last in-bin tags belong to pulse n_pulses, which is not counted
+    @example(stream=stream_from([12500, 24500, 25000], [25400], 2 * PERIOD + 5000), block=1)
     def test_blocks_add_up_to_the_whole_stream(self, stream, block):
         with mock.patch.object(correlator, "_BLOCK", block):
             for width in (1, 999, WIDTH, PERIOD):
