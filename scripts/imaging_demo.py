@@ -51,10 +51,11 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     scene, mask = two_level_scene(16, 16)
     scene_to_pgm(scene, os.path.join(args.out_dir, "scene.pgm"))
-    dwell = int(args.dwell_s * 80e6)
+    quiet = imaging_config(0.0, args.seed)
+    dwell = quiet.pulses_for_seconds(args.dwell_s)
 
     runs = [
-        ("quiet", imaging_config(0.0, args.seed), dwell),
+        ("quiet", quiet, dwell),
         ("jammed", imaging_config(args.background_cps, args.seed + 1), dwell),
         ("jammed_6x", imaging_config(args.background_cps, args.seed + 2), 6 * dwell),
     ]

@@ -17,7 +17,7 @@ import os
 
 from qisim.channel import simulate_counts
 from qisim.model import paper_default
-from qisim.rng import substream
+from qisim.rng import ISOLATED_SPACE, substream
 
 
 def main() -> None:
@@ -38,8 +38,9 @@ def main() -> None:
         writer.writerow(["mu", "coinc_in", "coinc_out", "singles_in", "singles_out"])
         for i, mu in enumerate(mu_grid):
             run = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, mu=mu))
-            counts_in = simulate_counts(run, True, dwell, substream(args.seed, 100, i, 0))
-            counts_out = simulate_counts(run, False, dwell, substream(args.seed, 100, i, 1))
+            key = (args.seed, ISOLATED_SPACE, i)
+            counts_in = simulate_counts(run, True, dwell, substream(*key, 0))
+            counts_out = simulate_counts(run, False, dwell, substream(*key, 1))
             writer.writerow(
                 [
                     mu,

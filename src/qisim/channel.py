@@ -313,26 +313,25 @@ def write_qitt(stream: TimeTagStream, path: str) -> None:
     """Binary little-endian tag records behind a 16-byte header."""
     records = np.empty(len(stream), dtype=_RECORD_DTYPE)
     records["channel"] = stream.channels
-    records["time_ps"] = stream.times_ps.astype(np.uint64)
+    records["time_ps"] = stream.times_ps
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(QITT_MAGIC, QITT_VERSION, 0, stream.duration_ps))
         fh.write(records.tobytes())
 
 
 def read_qitt(path: str) -> TimeTagStream:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated QITT header")
-        magic, version, _, duration = _HEADER.unpack(header)
-        if magic != QITT_MAGIC:
-            raise ValueError("not a QITT file")
-        if version != QITT_VERSION:
-            raise ValueError(f"unsupported QITT version {version}")
-        body = fh.read()
-    if len(body) % _RECORD_DTYPE.itemsize:
+    with open(path, "rb") as fh:  # one read: after a header read, the body would be copied twice
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ValueError("truncated QITT header")
+    magic, version, _, duration = _HEADER.unpack_from(data)
+    if magic != QITT_MAGIC:
+        raise ValueError("not a QITT file")
+    if version != QITT_VERSION:
+        raise ValueError(f"unsupported QITT version {version}")
+    if (len(data) - _HEADER.size) % _RECORD_DTYPE.itemsize:
         raise ValueError("truncated QITT record")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    records = np.frombuffer(data, _RECORD_DTYPE, offset=_HEADER.size)
     return TimeTagStream(records["channel"], records["time_ps"], duration)
 
 
@@ -340,12 +339,12 @@ _CSV_HEADER = b"channel,time_ps"
 _CSV_DURATION = b"# duration_ps="
 _CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
 _CSV_BLOCK = 1 << 20  # bytes per read or write
-_DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
+DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
 _INT64_MAX = b"%d" % np.iinfo(np.int64).max
 _SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
 
 
-def _put_digits(cols: np.ndarray, v: np.ndarray) -> None:
+def put_digits(cols: np.ndarray, v: np.ndarray) -> None:
     """Write the last `cols.shape[1]` decimal digits of each non-negative
     v, right-aligned and zero-padded, as ASCII into the uint8 matrix cols."""
     for j in range(cols.shape[1] - 1, -1, -1):
@@ -362,7 +361,7 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
     digits and a newline, written in pieces of about `_CSV_BLOCK` bytes.
     """
     times, codes = stream.times_ps, stream.channels
-    edges = [0, *np.searchsorted(times, _DIGIT_BOUNDS).tolist(), len(stream)]
+    edges = [0, *np.searchsorted(times, DIGIT_BOUNDS).tolist(), len(stream)]
     with open(path, "wb") as fh:
         fh.write(b"%s%d\n%s\n" % (_CSV_DURATION, stream.duration_ps, _CSV_HEADER))
         for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
@@ -370,8 +369,8 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
                 rows = np.empty((e - s, d + 8), dtype=np.uint8)
-                np.ndarray((e - s,), "S7", rows, 0, (d + 8,))[:] = _CSV_PREFIX[codes[s:e]]
-                _put_digits(rows[:, 7:-1], times[s:e])
+                rows[:, :7].view("S7")[:, 0] = _CSV_PREFIX[codes[s:e]]
+                put_digits(rows[:, 7:-1], times[s:e])
                 rows[:, -1] = ord("\n")
                 fh.write(rows.tobytes())
 
@@ -388,7 +387,7 @@ def read_tags_csv(path: str) -> TimeTagStream:
     its last newline and parsed by `_csv_block` into arrays sized from the
     file size. A block of records of one width, as the writer makes between
     two digit counts, is read as one record matrix; any other block is
-    split into lines first, and only that path raises.
+    split into lines, read as one matrix per width, and only that path raises.
     """
     duration, line, lineno = 0, b"", 0
     with open(path, "rb") as fh:
@@ -438,56 +437,44 @@ def _csv_block(
     is dropped. A record is 7 name bytes, which must be `signal,` or
     `herald,`, then 1 to 19 digits that must not exceed the int64 maximum.
 
-    Two stages read the block. The first takes the width w of the first
-    line and, if the block is a whole number of w + 1 byte rows, each
-    ending in a newline, checks and reads all rows as records of that
-    width. It never raises: if any row is not such a record, it stores
-    nothing and the second stage, `_csv_lines`, reads the block line by
-    line and raises `ValueError` naming the first bad line.
+    Two stages read the block. The first reshapes it into rows of w + 1
+    bytes, w being the width of its first line, and if each row ends in a
+    newline, reads them as one record matrix. It never raises: if any row
+    is not a record, it stores nothing and the second stage, `_csv_lines`,
+    reads the block line by line and raises `ValueError` naming the first
+    bad line.
     """
-    a = np.frombuffer(buf, dtype=np.uint8, count=size)
     w = buf.find(b"\n", 0, size)
     # A CRLF line is never a record of its width, so such a block skips
     # the record checks, which would take as long as the line search.
-    if (
-        8 <= w <= 26
-        and a[w - 1] != ord("\r")
-        and size % (w + 1) == 0
-        and (a[w :: w + 1] == ord("\n")).all()
-    ):
-        m = size // (w + 1)
-        if _csv_records(a, 0, w + 1, m, w - 7, codes, times, slice(n, n + m)) < 0:
-            return lineno + m, n + m
+    if 8 <= w <= 26 and buf[w - 1] != ord("\r") and size % (w + 1) == 0:
+        rows = np.frombuffer(buf, dtype=np.uint8, count=size).reshape(-1, w + 1)
+        dest = slice(n, n + len(rows))
+        if (rows[:, w] == ord("\n")).all() and _csv_records(rows[:, :w], codes, times, dest) < 0:
+            return lineno + len(rows), dest.stop
     return _csv_lines(buf, size, lineno, codes, times, n)
 
 
 def _csv_records(
-    rows: np.ndarray,
-    at: int,
-    pitch: int,
-    m: int,
-    d: int,
-    codes: np.ndarray,
-    times: np.ndarray,
-    dest: slice | np.ndarray,
+    rows: np.ndarray, codes: np.ndarray, times: np.ndarray, dest: slice | np.ndarray
 ) -> int:
-    """Check the m records of d digits that start at byte `at` of the
-    uint8 array rows, `pitch` bytes apart, then store their channels in
-    codes[dest] and their times in times[dest] and return -1. If a record
-    is bad, store nothing and return the index of the first bad one."""
+    """Check the records of the (m, 7 + d) uint8 matrix rows, one per row:
+    7 name bytes, then d digits. Store their channels in codes[dest] and
+    their times in times[dest] and return -1. If a record is bad, store
+    nothing and return the index of its row."""
     # the name and the first digit as one little-endian word; the mask drops the digit
-    name = np.ndarray((m,), "<u8", rows, at, (pitch,)) & np.uint64(2**56 - 1)
+    name = rows[:, :8].view("<u8")[:, 0] & np.uint64(2**56 - 1)
     herald = name == _HERALD_WORD
     ok = herald | (name == _SIGNAL_WORD)
-    digits = np.ndarray((m, d), np.uint8, rows, at + 7, (pitch, 1)) - ord("0")
+    digits = rows[:, 7:] - ord("0")
     if digits.max() > 9:  # rows are checked one by one only on failure
         ok &= digits.max(axis=1) <= 9
-    if d == 19:
-        ok &= np.ndarray((m,), "S19", rows, at + 7, (pitch,)) <= _INT64_MAX
+    if digits.shape[1] == 19:
+        ok &= rows[:, 7:].view("S19")[:, 0] <= _INT64_MAX
     if not ok.all():
         return int(np.argmin(ok))
     v = digits[:, 0].astype(np.int64)
-    for j in range(1, d):
+    for j in range(1, digits.shape[1]):
         v *= 10
         v += digits[:, j]
     codes[dest], times[dest] = herald, v
@@ -499,7 +486,9 @@ def _csv_lines(
 ) -> tuple[int, int]:
     """The second stage of `_csv_block`: locate every line of buf[:size],
     read the records of each width with `_csv_records`, and raise
-    `ValueError` naming the first bad line."""
+    `ValueError` naming the first bad line. The records of one width are
+    rows of a sliding window over the block: a strided view of consecutive
+    lines with one kind of line end, as in a sorted stream, else gathered."""
     a = np.frombuffer(buf, dtype=np.uint8, count=size)
     nl = np.flatnonzero(a == ord("\n"))
     starts = np.concatenate(([0], nl[:-1] + 1))
@@ -515,24 +504,22 @@ def _csv_lines(
             bad.append((int(np.searchsorted(nl, np.argmax(lone))), "carriage return inside a line"))
     length = nl - starts - crlf
     rec = np.flatnonzero((length > 0) & (a[starts] != ord("#")))
-    # Records of one width are parsed together. In a sorted stream they are
-    # consecutive lines, a strided view of the block; otherwise they are
-    # gathered first. Widths past 26 are all bad, so they share one group.
+    # Widths past 26 are all bad, so they share one group.
     width = np.minimum(length[rec], 27)
     for w in np.flatnonzero(np.bincount(width)).tolist():
         idx = np.flatnonzero(width == w)
-        lines, m, d = rec[idx], idx.size, w - 7
-        if not 1 <= d <= 19:
+        lines, m = rec[idx], idx.size
+        if not 8 <= w <= 26:
             bad.append((int(lines[0]), grammar))
             continue
+        win = np.lib.stride_tricks.sliding_window_view(a, w)
         ends = crlf[lines]
         if lines[-1] - lines[0] == m - 1 and (ends.all() or not ends.any()):
-            rows, at, pitch = a, int(starts[lines[0]]), w + 1 + int(ends[0])
-            dest = slice(n + int(idx[0]), n + int(idx[0]) + m)
+            rows = win[starts[lines[0]] : starts[lines[-1]] + 1 : w + 1 + ends[0]]
+            dest = slice(n + idx[0], n + idx[0] + m)
         else:
-            rows, at, pitch = a[starts[lines, None] + np.arange(w)], 0, w
-            dest = n + idx
-        i = _csv_records(rows, at, pitch, m, d, codes, times, dest)
+            rows, dest = win[starts[lines]], n + idx
+        i = _csv_records(rows, codes, times, dest)
         if i >= 0:
             bad.append((int(lines[i]), grammar))
     if bad:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import _DIGIT_BOUNDS, _put_digits
+from .channel import DIGIT_BOUNDS, put_digits
 from .model import ExperimentConfig, click_pattern_probabilities
 from .rng import PIXEL_SPACE, substream
 
@@ -213,10 +213,10 @@ def _write_rows(fh, grid: np.ndarray, tail: bytes, sep: bytes) -> None:
     w, end = grid.shape[1], np.frombuffer(tail + sep, np.uint8)
     for block in _row_blocks(grid):
         v = block.astype(np.int64).ravel()
-        short = np.searchsorted(_DIGIT_BOUNDS, v, side="right")  # digit count - 1
+        short = np.searchsorted(DIGIT_BOUNDS, v, side="right")  # digit count - 1
         d = int(short.max()) + 1
         m = np.empty((v.size, d + end.size), np.uint8)
-        _put_digits(m[:, :d], v)
+        put_digits(m[:, :d], v)
         m[:, d:] = end
         m[w - 1 :: w, -1] = ord("\n")
         fh.write(m[np.arange(m.shape[1]) >= (d - 1 - short)[:, None]].tobytes())

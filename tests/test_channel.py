@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -322,6 +323,9 @@ class TestSimulateTags:
         assert np.all(np.diff(sig) >= 50_000)
 
 
+QITT_HEAD = struct.pack("<4sHHQ", b"QITT", 1, 0, 100)  # version 1, duration 100 ps
+
+
 class TestStreamFormats:
     def make_stream(self) -> TimeTagStream:
         cfg = make_config(background_per_bin=1e-3, dark_signal_per_bin=1e-4, mu=0.02)
@@ -342,11 +346,52 @@ class TestStreamFormats:
         assert counted == bin_and_count(stream, 2000, 12500)
         assert counted.n_signal_clicks > 0
 
-    def test_qitt_rejects_bad_magic(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(b"", "truncated QITT header", id="empty"),
+            pytest.param(QITT_HEAD[:15], "truncated QITT header", id="15 bytes"),
+            pytest.param(b"NOPE" + bytes(12), "not a QITT file", id="bad magic"),
+            pytest.param(
+                struct.pack("<4sHHQ", b"QITT", 2, 0, 100), "unsupported QITT version 2", id="v2"
+            ),
+            *(
+                pytest.param(QITT_HEAD + bytes(9 + k), "truncated QITT record", id=f"record+{k}")
+                for k in range(1, 9)
+            ),
+        ],
+    )
+    def test_qitt_rejects_malformed_files(self, data, message, tmp_path):
         path = tmp_path / "bad.qitt"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError, match="not a QITT file"):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
             read_qitt(str(path))
+
+    def test_qitt_golden_bytes(self, tmp_path):
+        stream = TimeTagStream.from_arrays([0, 1], [5, 2**63 - 1], 2**64 - 1)
+        path = tmp_path / "tags.qitt"
+        write_qitt(stream, str(path))
+        assert path.read_bytes() == bytes.fromhex(
+            "51495454" "0100" "0000" "ffffffffffffffff"  # magic, version, reserved, duration
+            "00" "0500000000000000"  # signal at 5 ps
+            "01" "ffffffffffffff7f"  # herald at 2**63 - 1 ps
+        )
+        assert same_stream(read_qitt(str(path)), stream)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_qitt_reads_a_pipe(self, tmp_path):
+        # a pipe has no size, so the reader cannot know the body length up front
+        stream = TimeTagStream.from_arrays([0, 1] * 3000, np.arange(6000) * 7, 10**6)
+        write_qitt(stream, str(tmp_path / "tags.qitt"))
+        fifo = tmp_path / "tags.fifo"
+        os.mkfifo(fifo)
+        data = (tmp_path / "tags.qitt").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        back = read_qitt(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_stream(back, stream)
 
     def test_csv_round_trip(self, tmp_path):
         stream = self.make_stream()
@@ -845,6 +890,29 @@ class TestTagCsvCodec:
         assert lines.call_count == 1
         buf, size = lines.call_args.args[:2]
         assert {len(line) for line in buf[:size].splitlines()} == {12, 13}
+
+    @pytest.mark.parametrize(
+        "comment, bound",
+        [
+            pytest.param(b"", 4.31 * 2**20, id="consecutive"),
+            pytest.param(b"#c\n", 8 * 2**20, id="gathered"),
+        ],
+    )
+    def test_line_search_temporaries(self, comment, bound):
+        # A 1 MiB block of 13-digit records, consecutive or with a comment
+        # after every third, so that the records of one width are gathered.
+        # Gathering through an int64 index matrix took 11.2 MiB.
+        three = b"signal,%013d\nherald,%013d\nsignal,%013d\n" + comment
+        buf = b"".join(three % (t, t, t + 1) for t in range(10**12, 10**12 + 17_000))
+        buf = buf[: buf.rfind(b"\n", 0, 1 << 20) + 1]
+        codes, times = np.empty(len(buf) // 9, np.uint8), np.empty(len(buf) // 9, np.int64)
+        tracemalloc.start()
+        try:
+            channel._csv_lines(buf, len(buf), 0, codes, times, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_int64_maximum_and_unterminated_last_line(self, tmp_path):
         path = tmp_path / "tags.csv"

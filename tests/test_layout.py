@@ -123,3 +123,20 @@ def test_every_export_is_read_by_program_code():
                 read |= {alias.name for alias in node.names}
     unread = sorted(exported - read)
     assert not unread, f"exports no program code reads: {unread}"
+
+
+def test_no_private_names_imported_across_modules():
+    # An underscore name is private to its module; a second module that
+    # needs it needs a public name.
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("qisim"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.name}")
+    assert not offenders, f"private names imported across modules: {offenders}"
