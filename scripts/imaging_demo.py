@@ -68,7 +68,7 @@ def main() -> None:
                 interpolate4(img).grid,
             )
         print(
-            f"{label:>10} ({pulses/80e6:.0f} s/px): "
+            f"{label:>10} ({pulses / cfg.source.rep_rate_hz:g} s/px): "
             f"CI contrast {contrast(ci, mask):6.2f}, QI contrast {contrast(qi, mask):6.2f}"
         )
     print(f"images under {args.out_dir}/")

@@ -150,11 +150,9 @@ CSV_COLUMNS = (
 
 
 def _with_value(config: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
-    if variable == "mu":
+    if variable == "mu":  # else "background": `run_sweep` admits only SWEEP_VARIABLES
         return replace(config, source=replace(config.source, mu=value))
-    if variable == "background":
-        return replace(config, channel=replace(config.channel, background_per_bin=value))
-    raise ValueError(f"unknown sweep variable {variable!r}")
+    return replace(config, channel=replace(config.channel, background_per_bin=value))
 
 
 def _run_sweep_row(

@@ -15,14 +15,15 @@ and so produce the same per-bin statistics:
   process, so the cost is O(events), not O(pulses). It exists to exercise
   the correlator and the timing model.
 
-Timing is integer picoseconds. Jamming light is pulse-locked (it is
+Timing is integer picoseconds: a pulse-locked tag is its pulse time k*T
+plus a whole-picosecond jitter offset. Jamming light is pulse-locked (it is
 engineered to be indistinguishable from the signal photons); dark and
 stray counts are uniform over the run, at a rate chosen so their mean
 inside the bin windows matches the per-bin intensities of the aggregate
 model.
 
-`bin_indices` is the pulse-locked binning rule: the click-per-bin dedupe
-here and the correlator's reduction both use it.
+`bin_indices` is the pulse-locked binning rule and the only same-bin test:
+the click-per-bin dedupe here and the correlator's reduction both use it.
 """
 
 from __future__ import annotations
@@ -181,11 +182,11 @@ def simulate_tags(
     `model.click_pattern_probabilities`, with dark and stray light left out
     because they are uniform in time. The pulses with any locked click are
     one Bernoulli process over the pulses, and each of them takes one
-    categorical draw among the three patterns. Locked clicks are
-    stamped k*T plus per-detector Gaussian jitter. Dark and stray counts
-    arrive uniformly over the run. At most one tag survives per channel per
-    bin (click-detector semantics); tags jittered outside [0, duration) are
-    lost.
+    categorical draw among the three patterns. Locked clicks are stamped
+    k*T plus per-detector Gaussian jitter rounded to whole picoseconds, in
+    int64 throughout. Dark and stray counts arrive uniformly over the run.
+    Each channel keeps its first tag per bin (click-detector semantics),
+    then obeys its dead time; tags jittered outside [0, duration) are lost.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
@@ -206,13 +207,14 @@ def simulate_tags(
 
     locked = []
     for idx, jitter in ((sig_pulses, ch.jitter_signal_ps), (her_pulses, ch.jitter_herald_ps)):
-        t = (idx * period).astype(np.float64)
+        t = idx * period
         if jitter > 0:
-            t += rng.normal(0.0, jitter, idx.size)
-            # a time jittered past the int64 range is outside [0, duration)
-            # too; drop it here, as the cast of such a value is undefined
-            t = t[np.abs(t) < 2.0**63]
-        locked.append(np.rint(t).astype(np.int64))
+            dt = np.rint(rng.normal(0.0, jitter, idx.size))
+            keep = np.abs(dt) < 2.0**63  # a larger offset leaves the run; no int64 holds it
+            t, dt = t[keep], dt[keep].astype(np.int64)
+            keep = (dt >= -t) & (dt < duration - t)  # t + dt in [0, duration); no sum wraps
+            t = t[keep] + dt[keep]
+        locked.append(t)
     sig_times, her_times = locked
 
     # Uniform processes: per-bin intensity delta spread over the period means
@@ -225,24 +227,19 @@ def simulate_tags(
                 [sig_times, rng.integers(0, duration, n_dark, dtype=np.int64)]
             )
 
-    streams = []
-    for chan, times in ((Channel.SIGNAL, sig_times), (Channel.HERALD, her_times)):
-        times = times[(times >= 0) & (times < duration)]
+    chains = []
+    for times in (sig_times, her_times):
         times.sort(kind="stable")
         times = _dedupe_bins(times, ch.bin_width_ps, period, n_pulses)
-        if ch.dead_time_ps > 0:
-            times = _apply_dead_time(times, ch.dead_time_ps)
-        streams.append((chan, times))
-
-    channels = np.concatenate(
-        [np.full(t.shape[0], int(c), dtype=np.uint8) for c, t in streams]
-    )
-    times_all = np.concatenate([t for _, t in streams])
-    return TimeTagStream.from_arrays(channels, times_all, duration, sort=True)
+        chains.append(_apply_dead_time(times, ch.dead_time_ps))
+    times = np.concatenate(chains)
+    order = np.argsort(times, kind="stable")  # signal is listed first, so it leads at a tie
+    return TimeTagStream((order >= chains[0].size).astype(np.uint8), times[order], duration)
 
 
 def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pulses: int):
-    """Bin index of each tag time t >= 0 and whether the tag lies inside that bin.
+    """Bin index k of each tag time t >= 0, whether it is inside that bin, and
+    same[i], whether sorted tags i and i + 1 share a bin.
 
     Bin k is the window [k*T - w/2, k*T + w/2) around pulse time k*T, for
     pulses 0 <= k < n_pulses and 0 < w <= T. With t = q*T + r, 0 <= r < T,
@@ -251,6 +248,9 @@ def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pu
     gets k = q, the last pulse before it, and a tag in the window of pulse
     n_pulses or later gets that pulse; both have in_bin False. No step adds
     to t, so times near 2^63 stay in the int64 range.
+
+    The tags of a bin are consecutive. A tag between bins has the k of the
+    bin before it, which no later tag is in, so same[i] tests tag i + 1 alone.
     """
     k = times // pulse_period_ps  # q and r; np.divmod takes longer than // and a product
     r = times - k * pulse_period_ps
@@ -259,20 +259,15 @@ def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pu
     in_bin |= later
     k += later
     in_bin &= k < n_pulses
-    return k, in_bin
+    same = k[1:] == k[:-1]
+    same &= in_bin[1:]
+    return k, in_bin, same
 
 
 def _dedupe_bins(times: np.ndarray, bin_width: int, period: int, n_pulses: int) -> np.ndarray:
     """Keep the first tag in each occupied bin; tags between bins pass through."""
-    if times.size == 0:
-        return times
-    k, in_bin = bin_indices(times, bin_width, period, n_pulses)
     keep = np.ones(times.size, dtype=bool)
-    idx = np.flatnonzero(in_bin)
-    if idx.size > 1:
-        dup = np.zeros(idx.size, dtype=bool)
-        dup[1:] = k[idx[1:]] == k[idx[:-1]]
-        keep[idx[dup]] = False
+    keep[1:] = ~bin_indices(times, bin_width, period, n_pulses)[2]
     return times[keep]
 
 
@@ -285,7 +280,7 @@ def _apply_dead_time(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
     sequential rule; there each kept tag is found from the last one by
     binary search.
     """
-    if times.size < 2:
+    if times.size < 2 or dead_time_ps == 0:
         return times
     keep = np.concatenate(([True], np.diff(times) >= dead_time_ps))
     heads = np.flatnonzero(keep)

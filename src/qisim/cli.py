@@ -66,27 +66,21 @@ class RunRecord:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, allow_nan=False)
 
 
-def append_run_record(ledger_path: str, record: RunRecord) -> None:
-    # Append-only by construction; existing records are never touched.
-    with open(ledger_path, "a", encoding="utf-8") as fh:
-        fh.write(record.to_json() + "\n")
-
-
 def _record_run(
     out_path: str, config: ExperimentConfig, command: str, outputs: list[str], summary: dict
 ) -> None:
     ledger = os.path.join(os.path.dirname(os.path.abspath(out_path)), "runs.jsonl")
-    append_run_record(
-        ledger,
-        RunRecord(
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            config_digest=model.config_digest(config),
-            seed=config.seed,
-            command=command,
-            outputs=tuple(outputs),
-            summary=summary,
-        ),
+    record = RunRecord(
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        config_digest=model.config_digest(config),
+        seed=config.seed,
+        command=command,
+        outputs=tuple(outputs),
+        summary=summary,
     )
+    # Append-only by construction; existing records are never touched.
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write(record.to_json() + "\n")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -74,13 +74,8 @@ def bin_and_count(
 
     n_sig = n_her = n_any = 0
     for block in _blocks(times.size, next_pulse):
-        k, in_bin = bin_indices(times[block], bin_width_ps, pulse_period_ps, n_pulses)
+        k, in_bin, same = bin_indices(times[block], bin_width_ps, pulse_period_ps, n_pulses)
         her = codes[block].view(bool)  # codes are 0 (signal) and 1 (herald)
-        # The tags of a bin are consecutive. same[i]: tags i and i + 1 are in
-        # one bin. A tag between bins has the k of the bin before it, which
-        # no later tag is in, so testing tag i + 1 alone suffices.
-        same = k[1:] == k[:-1]
-        same &= in_bin[1:]
         n_any += int(np.count_nonzero(in_bin)) - int(np.count_nonzero(same))
         shared = np.concatenate(([False], same)) | np.concatenate((same, [False]))
         alone = in_bin & ~shared

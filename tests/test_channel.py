@@ -267,6 +267,85 @@ class TestSimulateTags:
             "4b78d9d4d7b651e09a0c65a7fde9451fcd8fc31f135ad300712b8de6e2c9d567",
         )
 
+    def test_golden_stream_digest_with_dead_time(self):
+        """SHA-256 of a bright, dead-time-limited stream, taken with numpy 2.4.6.
+
+        Zero jitter keeps it independent of how offsets are rounded, so it
+        pins the per-channel click-per-bin and dead-time rules and the merge
+        order, thousands of Signal/Herald ties included.
+        """
+        cfg = paper_default()
+        cfg = dataclasses.replace(
+            cfg,
+            source=dataclasses.replace(
+                cfg.source, mu=0.5, eta_herald=0.5, noise_herald_per_bin=1e-3
+            ),
+            channel=dataclasses.replace(
+                cfg.channel,
+                collection_fraction=0.5,
+                eta_transmit=1.0,
+                background_per_bin=0.05,
+                dark_signal_per_bin=0.05,
+                jitter_signal_ps=0.0,
+                jitter_herald_ps=0.0,
+                dead_time_ps=30_000,
+            ),
+        )
+        stream = simulate_tags(cfg, True, 200_000, substream(6, 2))
+        t, c = stream.times_ps, stream.channels
+        tie = np.flatnonzero(t[1:] == t[:-1])
+        digest = hashlib.sha256(c.tobytes() + t.astype("<i8").tobytes()).hexdigest()
+        assert (len(stream), int(np.count_nonzero(c[tie] != c[tie + 1])), digest) == (
+            76_365,
+            6_237,
+            "8206c12295863d572bdb069ae835c0aadb4222561d9f9b8fbd19ba86989d2fd7",
+        )
+
+    @staticmethod
+    def _slow_source_stream(jitter_ps: float) -> tuple[TimeTagStream, ExperimentConfig]:
+        # A pulse period of 3.3e16 ps: pulse times pass 2**53, where a
+        # float64 no longer holds every picosecond.
+        base = paper_default()
+        cfg = dataclasses.replace(
+            base,
+            source=dataclasses.replace(
+                base.source, mu=0.0, noise_herald_per_bin=0.0, rep_rate_hz=3e-5
+            ),
+            channel=dataclasses.replace(
+                base.channel,
+                bin_width_ps=100,
+                background_per_bin=0.5,
+                dark_signal_per_bin=0.0,
+                stray_light_per_bin=0.0,
+                jitter_signal_ps=jitter_ps,
+                jitter_herald_ps=jitter_ps,
+            ),
+        )
+        return simulate_tags(cfg, True, 200, substream(1, 0)), cfg
+
+    def test_tags_sit_on_their_pulses_at_a_slow_pulse_rate(self):
+        from qisim.correlator import bin_and_count
+
+        stream, cfg = self._slow_source_stream(0.0)
+        period = cfg.pulse_period_ps
+        assert len(stream) > 50
+        assert np.all(stream.times_ps % period == 0)
+        counts = bin_and_count(stream, cfg.channel.bin_width_ps, period)
+        assert counts.n_signal_clicks == len(stream)
+
+    def test_jittered_tags_stay_near_their_pulses_at_a_slow_pulse_rate(self):
+        stream, cfg = self._slow_source_stream(1.0)
+        r = stream.times_ps % cfg.pulse_period_ps
+        assert len(stream) > 50
+        assert int(np.minimum(r, cfg.pulse_period_ps - r).max()) <= 10
+
+    def test_tags_jittered_out_of_the_run_are_lost(self):
+        # 1e18 ps of jitter over a 6.7e18 ps run: many offsets put a tag
+        # before 0, past the duration or, summed, past 2**63 - 1.
+        on_pulse, _ = self._slow_source_stream(0.0)
+        jittered, _ = self._slow_source_stream(1e18)
+        assert 0 < len(jittered) < len(on_pulse) - 10
+
     def test_times_jittered_past_int64_are_dropped_before_the_cast(self):
         # sigma_s = 1e300 puts nearly every locked signal time past the int64
         # range; pytest turns the cast's RuntimeWarning into an error. The

@@ -1,5 +1,6 @@
 """Smoke test of the experiment drivers in scripts/: each runs with its
-default arguments and writes its outputs."""
+default arguments and writes its outputs; the imaging demo also reports the
+dwell it scans."""
 
 import os
 import subprocess
@@ -41,3 +42,27 @@ def test_script_runs_with_defaults(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert sorted(os.listdir(tmp_path)) == sorted(EXPECTED[script])
+
+
+def test_imaging_demo_prints_the_dwell_it_scans(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "imaging_demo.py"),
+            "--dwell-s",
+            "0.57",
+            "--out-dir",
+            str(tmp_path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    labels = [line.split(":")[0].strip() for line in done.stdout.splitlines()[:3]]
+    assert labels == ["quiet (0.57 s/px)", "jammed (0.57 s/px)", "jammed_6x (3.42 s/px)"]
