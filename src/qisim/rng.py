@@ -2,11 +2,10 @@
 
 Each unit of work draws from its own generator keyed by the experiment
 seed plus a small integer tuple: one per sweep row (seed, SWEEP_SPACE,
-row), one per raster scan (seed, PIXEL_SPACE), one per characterization
-point (seed, CHARACTERIZE_SPACE, point) and one per brightness and target
-state of the dark-box comparison script (seed, ISOLATED_SPACE, point,
-state). Streams are reproducible across runs, and a unit's draws do not
-depend on how many other units ran.
+row), one per raster scan (seed, PIXEL_SPACE) and one per
+characterization point (seed, CHARACTERIZE_SPACE, point). Streams are
+reproducible across runs, and a unit's draws do not depend on how many
+other units ran.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 SWEEP_SPACE = 1
 PIXEL_SPACE = 2
 CHARACTERIZE_SPACE = 3
-ISOLATED_SPACE = 100  # scripts/isolated_comparison.py
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -62,6 +62,7 @@ def make_config(**overrides) -> ExperimentConfig:
         eta_signal_detector=overrides.pop("eta_signal_detector", 0.6),
         background_per_bin=overrides.pop("background_per_bin", 0.0),
         dark_signal_per_bin=overrides.pop("dark_signal_per_bin", 0.0),
+        stray_light_per_bin=overrides.pop("stray_light_per_bin", 0.0),
         jitter_signal_ps=overrides.pop("jitter_signal_ps", 300.0),
         jitter_herald_ps=overrides.pop("jitter_herald_ps", 300.0),
         dead_time_ps=overrides.pop("dead_time_ps", 0),
@@ -225,6 +226,31 @@ class TestSimulateTags:
             ("coinc", counts.n_coincidences, p11),
         ):
             assert_within_sigma(observed, n * p, binomial_std(n, p), f"multi-pair {label}")
+
+    def test_stray_light_tags_match_closed_form(self):
+        # stray light as the only noise: uniform tags that land in a bin
+        # at its per-bin mean; each tally within SIGMA binomial stds of n p
+        cfg = make_config(
+            mu=0.05,
+            eta_herald=0.5,
+            collection_fraction=0.5,
+            eta_transmit=1.0,
+            stray_light_per_bin=0.02,
+            jitter_signal_ps=0.0,
+            jitter_herald_ps=0.0,
+        )
+        n = 500_000
+        from qisim.correlator import bin_and_count
+
+        stream = simulate_tags(cfg, True, n, substream(8, 4))
+        counts = bin_and_count(stream, cfg.channel.bin_width_ps, cfg.pulse_period_ps)
+        p11, p10, p01, _ = click_pattern_probabilities(cfg.source, cfg.channel, True)
+        for label, observed, p in (
+            ("signal", counts.n_signal_clicks, p11 + p10),
+            ("herald", counts.n_herald_clicks, p11 + p01),
+            ("coinc", counts.n_coincidences, p11),
+        ):
+            assert_within_sigma(observed, n * p, binomial_std(n, p), f"stray light {label}")
 
     def test_target_out_tags_are_independent(self):
         # target out at mu = 0.5: signal clicks are noise alone, so the

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from qisim.model import (
     ChannelParams,
     ExperimentConfig,
     SourceParams,
+    load_config,
     paper_default,
     save_config,
     validate_config,
@@ -152,6 +154,25 @@ class TestCharacterize:
         n = int(fields["n_pulses"])
         assert n > 0
         assert [int(fields[k]) for k in ("n_signal", "n_herald", "n_coinc")] == [n, n, n]
+
+    @pytest.mark.parametrize(
+        "dwell, code, n_pulses",
+        [
+            ("0.57", cli.EXIT_OK, 45_600_000),  # rounded; truncation gives 45599999
+            ("115292150460.68468", cli.EXIT_OK, 2**63 - 2048),
+            ("115292150460.6847", cli.EXIT_USAGE, None),  # 2**63 pulses
+        ],
+    )
+    def test_dwell_seconds_to_pulses(self, config_path, tmp_path, dwell, code, n_pulses):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "characterize", "--config", config_path, "--mu", "0.01", "--dwell-s", dwell,
+            "--out", str(out),
+        ) == code
+        if n_pulses is None:
+            assert not out.exists()
+        else:
+            assert out.read_text().splitlines()[1].split(",")[1] == str(n_pulses)
 
     @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan", "1e301"])
     def test_unusable_dwell_is_usage_error(self, config_path, tmp_path, dwell):
@@ -307,11 +328,21 @@ class TestSweep:
         )
         assert len(lines) == 4
 
-    def test_background_values_per_second(self, fast_config_path, tmp_path):
+    @pytest.mark.parametrize("rep_rate_hz", [80e6, 40e6])
+    def test_background_values_per_second(self, fast_config_path, tmp_path, rep_rate_hz):
+        # counts/s over the config's own pulse rate, not over a fixed 80 MHz
+        fast = load_config(fast_config_path)
+        config = tmp_path / "rate.json"
+        save_config(
+            dataclasses.replace(
+                fast, source=dataclasses.replace(fast.source, rep_rate_hz=rep_rate_hz)
+            ),
+            str(config),
+        )
         out = tmp_path / "bg.csv"
         code = run_cli(
             "sweep",
-            "--config", fast_config_path,
+            "--config", str(config),
             "--variable", "background",
             "--values", "5000,20000",
             "--values-per-s",
@@ -321,7 +352,7 @@ class TestSweep:
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         values = [float(r.split(",")[0]) for r in rows]
-        assert values == pytest.approx([5000 / 80e6, 20000 / 80e6])
+        assert values == pytest.approx([5000 / rep_rate_hz, 20000 / rep_rate_hz])
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code = run_cli(

@@ -351,6 +351,11 @@ class TestEstimateG2:
             est.value * np.sqrt(1 / 97_000 + 1 / 1_300_000 + 1 / 440_000), rel=1e-9
         )
 
+    def test_zero_coincidences_use_the_one_count_floor(self):
+        # C = 0: g2 is 0 and std_err is n / (N_s N_h), one count's worth
+        est = estimate_g2(ClickCounts(10**6, 1000, 500, 0))
+        assert (est.value, est.std_err) == (0.0, 2.0)
+
     def test_zero_singles_undefined(self):
         with pytest.raises(ValueError, match="g2 undefined"):
             estimate_g2(ClickCounts(1000, 0, 10, 0))

@@ -576,6 +576,28 @@ class TestClickPatternProbabilities:
         assert p01 == pytest.approx(-math.expm1(-0.25), rel=1e-15, abs=0)
         assert p00 == pytest.approx(math.exp(-0.25), rel=1e-15, abs=0)
 
+    def test_stray_light_is_signal_channel_noise(self):
+        # stray light ln 2 as the only signal-channel noise halves P(no S);
+        # mu eta_sig = 0.15 with the target in, and P(no H) = exp(-mu eta_h)
+        source = SourceParams(mu=0.5, eta_herald=0.5, noise_herald_per_bin=0.0)
+        channel = ChannelParams(
+            eta_transmit=1.0,
+            collection_fraction=0.5,
+            eta_signal_detector=0.6,
+            dark_signal_per_bin=0.0,
+            stray_light_per_bin=math.log(2.0),
+        )
+        no_h = math.exp(-0.25)
+        # target state, P(no S), pair excess exp(mu eta_sig eta_h) of P(neither)
+        for target_in, no_s, excess in (
+            (False, 0.5, 1.0),
+            (True, 0.5 * math.exp(-0.15), math.exp(0.075)),
+        ):
+            p00 = no_s * no_h * excess
+            want = (1.0 - no_s - no_h + p00, no_h - p00, no_s - p00, p00)
+            got = click_pattern_probabilities(source, channel, target_in)
+            assert got == pytest.approx(want, rel=1e-14, abs=0), target_in
+
     def test_large_mu_unit_efficiencies_is_a_certain_coincidence(self):
         # mu eta_sig eta_h = 1200: expm1 of the excess exponent would be inf,
         # and P(no S) P(no H) * inf is NaN; every pulse clicks both channels
