@@ -1,4 +1,4 @@
-"""Click probabilities, SNR and enhancement analysis, toggled sweeps.
+"""Click probabilities, SNR and enhancement, toggled sweeps, source characterization.
 
 The closed-form pattern probabilities live in
 `model.click_pattern_probabilities` (re-exported here); this module builds
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .channel import simulate_counts
+from . import channel as acquisition
 from .correlator import G2Estimate, estimate_g2
 from .model import (
     BinProbabilities,
@@ -26,9 +26,10 @@ from .model import (
     ClickCounts,
     ExperimentConfig,
     SourceParams,
+    bare_channel,
     click_pattern_probabilities,
 )
-from .rng import SWEEP_SPACE, substream
+from .rng import CHARACTERIZE_SPACE, SWEEP_SPACE, substream
 
 
 def click_probabilities(
@@ -109,7 +110,7 @@ def qef(snr_q: float, snr_c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Sweeps and source characterization
 # ---------------------------------------------------------------------------
 
 SWEEP_VARIABLES = ("mu", "background")
@@ -178,8 +179,8 @@ def _run_sweep_row(
 
     try:
         cfg = _with_value(config, variable, value)
-        counts_in = simulate_counts(cfg, True, exposure, rng)
-        counts_out = simulate_counts(cfg, False, exposure, rng)
+        counts_in = acquisition.simulate_counts(cfg, True, exposure, rng)
+        counts_out = acquisition.simulate_counts(cfg, False, exposure, rng)
     except ValueError as exc:
         return SweepRow(value, None, None, None, None, math.nan, math.nan, None, error=str(exc))
 
@@ -208,7 +209,7 @@ def _run_sweep_row(
     g2 = None
     try:
         blocked = replace(cfg, channel=replace(cfg.channel, background_per_bin=0.0))
-        g2_counts = simulate_counts(blocked, True, dwell_pulses // 2, rng)
+        g2_counts = acquisition.simulate_counts(blocked, True, dwell_pulses // 2, rng)
         g2 = estimate_g2(g2_counts)
     except ValueError as exc:
         problems.append(f"g2: {exc}")
@@ -254,27 +255,67 @@ def run_sweep(
     return SweepTable(rows)
 
 
+def _cells(obj, *attrs: str) -> list[str]:
+    """CSV cells: each attribute's repr, or nan for a statistic not formed."""
+    return ["nan" if obj is None else repr(getattr(obj, a)) for a in attrs]
+
+
+def _write_csv(path: str, columns: Sequence[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for cells in rows:
+            fh.write(",".join(cells) + "\n")
+
+
 def sweep_to_csv(table: SweepTable, path: str) -> None:
     """Write the pinned column set; statistics a row could not form are nan."""
+    rows = (
+        [
+            repr(row.value),
+            *_cells(row.counts_in, "n_signal_clicks"),
+            *_cells(row.counts_out, "n_signal_clicks"),
+            *_cells(row.counts_in, "n_coincidences"),
+            *_cells(row.counts_out, "n_coincidences"),
+            *_cells(row.snr_classical, "value", "std_err"),
+            *_cells(row.snr_quantum, "value", "std_err"),
+            repr(row.qef),
+            *_cells(row.g2, "value", "std_err"),
+        ]
+        for row in table.rows
+    )
+    _write_csv(path, CSV_COLUMNS, rows)
 
-    def opt(obj, attr) -> str:
-        return "nan" if obj is None else repr(getattr(obj, attr))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in table.rows:
-            cells = [
-                repr(row.value),
-                opt(row.counts_in, "n_signal_clicks"),
-                opt(row.counts_out, "n_signal_clicks"),
-                opt(row.counts_in, "n_coincidences"),
-                opt(row.counts_out, "n_coincidences"),
-                opt(row.snr_classical, "value"),
-                opt(row.snr_classical, "std_err"),
-                opt(row.snr_quantum, "value"),
-                opt(row.snr_quantum, "std_err"),
-                repr(row.qef),
-                opt(row.g2, "value"),
-                opt(row.g2, "std_err"),
-            ]
-            fh.write(",".join(cells) + "\n")
+CHARACTERIZE_COLUMNS = ("mu", "n_pulses", "n_signal", "n_herald", "n_coinc", "g2", "g2_err")
+CharacterizePoint = tuple[float, ClickCounts, Optional[G2Estimate]]
+
+
+def run_characterize(
+    config: ExperimentConfig, mus: Sequence[float], dwell_pulses: int
+) -> list[CharacterizePoint]:
+    """Singles, coincidences and g2 through the bare channel, one point per mu
+    in ascending order, each drawn on its own generator keyed by (seed, point
+    index). A point's g2 is None where it cannot be formed; a mu that makes
+    the config invalid raises `ConfigError`."""
+    bare = replace(config, channel=bare_channel(config.channel))
+    points = []
+    for i, mu in enumerate(sorted(mus)):
+        cfg = _with_value(bare, "mu", mu)
+        rng = substream(cfg.seed, CHARACTERIZE_SPACE, i)
+        counts = acquisition.simulate_counts(cfg, True, dwell_pulses, rng)
+        try:
+            g2 = estimate_g2(counts)
+        except ValueError:
+            g2 = None
+        points.append((mu, counts, g2))
+    return points
+
+
+def characterize_to_csv(points: Sequence[CharacterizePoint], path: str) -> None:
+    """Write the characterization columns; an undefined g2 is nan."""
+    tallies = ("n_pulses", "n_signal_clicks", "n_herald_clicks", "n_coincidences")
+    rows = (
+        [repr(mu), *_cells(counts, *tallies), *_cells(g2, "value", "std_err")]
+        for mu, counts, g2 in points
+    )
+    _write_csv(path, CHARACTERIZE_COLUMNS, rows)

@@ -35,10 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytics, imaging, model
-from .channel import simulate_counts
-from .correlator import estimate_g2
 from .model import ExperimentConfig
-from .rng import CHARACTERIZE_SPACE, substream
 
 CONFIG_ENV_VAR = "QISIM_CONFIG"
 
@@ -52,35 +49,23 @@ class UsageError(Exception):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class RunRecord:
-    timestamp: str
-    config_digest: str
-    seed: int
-    command: str
-    outputs: tuple[str, ...]
-    summary: dict
-
-    def to_json(self) -> str:
-        # RFC 8259 JSON has no NaN or Infinity; a summary holds null instead
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, allow_nan=False)
-
-
 def _record_run(
     out_path: str, config: ExperimentConfig, command: str, outputs: list[str], summary: dict
 ) -> None:
     ledger = os.path.join(os.path.dirname(os.path.abspath(out_path)), "runs.jsonl")
-    record = RunRecord(
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        config_digest=model.config_digest(config),
-        seed=config.seed,
-        command=command,
-        outputs=tuple(outputs),
-        summary=summary,
-    )
+    record = {
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "config_digest": model.config_digest(config),
+        "seed": config.seed,
+        "command": command,
+        "outputs": outputs,
+        "summary": summary,
+    }
+    # RFC 8259 JSON has no NaN or Infinity; a summary holds null instead
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
     # Append-only by construction; existing records are never touched.
     with open(ledger, "a", encoding="utf-8") as fh:
-        fh.write(record.to_json() + "\n")
+        fh.write(line + "\n")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -124,35 +109,12 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     mus = _parse_floats(args.mu)
     if not mus:
         raise UsageError("empty mu list")
-    bare = dataclasses.replace(config, channel=model.bare_channel(config.channel))
-    points = [
-        dataclasses.replace(bare, source=dataclasses.replace(bare.source, mu=mu))
-        for mu in sorted(mus)
-    ]
-    dwell = _dwell_pulses(bare, args.dwell_s)
-
-    lines = ["mu,n_pulses,n_signal,n_herald,n_coinc,g2,g2_err"]
-    for i, cfg in enumerate(points):
-        counts = simulate_counts(cfg, True, dwell, substream(cfg.seed, CHARACTERIZE_SPACE, i))
-        try:
-            g2 = estimate_g2(counts)
-            g2_val, g2_err = repr(g2.value), repr(g2.std_err)
-        except ValueError:
-            g2_val = g2_err = "nan"
-        lines.append(
-            f"{cfg.source.mu!r},{counts.n_pulses},{counts.n_signal_clicks},"
-            f"{counts.n_herald_clicks},{counts.n_coincidences},{g2_val},{g2_err}"
-        )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _record_run(
-        args.out,
-        config,
-        "characterize",
-        [args.out],
-        {"points": len(mus), "dwell_pulses": dwell},
-    )
-    print(f"wrote {args.out} ({len(mus)} points)")
+    dwell = _dwell_pulses(config, args.dwell_s)
+    points = analytics.run_characterize(config, mus, dwell)
+    analytics.characterize_to_csv(points, args.out)
+    summary = {"points": len(points), "dwell_pulses": dwell}
+    _record_run(args.out, config, "characterize", [args.out], summary)
+    print(f"wrote {args.out} ({len(points)} points)")
     return EXIT_OK
 
 
@@ -168,21 +130,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dwell = _dwell_pulses(config, args.dwell_s)
     table = analytics.run_sweep(config, args.variable, values, dwell)
     analytics.sweep_to_csv(table, args.out)
-    failed = [row.value for row in table.rows if row.error is not None]
-    _record_run(
-        args.out,
-        config,
-        "sweep",
-        [args.out],
-        {"variable": args.variable, "rows": len(table.rows), "failed_rows": len(failed)},
-    )
+    # a row failed when its counts could not be drawn, not when a statistic is undefined
+    failed = sum(row.counts_in is None for row in table.rows)
+    summary = {"variable": args.variable, "rows": len(table.rows), "failed_rows": failed}
+    _record_run(args.out, config, "sweep", [args.out], summary)
     for row in table.rows:
         if row.error is not None:
-            print(f"row {row.value!r} failed: {row.error}", file=sys.stderr)
-    if len(failed) == len(table.rows):
+            status = " failed" if row.counts_in is None else ""
+            print(f"row {row.value!r}{status}: {row.error}", file=sys.stderr)
+    if failed == len(table.rows):
         print("all sweep rows failed", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"wrote {args.out} ({len(table.rows) - len(failed)}/{len(table.rows)} rows ok)")
+    print(f"wrote {args.out} ({len(table.rows) - failed}/{len(table.rows)} rows ok)")
     return EXIT_OK
 
 

@@ -6,18 +6,26 @@ import pytest
 from qisim.analytics import (
     CSV_COLUMNS,
     analytic_g2,
+    characterize_to_csv,
     click_pattern_probabilities,
     click_probabilities,
     expected_snr_classical,
     expected_snr_quantum,
     qef,
+    run_characterize,
     run_sweep,
     snr_from_counts,
     sweep_to_csv,
 )
 from qisim.channel import simulate_counts
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams, validate_config
-from qisim.rng import substream
+from qisim.model import (
+    ChannelParams,
+    ExperimentConfig,
+    SourceParams,
+    bare_channel,
+    validate_config,
+)
+from qisim.rng import CHARACTERIZE_SPACE, substream
 
 from .conftest import assert_within_sigma
 
@@ -299,3 +307,25 @@ class TestRunSweep:
         header = path_a.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+class TestRunCharacterize:
+    def test_points_sorted_keyed_by_index_and_undefined_g2_is_nan(self, tmp_path):
+        # no darks: at mu = 0 both singles tallies are zero and g2 is undefined
+        source, channel = params(mu=0.01, dark=0.0, noise_h=0.0)
+        cfg = validate_config(ExperimentConfig(source=source, channel=channel, seed=8))
+        points = run_characterize(cfg, [0.01, 0.0], 10**6)
+        assert [mu for mu, _, _ in points] == [0.0, 0.01]
+        bare = dataclasses.replace(cfg, channel=bare_channel(channel))
+        for i, (mu, counts, _) in enumerate(points):
+            at_mu = dataclasses.replace(bare, source=dataclasses.replace(source, mu=mu))
+            rng = substream(8, CHARACTERIZE_SPACE, i)
+            assert counts == simulate_counts(at_mu, True, 10**6, rng)
+        assert points[0][2] is None and points[1][2].value > 1.0
+        path = tmp_path / "char.csv"
+        characterize_to_csv(points, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[:2] == [
+            "mu,n_pulses,n_signal,n_herald,n_coinc,g2,g2_err",
+            "0.0,1000000,0,0,0,nan,nan",
+        ]

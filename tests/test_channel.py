@@ -387,6 +387,36 @@ class TestSimulateTags:
         signals = [s.times_ps[s.channels == Channel.SIGNAL] for s in streams.values()]
         assert signals[0].size > 100 and signals[1].size < 5
 
+    def test_offsets_between_2_62_and_2_63_ps_stay_in_the_run(self):
+        # Pulse period 1e18 ps, 9 pulses, sigma 1e19 ps: many offsets exceed
+        # 2**62 ps, and those that land in [0, 9e18) keep their tags. A cut of
+        # the offsets below 2**63 that is any tighter drops some of them.
+        cfg = make_config(
+            mu=5.0,
+            eta_herald=1.0,
+            collection_fraction=1.0,
+            eta_transmit=1.0,
+            eta_signal_detector=1.0,
+            jitter_signal_ps=1e19,
+            jitter_herald_ps=1e19,
+        )
+        cfg = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, rep_rate_hz=1e-6))
+        stream = simulate_tags(cfg, True, 9, substream(0, 0))
+        assert stream.duration_ps == 9 * 10**18
+        assert stream.channels.tolist() == [1, 0, 1, 0, 1, 1, 1, 0, 1, 0]
+        assert stream.times_ps.tolist() == [
+            1326198977490941952,
+            1669855543102685184,
+            2085041502659777536,
+            3184080275309043456,
+            3780011818926797312,
+            5931374991264338432,
+            6411508685016085504,
+            6835184636583589888,
+            6967079040798311936,
+            8891329876251798528,
+        ]
+
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(ValueError, match="n_pulses"):
             simulate_tags(make_config(), True, -5, substream(8, 1))

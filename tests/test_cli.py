@@ -78,6 +78,8 @@ def imaging_config_path(tmp_path):
     return str(path)
 
 
+RECIPES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "recipes")
+
 # The examples of one hypothesis test share its tmp_path; each overwrites its files.
 SHARED_TMP_PATH = HealthCheck.function_scoped_fixture
 
@@ -173,6 +175,15 @@ class TestCharacterize:
             assert not out.exists()
         else:
             assert out.read_text().splitlines()[1].split(",")[1] == str(n_pulses)
+
+    def test_dwell_is_checked_before_mu(self, config_path, tmp_path, capsys):
+        # the order sweep has: the dwell is converted before any point's config is built
+        code = run_cli(
+            "characterize", "--config", config_path, "--mu", "-0.001", "--dwell-s", "inf",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == cli.EXIT_USAGE
+        assert "is not a finite number of seconds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dwell", ["inf", "1e30", "nan", "1e301"])
     def test_unusable_dwell_is_usage_error(self, config_path, tmp_path, dwell):
@@ -426,6 +437,24 @@ class TestSweep:
         assert rows[0] == ",".join(["-0.001"] + ["nan"] * 11)
         assert rows[1].startswith("0.005,") and "nan" not in rows[1]
 
+    def test_rows_with_counts_but_no_quantum_snr_are_not_failed(self, tmp_path, capsys):
+        # the dark-box recipe on a short grid: no row has a target-out coincidence
+        config = os.path.join(RECIPES, "paper_default.json")
+        out = tmp_path / "dark.csv"
+        code = run_cli(
+            "sweep", "--config", config, "--seed", "1", "--variable", "mu",
+            "--values", "1e-3,2.5e-3,5e-3", "--dwell-s", "2", "--out", str(out),
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "(3/3 rows ok)" in captured.out
+        assert "failed" not in captured.err
+        assert captured.err.count("quantum SNR: SNR undefined: zero background counts") == 3
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["0", "0", "0"]  # n_out_coinc
+        (line,) = (tmp_path / "runs.jsonl").read_text().splitlines()
+        assert json.loads(line)["summary"]["failed_rows"] == 0
+
     def test_no_config_anywhere_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
         code = run_cli(
@@ -563,10 +592,14 @@ class TestRunLedger:
         assert len(records) == 1
         assert records[0]["summary"]["ci_contrast"] is None
 
-    def test_ledger_refuses_non_finite_values(self):
-        record = cli.RunRecord("t", "d", 1, "image", (), {"qi_contrast": math.nan})
+    def test_ledger_refuses_non_finite_values(self, tmp_path):
+        ledger = tmp_path / "runs.jsonl"
+        ledger.write_text('{"earlier": "record"}\n')
         with pytest.raises(ValueError):
-            record.to_json()
+            cli._record_run(
+                str(tmp_path / "img_ci.pgm"), paper_default(), "image", [], {"qi_contrast": math.nan}
+            )
+        assert ledger.read_text() == '{"earlier": "record"}\n'
 
 
 def test_golden_output_digests(
