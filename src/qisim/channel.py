@@ -337,12 +337,22 @@ _CSV_BLOCK = 1 << 20  # bytes per read or write
 DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
 _INT64_MAX = b"%d" % np.iinfo(np.int64).max
 _SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
+_QUADS = (  # the four ASCII digits of 0..9999, one little-endian word each
+    (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48)
+    .astype(np.uint8).view("<u4")[:, 0]
+)
 
 
 def put_digits(cols: np.ndarray, v: np.ndarray) -> None:
     """Write the last `cols.shape[1]` decimal digits of each non-negative
-    v, right-aligned and zero-padded, as ASCII into the uint8 matrix cols."""
-    for j in range(cols.shape[1] - 1, -1, -1):
+    v, right-aligned and zero-padded, as ASCII into the uint8 matrix cols
+    (a column slice of a wider matrix will do). The digits go four to a
+    `_QUADS` word from the right; the leading `cols.shape[1] % 4` go singly."""
+    for j in range(cols.shape[1], 3, -4):
+        q = v // 10000
+        cols[:, j - 4 : j].view("<u4")[:, 0] = _QUADS[v - 10000 * q]
+        v = q
+    for j in range(cols.shape[1] % 4 - 1, -1, -1):
         q = v // 10
         cols[:, j] = v - 10 * q + ord("0")
         v = q

@@ -207,19 +207,23 @@ def _write_rows(fh, grid: np.ndarray, tail: bytes, sep: bytes) -> None:
     newline in place of each row's last sep.
 
     Each block of whole rows becomes one uint8 matrix, a matrix row per
-    sample holding its right-aligned digits, tail and sep; one boolean
-    compaction then drops each sample's unused leading columns.
+    sample holding its right-aligned digits, tail and sep, as wide as the
+    block's largest sample needs. When the block's samples differ in digit
+    count, one boolean compaction then drops each sample's unused leading
+    columns; otherwise the matrix is written as it is.
     """
     w, end = grid.shape[1], np.frombuffer(tail + sep, np.uint8)
     for block in _row_blocks(grid):
         v = block.astype(np.int64).ravel()
-        short = np.searchsorted(DIGIT_BOUNDS, v, side="right")  # digit count - 1
-        d = int(short.max()) + 1
+        d = len(b"%d" % v.max())
         m = np.empty((v.size, d + end.size), np.uint8)
         put_digits(m[:, :d], v)
         m[:, d:] = end
         m[w - 1 :: w, -1] = ord("\n")
-        fh.write(m[np.arange(m.shape[1]) >= (d - 1 - short)[:, None]].tobytes())
+        if len(b"%d" % v.min()) < d:
+            short = np.searchsorted(DIGIT_BOUNDS, v, side="right")  # digit count - 1
+            m = m[np.arange(m.shape[1]) >= (d - 1 - short)[:, None]]
+        fh.write(m.tobytes())
 
 
 def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
@@ -230,10 +234,12 @@ def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
 
 
 def write_pgm(path: str, grid: np.ndarray) -> None:
-    """Write counts as P2, linearly rescaled so the peak maps to 65535."""
+    """Write counts as P2, linearly rescaled so the peak maps to 65535
+    (any positive peak, subnormal ones included)."""
     g = PixelImage(grid).grid
-    peak = float(g.max())
-    scaled = g * (65535 / peak) if peak > 0 else np.zeros_like(g)
+    mant, e = math.frexp(float(g.max()))  # apart: 65535 / peak overflows at a subnormal peak
+    scaled = np.ldexp(g, -e)
+    scaled *= 65535 / mant if mant else 0.0
     _write_p2(path, np.rint(scaled, out=scaled), 65535)
 
 

@@ -1137,6 +1137,34 @@ class TestTagCsvCodec:
             read_tags_csv(str(path))
 
 
+class TestPutDigits:
+    # 0, then 10**k - 1 and 10**k at every k, then the int64 maximum:
+    # at every width some of these are wider than the width, some narrower
+    VALUES = np.array(sorted({0, 2**63 - 1} | {10**k + e for k in range(19) for e in (-1, 0)}))
+
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_last_digits_zero_padded_into_a_column_slice(self, width):
+        # a column slice of a wider matrix, as `write_tags_csv` and the
+        # image writers pass it; the columns around it stay untouched
+        m = np.full((self.VALUES.size, width + 10), ord("x"), np.uint8)
+        channel.put_digits(m[:, 7 : 7 + width], self.VALUES)
+        for row, v in zip(m, self.VALUES.tolist()):
+            assert row.tobytes() == b"x" * 7 + b"%0*d" % (width, v % 10**width) + b"xxx"
+
+    def test_quad_table(self):
+        assert channel._QUADS.shape == (10000,)
+        assert all(channel._QUADS[i].tobytes() == b"%04d" % i for i in range(10000))
+
+    def test_digits_go_four_at_a_time_from_the_right(self):
+        # with every word of the table replaced, the last 4k digits come
+        # from the table and only the leading width % 4 are formatted alone
+        marked = np.full(10000, int.from_bytes(b"abcd", "little"), "<u4")
+        m = np.zeros((2, 11), np.uint8)
+        with mock.patch.object(channel, "_QUADS", marked):
+            channel.put_digits(m, np.array([12345678901, 0]))
+        assert m.tobytes() == b"123abcdabcd" + b"000abcdabcd"
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     mu=st.floats(0.0, 0.05, allow_nan=False),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,21 @@ class TestPgmIo:
         assert values.max() == 65535
         assert values[0, 0] == 0
 
+    @pytest.mark.parametrize(
+        "grid", [[[0.0, 5e-324]], [[2e-310, 1e-310]], [[1e-320, 3e-321], [0.0, 2.5e-315]]]
+    )
+    def test_subnormal_peak_scales_like_a_normal_one(self, tmp_path, grid):
+        # 65535 / peak overflowed for such peaks, and the samples were
+        # written from NaN and inf cast to int64
+        g = np.array(grid)
+        tiny, normal = tmp_path / "tiny.pgm", tmp_path / "normal.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_pgm(str(tiny), g)
+            write_pgm(str(normal), g * 2.0**1000)
+        assert tiny.read_bytes() == normal.read_bytes()
+        assert read_pgm(str(tiny))[0].max() == 65535
+
     def test_all_zero_image(self, tmp_path):
         path = tmp_path / "zero.pgm"
         write_pgm(str(path), np.zeros((2, 2)))
@@ -368,6 +384,37 @@ class TestImageWriters:
             image_to_csv(PixelImage(grid), str(new))
         repr_image_to_csv(PixelImage(grid), str(old))
         assert new.read_bytes() == old.read_bytes()
+
+    def test_one_width_blocks_are_written_without_compaction(self, tmp_path):
+        # every sample has 5 digits, so no block looks up digit counts
+        grid = np.random.default_rng(5).integers(10**4, P2_TOP, (30, 40)).astype(np.float64)
+        grid[0, 0] = P2_TOP
+        new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+        with mock.patch.object(imaging.np, "searchsorted", side_effect=AssertionError):
+            write_pgm(str(new), grid)
+        join_write_pgm(str(old), grid)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize(
+        "block, compacted",
+        [
+            (imaging._ROW_BLOCK, 1),  # one block holding 1- and 5-digit samples
+            (3, 1),  # a block per row: 5 digits, mixed, 1 digit, 5 digits
+        ],
+    )
+    def test_mixed_width_blocks_are_compacted(self, block, compacted, tmp_path):
+        grid = np.array(
+            [[P2_TOP, 10**4, 54321], [0, P2_TOP, 9], [1, 2, 3], [P2_TOP, P2_TOP, P2_TOP]], float
+        )
+        new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+        with (
+            mock.patch.object(imaging, "_ROW_BLOCK", block),
+            mock.patch.object(imaging.np, "searchsorted", wraps=np.searchsorted) as lookup,
+        ):
+            write_pgm(str(new), grid)
+        join_write_pgm(str(old), grid)
+        assert new.read_bytes() == old.read_bytes()
+        assert lookup.call_count == compacted
 
     def test_csv_exact_bytes(self, tmp_path):
         path = tmp_path / "img.csv"
