@@ -10,8 +10,6 @@ coherence.
 """
 
 from .analytics import (
-    G2Estimate,
-    SnrResult,
     SweepRow,
     SweepTable,
     analytic_g2,
@@ -54,6 +52,7 @@ from .model import (
     ChannelParams,
     ClickCounts,
     ConfigError,
+    Estimate,
     ExperimentConfig,
     SourceParams,
     bare_channel,

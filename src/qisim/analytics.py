@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import channel as acquisition
-from .correlator import G2Estimate, estimate_g2
+from .correlator import estimate_g2
 from .model import (
     BinProbabilities,
     ChannelParams,
     ClickCounts,
+    Estimate,
     ExperimentConfig,
     SourceParams,
     bare_channel,
@@ -54,16 +55,8 @@ def analytic_g2(source: SourceParams, channel: ChannelParams, target_in: bool = 
     return bp.p_coincidence / (bp.p_signal * bp.p_herald)
 
 
-@dataclass(frozen=True)
-class SnrResult:
-    """Target in/out signal-to-noise ratio with delta-method uncertainty."""
-
-    value: float
-    std_err: float
-
-
-def snr_from_counts(n_in: int, n_out: int) -> SnrResult:
-    """SNR = (N_in - N_out)/N_out from equal-exposure tallies.
+def snr_from_counts(n_in: int, n_out: int) -> Estimate:
+    """Target in/out SNR = (N_in - N_out)/N_out from equal-exposure tallies.
 
     The uncertainty treats N_in and N_out as independent Poisson counts:
     var = N_in/N_out^2 + N_in^2 N_out/N_out^4.
@@ -74,7 +67,7 @@ def snr_from_counts(n_in: int, n_out: int) -> SnrResult:
         raise ValueError("n_in must be non-negative")
     value = n_in / n_out - 1.0
     var = n_in / n_out**2 + (n_in * n_in) / n_out**3
-    return SnrResult(value=value, std_err=math.sqrt(var))
+    return Estimate(value=value, std_err=math.sqrt(var))
 
 
 def expected_snr_classical(eta: float, p_s: float, p_b: float) -> float:
@@ -121,11 +114,11 @@ class SweepRow:
     value: float
     counts_in: Optional[ClickCounts]
     counts_out: Optional[ClickCounts]
-    snr_classical: Optional[SnrResult]
-    snr_quantum: Optional[SnrResult]
+    snr_classical: Optional[Estimate]
+    snr_quantum: Optional[Estimate]
     qef: float
     qef_err: float
-    g2: Optional[G2Estimate]
+    g2: Optional[Estimate]
     error: Optional[str] = None
 
 
@@ -287,7 +280,7 @@ def sweep_to_csv(table: SweepTable, path: str) -> None:
 
 
 CHARACTERIZE_COLUMNS = ("mu", "n_pulses", "n_signal", "n_herald", "n_coinc", "g2", "g2_err")
-CharacterizePoint = tuple[float, ClickCounts, Optional[G2Estimate]]
+CharacterizePoint = tuple[float, ClickCounts, Optional[Estimate]]
 
 
 def run_characterize(

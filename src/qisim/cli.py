@@ -187,6 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help=f"config JSON path (default ${CONFIG_ENV_VAR})")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
+            "--dwell-s", type=float, default=None,
+            help="seconds per point, sweep point or pixel (default: config n_pulses)",
+        )
+        p.add_argument(
             "--threads", type=int, default=1,
             help="accepted for compatibility; has no effect (every run is one process)",
         )
@@ -194,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="source counts and correlation vs mu")
     common(p)
     p.add_argument("--mu", required=True, help="comma-separated mean photon numbers")
-    p.add_argument("--dwell-s", type=float, default=None,
-                   help="seconds per point (default: config n_pulses)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_characterize)
 
@@ -208,16 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="interpret background values as counts/s instead of per bin",
     )
-    p.add_argument("--dwell-s", type=float, default=None,
-                   help="seconds per sweep point (default: config n_pulses)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("image", help="raster-scan a PGM reflectivity scene")
     common(p)
     p.add_argument("--scene", required=True, help="scene PGM (P2) path")
-    p.add_argument("--dwell-s", type=float, default=None,
-                   help="seconds per pixel (default: config n_pulses)")
     p.add_argument("--out-prefix", required=True, help="output path prefix")
     p.add_argument("--smooth", action="store_true", help="also write 2x upsampled PGMs")
     p.set_defaults(func=cmd_image)

@@ -18,20 +18,10 @@ among the occupied bins, so coincidences = signal + herald - occupied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import Channel, TimeTagStream, bin_indices
-from .model import ClickCounts
-
-
-@dataclass(frozen=True)
-class G2Estimate:
-    """Signal-herald correlation g2 = P_sh / (P_s * P_h) with its uncertainty."""
-
-    value: float
-    std_err: float
+from .model import ClickCounts, Estimate
 
 
 _BLOCK = 1 << 16  # tags per reduction block, before its end moves to a safe cut
@@ -156,8 +146,9 @@ def _cluster_pairs(t: np.ndarray, c: np.ndarray, half_window_ps: int) -> int:
     return count
 
 
-def estimate_g2(counts: ClickCounts) -> G2Estimate:
-    """Pair correlation from per-run tallies.
+def estimate_g2(counts: ClickCounts) -> Estimate:
+    """Signal-herald pair correlation g2 = P_sh / (P_s * P_h) from per-run
+    tallies, as an `Estimate` of its value and standard error.
 
     g2 = (C/n) / ((N_s/n)(N_h/n)). The uncertainty is first-order
     propagation of independent Poisson counting errors on C, N_s, N_h;
@@ -179,4 +170,4 @@ def estimate_g2(counts: ClickCounts) -> G2Estimate:
         + counts.n_coincidences**2 / counts.n_signal_clicks
         + counts.n_coincidences**2 / counts.n_herald_clicks
     )
-    return G2Estimate(value=value, std_err=float(np.sqrt(var)))
+    return Estimate(value=value, std_err=float(np.sqrt(var)))

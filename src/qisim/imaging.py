@@ -135,12 +135,15 @@ def contrast(image: PixelImage, foreground_mask: np.ndarray) -> float:
 
 
 _PGM_COMMENT = rb"#[^\r\n]*"  # to the end of its line; compiled on first use
-_PGM_ALLOWED = b"0123456789 \t\n\r\v\f"  # digits and the whitespace of bytes.split
+_PGM_ALLOWED = b"0123456789 \t\n\r\v\f"  # digits and the six bytes split() and fromstring split on
 
 
 def read_pgm(path: str) -> tuple[np.ndarray, int]:
     """Read a P2 graymap; returns (values, maxval). Comments are skipped.
-    Every other token must be ASCII digits, and maxval lies in [1, 65535]."""
+    Every other token must be ASCII digits, and maxval lies in [1, 65535].
+    Samples may carry leading zeros. numpy's text parser reads them into
+    int64, where a value too large to hold saturates at 2**63 - 1, so a
+    sample above maxval, of any length, is out of range."""
     with open(path, "rb") as fh:
         data = re.sub(_PGM_COMMENT, b"", fh.read())
     tokens = data.split(None, 4)  # magic, width, height, maxval, samples
@@ -153,43 +156,19 @@ def read_pgm(path: str) -> tuple[np.ndarray, int]:
         raise ValueError("bad scene: malformed PGM header or samples")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
-        values = _digit_tokens(samples)
-    except ValueError as exc:  # a token of over 4300 digits
+    except ValueError as exc:  # a header token of over 4300 digits
         raise ValueError("bad scene: malformed PGM header or samples") from exc
-    except OverflowError as exc:  # beyond int64
-        raise ValueError("bad scene: sample out of range") from exc
     if width < 1 or height < 1 or maxval < 1:
         raise ValueError("bad scene: non-positive PGM dimensions")
     if maxval > 65535:
         raise ValueError("bad scene: malformed PGM header or samples")
+    # split() leaves no whitespace-only section, which fromstring would read as [0]
+    values = np.fromstring(samples, dtype=np.int64, sep=" ")
     if values.size != width * height:
         raise ValueError("bad scene: sample count does not match dimensions")
     if np.any(values > maxval):
         raise ValueError("bad scene: sample out of range")
     return values.reshape(height, width), maxval
-
-
-def _digit_tokens(text: bytes) -> np.ndarray:
-    """The whitespace-separated tokens of text, all ASCII digits, as int64.
-
-    Tokens are summed one digit column at a time, from the right, over all
-    tokens at once. A token of more than 18 digits goes through int(),
-    which raises ValueError past 4300 digits; a value past int64 raises
-    OverflowError when it is stored.
-    """
-    a = np.frombuffer(text, np.uint8)
-    digit = np.zeros(a.size + 2, dtype=bool)
-    np.less(a - np.uint8(ord("0")), 10, out=digit[1:-1])
-    edges = np.flatnonzero(digit[1:] != digit[:-1])  # token starts and ends, alternating
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
-    values = np.zeros(starts.size, dtype=np.int64)
-    for j in range(1, min(int(lengths.max(initial=0)), 18) + 1):
-        at = ends - j  # before its token's start (or negative), it is masked
-        values += np.where(at >= starts, a[at].astype(np.int64) - ord("0"), 0) * 10 ** (j - 1)
-    for i in np.flatnonzero(lengths > 18).tolist():
-        values[i] = int(text[starts[i] : ends[i]])
-    return values
 
 
 _ROW_BLOCK = 1 << 14  # samples per formatted block

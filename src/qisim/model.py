@@ -147,6 +147,14 @@ class ClickCounts:
             raise ValueError("more clicks than pulses on one channel")
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """A measured statistic (an SNR, a pair correlation g2) and its standard error."""
+
+    value: float
+    std_err: float
+
+
 _FRECHET_TOL = 1e-9
 
 

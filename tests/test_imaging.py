@@ -268,6 +268,12 @@ class TestPgmIo:
             ("P2\n2 1\n65536\n5 0\n", "malformed"),  # the Netpbm maxval limit
             ("P2\n2 1\n0\n0 0\n", "non-positive"),
             ("P2\n2 1\n255\n%s 0\n" % ("9" * 30), "sample out of range"),  # past int64
+            pytest.param(f"P2 2 1 255 {2**63} 0", "sample out of range", id="2**63"),
+            pytest.param(f"P2 2 1 255 {2**64 + 5} 0", "sample out of range", id="2**64+5"),
+            # past int()'s 4300-digit limit
+            pytest.param("P2 2 1 255 %s 0" % ("9" * 5000), "sample out of range", id="9*5000"),
+            pytest.param("P2\n2 1\n255\n", "sample count does not", id="no samples"),
+            pytest.param("", "not a plain PGM", id="empty file"),
         ],
     )
     def test_tokens_pgm_does_not_allow_rejected(self, tmp_path, content, message):
@@ -289,6 +295,42 @@ class TestPgmIo:
         path.write_text("P2\n2 1\n65535\n65535 00007\n")
         values, maxval = read_pgm(str(path))
         assert maxval == 65535 and values.tolist() == [[65535, 7]]
+
+    def test_leading_zeros_of_any_length_are_read(self, tmp_path):
+        path = tmp_path / "zeros.pgm"
+        path.write_text("P2\n2 1\n255\n" + "0" * 5000 + "7 0\n")
+        assert read_pgm(str(path))[0].tolist() == [[7, 0]]
+
+    @settings(
+        max_examples=300, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        maxval=st.integers(1, 65535),
+        samples=st.lists(
+            st.tuples(
+                st.builds(lambda z, v: "0" * z + str(v), st.integers(0, 20), st.integers(0, 65535))
+                | st.text("0123456789", min_size=1, max_size=25),
+                st.text(" \t\n\r\v\f", min_size=1, max_size=3),
+                st.none() | st.text("# 0123456789P\t", max_size=6),  # a comment to line end
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_samples_read_like_int_of_each_token(self, tmp_path, maxval, samples):
+        # Oracle: int() of each whitespace-separated token, with comments
+        # cut; a value above maxval, however many digits, is out of range.
+        text = "".join(t + sep + ("" if c is None else f"#{c}\n") for t, sep, c in samples)
+        clean = "".join(t + sep + ("" if c is None else "\n") for t, sep, c in samples)
+        expected = [int(t) for t in clean.split()]
+        path = tmp_path / "oracle.pgm"
+        path.write_text(f"P2\n{len(expected)} 1\n{maxval}\n{text}", newline="")
+        if max(expected) <= maxval:
+            values, got_maxval = read_pgm(str(path))
+            assert values.tolist() == [expected] and got_maxval == maxval
+        else:
+            with pytest.raises(ValueError, match="^bad scene: sample out of range$"):
+                read_pgm(str(path))
 
     def test_scene_reflectivity_bounds(self):
         with pytest.raises(ValueError):

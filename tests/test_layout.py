@@ -140,3 +140,35 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_"):
                     offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.name}")
     assert not offenders, f"private names imported across modules: {offenders}"
+
+
+def test_no_two_plain_dataclasses_declare_the_same_fields():
+    # Two dataclasses with the same field names and annotations and no
+    # invariant of their own are one result type under two names. A class
+    # with a __post_init__ enforces an invariant, so it may share its fields
+    # (Scene and PixelImage check different value ranges).
+    seen = {}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = {
+                ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list
+            }
+            if not decorators & {"dataclass", "dataclasses.dataclass"}:
+                continue
+            if any(getattr(item, "name", None) == "__post_init__" for item in node.body):
+                continue
+            shape = tuple(
+                (item.target.id, ast.unparse(item.annotation))
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+            name = f"{path.relative_to(PACKAGE)}:{node.name}"
+            if shape in seen:
+                offenders.append(f"{seen[shape]} and {name}")
+            seen.setdefault(shape, name)
+    assert len(seen) >= 4  # the rule sees the config parts, the sweep types and Estimate
+    assert not offenders, f"dataclasses with the same fields: {offenders}"

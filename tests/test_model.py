@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qisim.model import (
@@ -632,6 +632,11 @@ class TestClickPatternProbabilities:
             },
         ),
         target_in=st.booleans(),
+    )
+    @example(  # P(S) rounds to 1, and 1 - p11 - p10 - p01 to -2**-54: p00 needs its clamp
+        source=SourceParams(mu=1e-3, eta_herald=0.2, noise_herald_per_bin=0.4),
+        channel=ChannelParams(background_per_bin=37.0),
+        target_in=True,
     )
     def test_patterns_are_probabilities_over_the_accepted_domain(self, source, channel, target_in):
         # every value _BOUNDS accepts, up to mu = float max: no overflow, no NaN

@@ -1,8 +1,10 @@
 """The paper's figures: each command of the README's "Paper figures"
 section, run through `cli.main` on the committed inputs in recipes/ at a
-short dwell; and a smoke test of the one driver left in scripts/."""
+short dwell; a smoke test of the one driver left in scripts/; and the
+data of the hand mutants that scripts/run_mutants.py applies."""
 
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -146,3 +148,18 @@ def test_script_runs_with_defaults(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert os.listdir(tmp_path) == [Path(script).stem + ".csv"]
+
+
+def test_mutants_data_is_well_formed():
+    # what scripts/run_mutants.py needs of each entry; the runner itself,
+    # a test run per mutant, is not part of this suite
+    mutants = json.loads((ROOT / "scripts" / "mutants.json").read_text(encoding="utf-8"))
+    assert len(mutants) >= 40
+    assert len({m["id"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert set(m) <= {"id", "file", "old", "new", "tests", "expect", "why"}, m["id"]
+        assert (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"]) == 1, m["id"]
+        assert m["new"] != m["old"], m["id"]
+        assert m["tests"] and all((ROOT / t).exists() for t in m["tests"]), m["id"]
+        assert m["expect"] in ("killed", "survives"), m["id"]
+        assert m["expect"] == "killed" or m.get("why"), m["id"]
