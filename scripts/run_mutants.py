@@ -11,9 +11,11 @@ temporary directory, without `.git` and the ignored output directories,
 the copy is mutated, and `python -m pytest -q -x -p no:cacheprovider
 <tests>` runs there with `PYTHONPATH=<copy>/src`. It leaves out
 `DATA_TEST`, which checks each old text against the source and so fails
-in every mutated copy. The working tree is never written to. One line is
-printed per mutant; the exit status is 1 if any outcome differs from its
-`expect`.
+in every mutated copy. A test run that takes more than `TIMEOUT_S`
+seconds is stopped and counts as `killed`: a mutant that hangs the tests
+(a loop that never ends, say) is detected. The working tree is never
+written to. One line is printed per mutant; the exit status is 1 if any
+outcome differs from its `expect`.
 
 The standard library is all this script uses. Each mutant costs a run of
 its test files, so the full list takes several minutes.
@@ -33,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = ROOT / "scripts" / "mutants.json"
 DATA_TEST = "tests/test_scripts.py::test_mutants_data_is_well_formed"
+TIMEOUT_S = 300  # per mutant; each runs in well under a minute
 SKIP = shutil.ignore_patterns(
     ".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__", "*.egg-info",
     "build", "results", "out",
@@ -52,7 +55,10 @@ def run(mutant: dict) -> str:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
         cmd += [*mutant["tests"], "--deselect", DATA_TEST]
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True)
+        try:
+            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
     return {0: "survives", 1: "killed"}.get(done.returncode, f"error{done.returncode}")
 
 

@@ -5,14 +5,16 @@ builds the image. Singles and coincidences come from the same simulated
 acquisition per pixel, so the classical (CI) and pair-correlated (QI)
 images are noise-correlated exactly as when both statistics are recorded
 simultaneously. The background stays on for every pixel. The whole scan
-is one multinomial draw over per-pixel click-pattern probabilities.
+is two vectorized binomial draws over the grid: each pixel's singles,
+then the coincidences among them.
 
 Scenes load from plain-text portable graymaps (PGM P2) with reflectivity
 gray/maxval; images export to PGM P2 rescaled to maxval 65535 plus a raw
 CSV of unscaled counts. The CSV holds integral counts below 1e16, each
 written as `repr(float(count))`, that is its digits and `.0`; any other
 grid (an `interpolate4` output, say) is rejected with a `ValueError`.
-Scenes and images hold finite, non-empty grids.
+Scenes and images hold finite, non-empty grids in read-only arrays of
+their own, and are frozen.
 """
 
 from __future__ import annotations
@@ -28,30 +30,49 @@ from .model import ExperimentConfig, click_pattern_probabilities
 from .rng import PIXEL_SPACE, substream
 
 
-@dataclass
+def _owned(grid) -> np.ndarray:
+    """grid as a read-only float64 array that no caller can write through:
+    a copy when the array would be the argument or a view of it."""
+    g = np.asarray(grid, dtype=np.float64)
+    if g is grid or g.base is not None:
+        g = g.copy()
+    g.flags.writeable = False
+    return g
+
+
+def _check_image(g: np.ndarray) -> None:
+    if g.ndim != 2 or min(g.shape) < 1:
+        raise ValueError("image grid must be a non-empty 2-D array")
+    if not np.all((g >= 0) & (g < np.inf)):  # NaN fails too
+        raise ValueError("image values must be finite and non-negative")
+
+
+@dataclass(frozen=True)
 class Scene:
-    """Reflectivity map in [0, 1]."""
+    """Reflectivity map in [0, 1], held in a read-only array of its own."""
 
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=np.float64)
-        if self.grid.ndim != 2 or min(self.grid.shape) < 1:
+        grid = _owned(self.grid)
+        if grid.ndim != 2 or min(grid.shape) < 1:
             raise ValueError("scene grid must be a non-empty 2-D array")
-        if not np.all((self.grid >= 0) & (self.grid <= 1)):  # NaN fails too
+        if not np.all((grid >= 0) & (grid <= 1)):  # NaN fails too
             raise ValueError("scene reflectivity must lie in [0, 1]")
+        object.__setattr__(self, "grid", grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PixelImage:
-    grid: np.ndarray  # counts (or rates), finite and non-negative
+    """Counts (or rates), finite and non-negative, held in a read-only
+    array of its own."""
+
+    grid: np.ndarray
 
     def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=np.float64)
-        if self.grid.ndim != 2 or min(self.grid.shape) < 1:
-            raise ValueError("image grid must be a non-empty 2-D array")
-        if not np.all((self.grid >= 0) & (self.grid < np.inf)):  # NaN fails too
-            raise ValueError("image values must be finite and non-negative")
+        grid = _owned(self.grid)
+        _check_image(grid)
+        object.__setattr__(self, "grid", grid)
 
 
 def two_level_scene(height: int, width: int) -> tuple[Scene, np.ndarray]:
@@ -74,18 +95,25 @@ def raster_scan(
     once from one generator keyed by (seed, PIXEL_SPACE), so a rerun with
     the same seed is identical. max_workers is accepted for compatibility
     and has no effect.
+
+    Of a pixel's four click patterns only two tallies make images: the
+    singles CI = n11 + n10 and the coincidences QI = n11. They are drawn
+    as the first two links of the multinomial's chain of conditional
+    binomials (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. XI), CI ~ Bin(dwell, p_s) with p_s = p11 + p10, then
+    QI ~ Bin(CI, p11 / p_s), so (CI, QI) has the multinomial's joint law
+    and QI <= CI holds by construction. A pixel with p_s = 0 has CI = 0
+    and takes the share as 0.
     """
     if dwell_pulses < 1:
         raise ValueError("dwell_pulses must be at least 1")
-    pixels = replace(config.channel, target_reflectivity=scene.grid.ravel())
-    patterns = np.stack(click_pattern_probabilities(config.source, pixels, True), axis=-1)
-    counts = substream(config.seed, PIXEL_SPACE).multinomial(dwell_pulses, patterns)
-    n11, n10 = counts[:, 0], counts[:, 1]
-    shape = scene.grid.shape
-    return (
-        PixelImage((n11 + n10).reshape(shape)),
-        PixelImage(n11.reshape(shape)),
-    )
+    pixels = replace(config.channel, target_reflectivity=scene.grid)
+    p11, p10, _, _ = click_pattern_probabilities(config.source, pixels, True)
+    p_s = p11 + p10
+    share = np.divide(p11, p_s, out=np.zeros_like(p_s), where=p_s > 0)
+    rng = substream(config.seed, PIXEL_SPACE)
+    ci = rng.binomial(dwell_pulses, p_s)
+    return PixelImage(ci), PixelImage(rng.binomial(ci, share))
 
 
 def interpolate4(image: PixelImage) -> PixelImage:
@@ -215,7 +243,8 @@ def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
 def write_pgm(path: str, grid: np.ndarray) -> None:
     """Write counts as P2, linearly rescaled so the peak maps to 65535
     (any positive peak, subnormal ones included)."""
-    g = PixelImage(grid).grid
+    g = np.asarray(grid, dtype=np.float64)
+    _check_image(g)  # PixelImage's check, without its copy
     mant, e = math.frexp(float(g.max()))  # apart: 65535 / peak overflows at a subnormal peak
     scaled = np.ldexp(g, -e)
     scaled *= 65535 / mant if mant else 0.0

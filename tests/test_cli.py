@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qisim import cli
-from qisim.imaging import Scene, scene_to_pgm, two_level_scene
+from qisim.imaging import PixelImage, Scene, contrast, scene_to_pgm, two_level_scene
 from qisim.model import (
     ChannelParams,
     ExperimentConfig,
@@ -504,6 +504,25 @@ class TestImage:
                 summary[key] = value
         assert float(summary["qi_contrast"]) > float(summary["ci_contrast"])
 
+    def test_level_exactly_midway_is_background(self, imaging_config_path, tmp_path):
+        # levels 0, 0.5 and 1: only the brightest row is foreground
+        scene = tmp_path / "three.pgm"
+        scene.write_text("P2\n4 3\n2\n0 0 0 0\n1 1 1 1\n2 2 2 2\n")
+        prefix = str(tmp_path / "img")
+        code = run_cli(
+            "image",
+            "--config", imaging_config_path,
+            "--scene", str(scene),
+            "--dwell-s", "1",
+            "--out-prefix", prefix,
+        )
+        assert code == 0
+        mask = np.array([[False] * 4, [False] * 4, [True] * 4])
+        summary = json.loads((tmp_path / "runs.jsonl").read_text())["summary"]
+        for tag in ("ci", "qi"):
+            grid = np.loadtxt(f"{prefix}_{tag}.csv", delimiter=",")
+            assert summary[f"{tag}_contrast"] == contrast(PixelImage(grid), mask)
+
     def test_missing_scene_is_io_error(self, imaging_config_path, tmp_path):
         code = run_cli(
             "image",
@@ -571,14 +590,16 @@ class TestRunLedger:
         assert run_cli("frobnicate") == cli.EXIT_USAGE
 
     def test_infinite_contrast_is_null_in_the_ledger(self, imaging_config_path, tmp_path, capsys):
-        # one pixel per class: both classes have zero variance
+        # one pixel per class: both classes have zero variance. The
+        # foreground adds ~12.6 singles/s to a ~14,001/s background, so at
+        # 1e5 s per pixel it wins by ~24 sigma; at 1 s either pixel may win.
         scene = tmp_path / "pair.pgm"
         scene_to_pgm(Scene(np.array([[0.0, 1.0]])), str(scene))
         code = run_cli(
             "image",
             "--config", imaging_config_path,
             "--scene", str(scene),
-            "--dwell-s", "1",
+            "--dwell-s", "100000",
             "--out-prefix", str(tmp_path / "img"),
         )
         assert code == 0
@@ -642,10 +663,10 @@ def test_golden_output_digests(
         "out/char.csv": "c4c83784dc21e421928da93824eda47968ca79c9c3dbec68d77921526dfdfc56",
         "out/mu.csv": "3f386747049fbf27a3abb37bc686758a954e0e6924e99ca71888f6222f607ea0",
         "out/bg.csv": "00d0e1347871b0a89bf084ee07258b2aea0970b9185dcf3dc2ec353fc0ea8536",
-        "out/img_ci.pgm": "7318d8ac095d673a8401555bda09c85c4d3a045ad1d0a4ad659a373334a9dba2",
-        "out/img_ci.csv": "854668493fbcba1eb2bd16c090eedaac6a91e347264a0d9c3cde605c64daf00d",
-        "out/img_ci_smooth.pgm": "c1285a07e4d9e548a56df21abb73f4171880a5fc37c4d70dea6d782fded3dfce",
-        "out/img_qi.pgm": "9c9ea1fbe6ffa60d4c3460f84d91e576104afb5b6d2a41f7ec01afe4527be41b",
-        "out/img_qi.csv": "93cd69c2729a64a282f475720ca915173f3cb5448b6106dae297be4e4ff5b4dc",
-        "out/img_qi_smooth.pgm": "d935b2356596bd2667d0be7b9e7d67fc520b17d37f3e6d06ca9d2207c5c006a3",
+        "out/img_ci.pgm": "c7365073c2b1f993c8d73480eba7ef749f281da1ec574731d8b7e4164ee28038",
+        "out/img_ci.csv": "834b7811ff5ca777867577e7d4625737546f13ab2309228d2ded8c9e7d1aa7ec",
+        "out/img_ci_smooth.pgm": "a8fdf9b2d79aeb2f1ece2851e05fb147583e4277be50bc259972a14aae627140",
+        "out/img_qi.pgm": "3c10914e6b3284b49067ed770c1b4c535812f83a71ca4e0706ace551615881ad",
+        "out/img_qi.csv": "411d0b8bfae495a3bee83fef321f275c92c061a440f33f480e267cbb54c82aeb",
+        "out/img_qi_smooth.pgm": "5134ae22e8924d4dd4ee2843c01666d89e1ea17a70b4586de5ef37c374f4fed0",
     }

@@ -179,6 +179,40 @@ class TestRasterScan:
             for name, img, p in (("CI", ci, p11 + p10), ("QI", qi, p11)):
                 assert_within_sigma(img.grid[sel].sum(), n * p, binomial_std(n, p), f"{label} {name}")
 
+    def test_joint_law_of_singles_and_coincidences(self):
+        # Per pixel, (CI, QI) = (n11 + n10, n11) of one multinomial over
+        # dwell pulses. On a uniform 128x128 scene each sample moment over
+        # the pixels must lie within SIGMA of its own standard error
+        # (normal-order forms) of N p_s (1 - p_s), N p11 (1 - p11) and, for
+        # the covariance, N p11 (1 - p_s).
+        cfg = imaging_config(mu=0.5, eta_sig=0.5, eta_h=0.5, beta=0.05, seed=26)
+        dwell = 1000
+        ci, qi = raster_scan(Scene(np.full((128, 128), 0.8)), cfg, dwell)
+        channel = dataclasses.replace(cfg.channel, target_reflectivity=0.8)
+        p11, p10, _, _ = click_pattern_probabilities(cfg.source, channel, True)
+        p_s = p11 + p10
+        x, y = ci.grid.ravel(), qi.grid.ravel()
+        n = x.size
+        var_x, var_y = dwell * p_s * (1 - p_s), dwell * p11 * (1 - p11)
+        cov = dwell * p11 * (1 - p_s)
+        assert_within_sigma(x.mean(), dwell * p_s, math.sqrt(var_x / n), "CI mean")
+        assert_within_sigma(y.mean(), dwell * p11, math.sqrt(var_y / n), "QI mean")
+        assert_within_sigma(x.var(ddof=1), var_x, var_x * math.sqrt(2 / n), "CI variance")
+        assert_within_sigma(y.var(ddof=1), var_y, var_y * math.sqrt(2 / n), "QI variance")
+        cov_std = math.sqrt((var_x * var_y + cov**2) / n)
+        assert_within_sigma(np.cov(x, y)[0, 1], cov, cov_std, "CI-QI covariance")
+
+    def test_large_mu_with_unit_herald_is_all_coincidences(self):
+        # every pulse clicks both detectors; mu eta_sig eta_h = 720 is past
+        # exp's overflow at ~709.78, so the patterns must not go NaN there
+        cfg = imaging_config(mu=1200.0, eta_sig=0.6, eta_h=1.0)
+        dwell = 10**12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci, qi = raster_scan(Scene(np.ones((3, 4))), cfg, dwell)
+        assert np.all(ci.grid == dwell)
+        assert np.all(qi.grid == dwell)
+
     def test_contrast_flip_under_jamming(self):
         scene, mask = two_level_scene(8, 8)
         dwell = 800_000_000  # 10 s per pixel
@@ -364,6 +398,27 @@ class TestPgmIo:
         with pytest.raises(ValueError, match=message):
             write_pgm(str(path), np.asarray(grid, dtype=float))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", [Scene, PixelImage])
+class TestOwnedGrids:
+    def test_caller_mutation_leaves_the_object_unchanged(self, kind):
+        values = np.array([[0.0, 0.5], [1.0, 0.25]])
+        whole, column = kind(values), kind(values[:, :1])
+        values[:] = 0.75
+        assert whole.grid.tolist() == [[0.0, 0.5], [1.0, 0.25]]
+        assert column.grid.tolist() == [[0.0], [1.0]]
+
+    def test_writing_into_the_grid_raises(self, kind):
+        obj = kind(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            obj.grid[0, 0] = 0.5
+        assert obj.grid.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_assigning_the_grid_raises(self, kind):
+        obj = kind(np.ones((2, 2)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.grid = np.zeros((2, 2))
 
 
 SHARED_TMP_PATH = HealthCheck.function_scoped_fixture

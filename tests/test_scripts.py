@@ -1,9 +1,11 @@
 """The paper's figures: each command of the README's "Paper figures"
 section, run through `cli.main` on the committed inputs in recipes/ at a
 short dwell; a smoke test of the one driver left in scripts/; and the
-data of the hand mutants that scripts/run_mutants.py applies."""
+data of the hand mutants that scripts/run_mutants.py applies, and how it
+scores a mutant whose tests hang."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -29,8 +31,8 @@ def image_recipe(config: str, seed: str, dwell_s: str, prefix: str) -> list[str]
 
 # The README's commands with a short dwell, and the SHA-256 of every file
 # each writes but the run ledger, which holds timestamps. The jamming CSV
-# and the twelve PGMs are the bytes that the driver scripts these commands
-# replaced wrote at the same seed and dwell.
+# is the bytes that the driver script its command replaced wrote at the same
+# seed and dwell.
 RECIPES = {
     "jamming": (
         ["sweep", "--config", "recipes/paper_default.json", "--seed", "2",
@@ -47,34 +49,34 @@ RECIPES = {
     "quiet": (
         image_recipe("imaging_quiet.json", "4", "1", "quiet"),
         {
-            "quiet_ci.pgm": "64a654f92f63f114838f497131b09c3b6b792c1c2a4bc6026dc2c864b65077b7",
-            "quiet_ci_smooth.pgm": "985ab39fe4a9894bb975c959ab4959dd3b904c343bebc943a119c709049becf8",
-            "quiet_qi.pgm": "60816903a84930d7249523b1d65568514ce68582295092a7ca0de2b6e53a93dd",
-            "quiet_qi_smooth.pgm": "37482cd948720cbae1121caf2236ff8f937fde903e966767ea0f25b42c521e24",
-            "quiet_ci.csv": "f9ba3bef74052872d020ab7fb5bc05c8e808be459b5d6e88b5d6d56da012a5d4",
-            "quiet_qi.csv": "97fef5809a180a8599ca8d780bf49cf29c2818b7d767f2b3755abd9c5e172633",
+            "quiet_ci.pgm": "97045279c16aee4edd21bf30848e0475debb78b4d744dec507f731989b020db3",
+            "quiet_ci_smooth.pgm": "18bd9dc3fae8c9d59677a551626ad11c7f66fb6613b5197c41845f42755be27b",
+            "quiet_qi.pgm": "0159d29c56e073a03fc2deb5330e0b5e8d05cd9cfebc4fa71ee26b05a7301602",
+            "quiet_qi_smooth.pgm": "ff742b722d2b9780bee151f8e581e290b37741ae9df2a9573b23b220eb924cb3",
+            "quiet_ci.csv": "f330158fdcd7e6e2eab89f9bb9eaeb8e0220e56f2118af065dbccc417c584c4e",
+            "quiet_qi.csv": "564b447ddc0d228ea78c56a33523933890dc458c1b176399fb07bc0d7e05c2a6",
         },
     ),
     "jammed": (
         image_recipe("imaging_jammed.json", "5", "1", "jammed"),
         {
-            "jammed_ci.pgm": "d81d1055d91f8cccbbb9d9f21d8056c1807fb119ca2c09ae0265f17475271725",
-            "jammed_ci_smooth.pgm": "aeb15f94ad30deedb3416a448b9fb9073895c6f94064010544c8c1594075b255",
-            "jammed_qi.pgm": "a1c190a158c8fdd708a03dbb99f50ce554667da80a36dc42fa5026d93a688760",
-            "jammed_qi_smooth.pgm": "bbce04f8175766c306bf5e4459a85fb479385e2067b53a4b12c30af6ea1a29df",
-            "jammed_ci.csv": "82d31fa2fcf50420fac42636522b939e7c72c3d89ccb35d6448cdf2b27ebaeba",
-            "jammed_qi.csv": "6d1e6e1cd43fff5a3fb800c6a5bcc137e293a60e0e58b5e836de9d895147c3c6",
+            "jammed_ci.pgm": "1b7324f8af4765f4512ee0a6e751e5ab59e45c59ae74c5e6cc42be6f4c1f93a0",
+            "jammed_ci_smooth.pgm": "3e0b7e3d9cba15610aa9ae54cef292293558981200c5478c55f5990930c8e909",
+            "jammed_qi.pgm": "c1e12c2372ad7b2a08a710292b1ec57e69ea2f69c30af4a15d70b4a60a18c2b3",
+            "jammed_qi_smooth.pgm": "d746c2f276b551485941029fe2893515a6601a3cea1deb644c34e373a1395d81",
+            "jammed_ci.csv": "1ea10a87c555054a5285ed88fe4b793617c27a524c7ab1edeb5bacbe34813702",
+            "jammed_qi.csv": "e0c9a79bb08f57c54fb60600c3ac37fcec90f0ec70b9a293924e211c6c5cbce4",
         },
     ),
     "jammed_6x": (
         image_recipe("imaging_jammed.json", "6", "6", "jammed_6x"),
         {
-            "jammed_6x_ci.pgm": "c9f161c3ad52664f0e3501247f808a9d58289ec2e1d03da64825c09bd9254d37",
-            "jammed_6x_ci_smooth.pgm": "1dd95533995988e602de2661daba806a4a1b120efaf4077866efe26e3cb24838",
-            "jammed_6x_qi.pgm": "68ac05aaad5ac3ccacd49b52fea9409a38d58f97be9ed2d1bd71f7f91686b403",
-            "jammed_6x_qi_smooth.pgm": "9095b9eec793eba2a8e75cc3a885e1132c05a07dd10dba1145cf4dae1c59dd93",
-            "jammed_6x_ci.csv": "d3f401e0ba9c5bf13a47a16c9eac1e296e824721dee20cbf4a2d82c6c8bfe692",
-            "jammed_6x_qi.csv": "b6ede109c0105e146bba4311881148127d9b0edf19e4af2407488f302fbdbebd",
+            "jammed_6x_ci.pgm": "0b2bbda999fef993daace5aef7d079281b849eb331ca83733c4fff91d9ce341c",
+            "jammed_6x_ci_smooth.pgm": "d170182ba2a1ac224689727592ac565b52fd73b1cc6a7fcfb7e6453c7457894d",
+            "jammed_6x_qi.pgm": "bfad87ba2958841c055105bcd7600b4f001090422b3e55b1c461c906deb5a961",
+            "jammed_6x_qi_smooth.pgm": "18ee1b76f43dd84231258da20fb351781dcd6bdf67885d9cd6bd40b6f9be5a74",
+            "jammed_6x_ci.csv": "7a30208e1e9907cd013ad3803ce04927c42a979f168e4c83585365168e81ca12",
+            "jammed_6x_qi.csv": "c22a60fbe6dd478b4f6fffaa7fb4beb3e4de01a15648d946ef94255861e43a17",
         },
     ),
 }
@@ -163,3 +165,19 @@ def test_mutants_data_is_well_formed():
         assert m["tests"] and all((ROOT / t).exists() for t in m["tests"]), m["id"]
         assert m["expect"] in ("killed", "survives"), m["id"]
         assert m["expect"] == "killed" or m.get("why"), m["id"]
+
+
+def test_mutant_that_hangs_its_tests_is_killed(monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_mutants", ROOT / "scripts" / "run_mutants.py")
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    timeouts = []
+
+    def hang(cmd, **kwargs):
+        timeouts.append(kwargs.get("timeout"))
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(runner.subprocess, "run", hang)
+    mutant = json.loads((ROOT / "scripts" / "mutants.json").read_text(encoding="utf-8"))[0]
+    assert runner.run(mutant) == "killed"
+    assert timeouts == [runner.TIMEOUT_S]
