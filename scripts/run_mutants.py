@@ -1,7 +1,10 @@
 """Run the hand mutants of `scripts/mutants.json` and check that each
 outcome is the one recorded.
 
-    python3 scripts/run_mutants.py
+    python3 scripts/run_mutants.py [MUTANT_ID ...]
+
+With ids, only those mutants run, in the order of the file; an unknown id
+is an error (exit status 2).
 
 Each entry names a file, an `old` text that occurs in it exactly once, the
 `new` text that replaces it, the test files to run, and the expected
@@ -62,8 +65,14 @@ def run(mutant: dict) -> str:
     return {0: "survives", 1: "killed"}.get(done.returncode, f"error{done.returncode}")
 
 
-def main() -> int:
+def main(ids: list[str]) -> int:
     mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
+    unknown = set(ids) - {m["id"] for m in mutants}
+    if unknown:
+        print(f"unknown mutant ids: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    if ids:
+        mutants = [m for m in mutants if m["id"] in ids]
     wrong = 0
     for m in mutants:
         start = time.perf_counter()
@@ -78,4 +87,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

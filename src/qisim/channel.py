@@ -302,6 +302,7 @@ QITT_MAGIC = b"QITT"
 QITT_VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")  # magic, version, reserved, duration_ps
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
+_QITT_BLOCK = 1 << 16  # records per read
 
 
 def write_qitt(stream: TimeTagStream, path: str) -> None:
@@ -315,19 +316,37 @@ def write_qitt(stream: TimeTagStream, path: str) -> None:
 
 
 def read_qitt(path: str) -> TimeTagStream:
-    with open(path, "rb") as fh:  # one read: after a header read, the body would be copied twice
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated QITT header")
-    magic, version, _, duration = _HEADER.unpack_from(data)
-    if magic != QITT_MAGIC:
-        raise ValueError("not a QITT file")
-    if version != QITT_VERSION:
-        raise ValueError(f"unsupported QITT version {version}")
-    if (len(data) - _HEADER.size) % _RECORD_DTYPE.itemsize:
+    """Read a QITT file or pipe. The records are read into one reused block
+    of `_QITT_BLOCK` records (fewer if the file holds fewer), and their
+    fields are copied from there into arrays sized from the file size. A
+    record cut by a read is carried over to the next; one cut by the end of
+    the body raises `ValueError`."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError("truncated QITT header")
+        magic, version, _, duration = _HEADER.unpack(head)
+        if magic != QITT_MAGIC:
+            raise ValueError("not a QITT file")
+        if version != QITT_VERSION:
+            raise ValueError(f"unsupported QITT version {version}")
+        size = _RECORD_DTYPE.itemsize
+        cap = max(os.fstat(fh.fileno()).st_size - _HEADER.size, 0) // size
+        codes, times = np.empty(cap, np.uint8), np.empty(cap, np.int64)
+        block = np.empty(min(_QITT_BLOCK, cap) or _QITT_BLOCK, _RECORD_DTYPE)
+        raw = block.view(np.uint8)
+        n = carry = 0
+        # one raw read per call, so a pipe yields what it holds, cut records and all
+        while got := fh.readinto1(raw[carry:]):
+            m, carry = divmod(carry + got, size)
+            if n + m > times.size:  # a pipe, or a file that grew after it was opened
+                codes, times = np.resize(codes, 2 * (n + m)), np.resize(times, 2 * (n + m))
+            codes[n : n + m], times[n : n + m] = block["channel"][:m], block["time_ps"][:m]
+            n += m
+            raw[:carry] = raw[m * size : m * size + carry]
+    if carry:
         raise ValueError("truncated QITT record")
-    records = np.frombuffer(data, _RECORD_DTYPE, offset=_HEADER.size)
-    return TimeTagStream(records["channel"], records["time_ps"], duration)
+    return TimeTagStream(codes[:n], times[:n], duration)
 
 
 _CSV_HEADER = b"channel,time_ps"
@@ -381,18 +400,19 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
-    """Read a tag CSV. Comment lines (first byte `#`) and empty lines may
-    precede the header. Only the line end (`\\n` or `\\r\\n`) is cut from
-    these lines, so a line with any other whitespace is none of the three.
-    A comment line that begins `# duration_ps=` sets the duration (0
+    """Read a tag CSV file or pipe. Comment lines (first byte `#`) and empty
+    lines may precede the header. Only the line end (`\\n` or `\\r\\n`) is
+    cut from these lines, so a line with any other whitespace is none of the
+    three. A comment line that begins `# duration_ps=` sets the duration (0
     without one) from the 1 to 20 digits that follow, or raises
     `ValueError` naming its line if anything else follows.
 
-    The body is read in blocks of about `_CSV_BLOCK` bytes, each cut after
-    its last newline and parsed by `_csv_block` into arrays sized from the
-    file size. A block of records of one width, as the writer makes between
-    two digit counts, is read as one record matrix; any other block is
-    split into lines, read as one matrix per width, and only that path raises.
+    The body is read in blocks of `_CSV_BLOCK` bytes (the file size, if that
+    is smaller) into one reused buffer of two blocks, which grows only for
+    a line longer than a block. Each
+    block is cut after its last newline and parsed by `_csv_block` into
+    arrays sized from the file size; the unfinished line after the cut
+    moves to the front of the buffer, ahead of the next block.
     """
     duration, line, lineno = 0, b"", 0
     with open(path, "rb") as fh:
@@ -413,25 +433,33 @@ def read_tags_csv(path: str) -> TimeTagStream:
             raise ValueError(f"expected the header {_CSV_HEADER.decode()!r}, got {got!r}")
         # A record takes at least 9 bytes ("signal,0\n"), so the file size
         # bounds the record count; pages that are never written stay unmapped.
-        cap = os.fstat(fh.fileno()).st_size // 9 + 1
-        codes, times, n, tail = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0, b""
+        file_size = os.fstat(fh.fileno()).st_size
+        cap = file_size // 9 + 1
+        codes, times, n = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0
+        step = min(_CSV_BLOCK, file_size) or _CSV_BLOCK  # a pipe has size 0
+        buf, tail = bytearray(2 * step), 0  # the unfinished line is buf[:tail]
         while True:
-            block = fh.read(_CSV_BLOCK)
-            # at the end, the last line may lack its "\n"; without a tail, no line is left
-            buf = tail + (block or b"\n") if tail else block
-            cut = buf.rfind(b"\n") + 1
+            if len(buf) < tail + step:  # a line longer than a block
+                buf.extend(bytes(len(buf)))
+            got = fh.readinto(memoryview(buf)[tail : tail + step])
+            size = tail + got
+            if not got:  # at the end, the last line may lack its "\n"
+                buf[size] = ord("\n")
+                size += bool(tail)
+            cut = buf.rfind(b"\n", 0, size) + 1
             if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
                 codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
             if cut:
                 lineno, n = _csv_block(buf, cut, lineno, codes, times, n)
-            if not block:
+            if not got:
                 break
-            tail = buf[cut:]
+            tail = size - cut
+            buf[:tail] = buf[cut:size]
     return TimeTagStream(codes[:n], times[:n], duration)
 
 
 def _csv_block(
-    buf: bytes, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
+    buf: bytes | bytearray, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
 ) -> tuple[int, int]:
     """Parse the lines in buf[:size], which ends in a newline, into
     codes[n:] and times[n:], and return the last line number and the new
@@ -442,22 +470,37 @@ def _csv_block(
     is dropped. A record is 7 name bytes, which must be `signal,` or
     `herald,`, then 1 to 19 digits that must not exceed the int64 maximum.
 
-    Two stages read the block. The first reshapes it into rows of w + 1
-    bytes, w being the width of its first line, and if each row ends in a
-    newline, reads them as one record matrix. It never raises: if any row
-    is not a record, it stores nothing and the second stage, `_csv_lines`,
-    reads the block line by line and raises `ValueError` naming the first
-    bad line.
+    The block is read run by run. A run starts at a line of width w that
+    ends in `\\n` alone: the rest of the block is viewed as rows of w + 1
+    bytes, and the rows up to the first one without a newline at column w
+    are read as one record matrix by `_csv_records`. The next run starts
+    at that row. The writer's widths only grow, so its blocks hold at most
+    one run per width. What is not a run of records (a CRLF or empty line,
+    a comment, a bad record, or the part after 19 runs) goes, from its
+    first line to the end of the block, to `_csv_lines`, which reads it
+    line by line and raises `ValueError` naming the first bad line.
     """
-    w = buf.find(b"\n", 0, size)
-    # A CRLF line is never a record of its width, so such a block skips
-    # the record checks, which would take as long as the line search.
-    if 8 <= w <= 26 and buf[w - 1] != ord("\r") and size % (w + 1) == 0:
-        rows = np.frombuffer(buf, dtype=np.uint8, count=size).reshape(-1, w + 1)
-        dest = slice(n, n + len(rows))
-        if (rows[:, w] == ord("\n")).all() and _csv_records(rows[:, :w], codes, times, dest) < 0:
-            return lineno + len(rows), dest.stop
-    return _csv_lines(buf, size, lineno, codes, times, n)
+    a = np.frombuffer(buf, dtype=np.uint8, count=size)
+    start = 0
+    for _ in range(19):  # one run per width from 8 to 26 bytes
+        w = buf.find(b"\n", start, size) - start
+        # A CRLF line is never a record of its width, so such a run skips
+        # the record checks, which would take as long as the line search.
+        if not 8 <= w <= 26 or buf[start + w - 1] == ord("\r"):
+            break
+        rows = a[start : size - (size - start) % (w + 1)].reshape(-1, w + 1)
+        ends = rows[:, w] == ord("\n")
+        m = len(rows) if ends.all() else int(np.argmin(ends))
+        bad = _csv_records(rows[:m, :w], codes, times, slice(n, n + m))
+        if bad > 0:  # a comment as wide as the records, say: the run ends before it
+            _csv_records(rows[:bad, :w], codes, times, slice(n, n + bad))
+        m = m if bad < 0 else bad
+        start, lineno, n = start + m * (w + 1), lineno + m, n + m
+        if bad >= 0 or start == size:
+            break
+    if start == size:
+        return lineno, n
+    return _csv_lines(memoryview(buf)[start:size], size - start, lineno, codes, times, n)
 
 
 def _csv_records(
@@ -471,6 +514,7 @@ def _csv_records(
     name = rows[:, :8].view("<u8")[:, 0] & np.uint64(2**56 - 1)
     herald = name == _HERALD_WORD
     ok = herald | (name == _SIGNAL_WORD)
+    del name  # as large as the times: freed before they are built
     digits = rows[:, 7:] - ord("0")
     if digits.max() > 9:  # rows are checked one by one only on failure
         ok &= digits.max(axis=1) <= 9
@@ -478,18 +522,32 @@ def _csv_records(
         ok &= rows[:, 7:].view("S19")[:, 0] <= _INT64_MAX
     if not ok.all():
         return int(np.argmin(ok))
-    v = digits[:, 0].astype(np.int64)
-    for j in range(1, digits.shape[1]):
-        v *= 10
-        v += digits[:, j]
+    # The last nine digits or fewer in int32, which holds every 9-digit value
+    # and takes half the memory traffic; any digits before them in int64.
+    k = max(digits.shape[1] - 9, 0)
+    v = _decimal(digits[:, k:], np.int32)
+    if k:
+        hi = _decimal(digits[:, :k], np.int64)
+        hi *= 10**9
+        hi += v
+        v = hi
     codes[dest], times[dest] = herald, v
     return -1
 
 
+def _decimal(digits: np.ndarray, dtype) -> np.ndarray:
+    """The value of each row of the digit matrix, as dtype."""
+    v = digits[:, 0].astype(dtype)
+    for j in range(1, digits.shape[1]):
+        v *= 10
+        v += digits[:, j]
+    return v
+
+
 def _csv_lines(
-    buf: bytes, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
+    buf: bytes | memoryview, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
 ) -> tuple[int, int]:
-    """The second stage of `_csv_block`: locate every line of buf[:size],
+    """The line-by-line reader of `_csv_block`: locate every line of buf[:size],
     read the records of each width with `_csv_records`, and raise
     `ValueError` naming the first bad line. The records of one width are
     rows of a sliding window over the block: a strided view of consecutive
@@ -529,6 +587,6 @@ def _csv_lines(
             bad.append((int(lines[i]), grammar))
     if bad:
         i, why = min(bad)
-        text = buf[starts[i] : nl[i]].decode("ascii", errors="replace")
+        text = bytes(buf[starts[i] : nl[i]]).decode("ascii", errors="replace")
         raise ValueError(f"bad tag record at line {lineno + i + 1}: {why}: {text!r}")
     return lineno + nl.size, n + rec.size

@@ -14,7 +14,8 @@ CSV of unscaled counts. The CSV holds integral counts below 1e16, each
 written as `repr(float(count))`, that is its digits and `.0`; any other
 grid (an `interpolate4` output, say) is rejected with a `ValueError`.
 Scenes and images hold finite, non-empty grids in read-only arrays of
-their own, and are frozen.
+their own, and are frozen; two of them are equal only if they are the same
+object, so they hash.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _check_image(g: np.ndarray) -> None:
         raise ValueError("image values must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Reflectivity map in [0, 1], held in a read-only array of its own."""
 
@@ -62,7 +63,7 @@ class Scene:
         object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelImage:
     """Counts (or rates), finite and non-negative, held in a read-only
     array of its own."""

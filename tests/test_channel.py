@@ -461,6 +461,24 @@ class TestSimulateTags:
 QITT_HEAD = struct.pack("<4sHHQ", b"QITT", 1, 0, 100)  # version 1, duration 100 ps
 
 
+def read_fed_pipe(read, data: bytes, tmp_path, step: int = 7):
+    """read() a named pipe that a thread feeds with data in step-byte writes;
+    return what it read and the thread."""
+    fifo = tmp_path / "fed.fifo"
+    os.mkfifo(fifo)
+
+    def feed() -> None:
+        with open(fifo, "wb", buffering=0) as fh:
+            for i in range(0, len(data), step):
+                fh.write(data[i : i + step])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    back = read(str(fifo))
+    writer.join(timeout=10)
+    return back, writer
+
+
 class TestStreamFormats:
     def make_stream(self) -> TimeTagStream:
         cfg = make_config(background_per_bin=1e-3, dark_signal_per_bin=1e-4, mu=0.02)
@@ -528,6 +546,59 @@ class TestStreamFormats:
         assert not writer.is_alive()
         assert same_stream(back, stream)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_qitt_pipe_fed_in_small_writes(self, tmp_path):
+        # 7-byte writes cut records across the reads of the pipe, so the
+        # reader carries their starts over to the next read
+        stream = TimeTagStream.from_arrays([0, 1] * 4000, np.arange(8000) * 7 + 2**40, 2**41)
+        path = tmp_path / "tags.qitt"
+        write_qitt(stream, str(path))
+        data = path.read_bytes()
+        assert len(data) - 16 > 64 * 1024  # more than a pipe holds
+        back, writer = read_fed_pipe(read_qitt, data, tmp_path)
+        assert not writer.is_alive()
+        assert same_stream(back, stream) and same_stream(read_qitt(str(path)), stream)
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_qitt_body_cut_mid_record(self, pipe, tmp_path):
+        if pipe and not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        data = QITT_HEAD + bytes(9 * 100 + 4)  # records at time 0, then 4 bytes of one more
+        path = tmp_path / "cut.qitt"
+        path.write_bytes(data)
+        with mock.patch.object(channel, "_QITT_BLOCK", 16):
+            with pytest.raises(ValueError, match="truncated QITT record"):
+                if pipe:
+                    read_fed_pipe(read_qitt, data, tmp_path)
+                else:
+                    read_qitt(str(path))
+
+    def test_qitt_memory_is_the_stream_plus_one_block(self, tmp_path):
+        # The traced peak, less the stream's own arrays (9 bytes per tag) and
+        # the temporaries of its constructor's checks, is one block of
+        # records whatever the file size. Reading the whole body first took
+        # another 18 bytes per tag.
+        overheads = []
+        for n in (10_000, 100_000):
+            stream = TimeTagStream.from_arrays(np.arange(n) % 2, np.arange(n), n)
+            path = tmp_path / f"{n}.qitt"
+            write_qitt(stream, str(path))
+            del stream
+            tracemalloc.start()
+            try:
+                with mock.patch.object(channel, "_QITT_BLOCK", 1024):
+                    back = read_qitt(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                TimeTagStream(back.channels, back.times_ps, n)
+                checks = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(back) == n
+            overheads.append(peak - 9 * n - checks)
+        assert max(overheads) < 1024 * 9 + 8192, overheads
+
     def test_csv_round_trip(self, tmp_path):
         stream = self.make_stream()
         path = tmp_path / "tags.csv"
@@ -536,6 +607,29 @@ class TestStreamFormats:
         assert back.duration_ps == stream.duration_ps
         assert np.array_equal(back.times_ps, stream.times_ps)
         assert np.array_equal(back.channels, stream.channels)
+
+    @pytest.mark.parametrize(
+        "time",
+        [
+            *(int("1234567890123456789"[:d]) for d in range(1, 20)),
+            10**9 - 1,
+            10**9,  # the first time with a digit above the int32 low part
+            2**31 - 1,
+            2**31,
+            12_345_999_999_999,  # the low part at its largest
+            10**18,
+            2**63 - 1,
+        ],
+    )
+    def test_times_of_every_digit_count_round_trip(self, time, tmp_path):
+        # a tie at the time and the tag one picosecond before it: the low
+        # nine digits are read in int32, any before them in int64
+        stream = TimeTagStream.from_arrays([1, 0, 1], [time - 1, time, time], 2**63)
+        path = tmp_path / "tags.csv"
+        write_tags_csv(stream, str(path))
+        back = read_tags_csv(str(path))
+        assert back.times_ps.tolist() == [time - 1, time, time]
+        assert same_stream(back, stream)
 
     def test_csv_golden_bytes(self, tmp_path):
         stream = TimeTagStream.from_arrays([0, 1, 0], [5, 5, 12_499], 25_000)
@@ -997,34 +1091,74 @@ class TestTagCsvCodec:
         assert len(back) == 2
         assert same_stream(back, loadtxt_read_tags_csv(str(path)))
 
-    def test_only_blocks_with_two_widths_are_split_into_lines(self, tmp_path):
-        # Counts calls, takes no time: a block of records of one width is
-        # read without locating its lines, so a sorted stream goes through
-        # the line search only in the blocks where its times gain a digit.
-        # A block of CRLF lines goes straight to the line search.
+    def test_line_search_only_for_what_is_not_a_run_of_records(self, tmp_path):
+        # Counts calls, takes no time: a block is read as one record matrix
+        # per run of lines of one width, so a sorted stream never goes
+        # through the line search, even where its times gain a digit. A
+        # block of CRLF lines goes straight to the line search, and a comment
+        # sends the line search only the part of its block from it on.
         path = tmp_path / "tags.csv"
         steps = np.arange(4000) * 7
 
-        def read(start: int, crlf: bool = False):
+        def read(start: int, edit=lambda lines: lines):
             stream = TimeTagStream.from_arrays([0, 1] * 2000, start + steps, 10**6)
             write_tags_csv(stream, str(path))
-            if crlf:
-                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-            lines = mock.MagicMock(wraps=channel._csv_lines)
-            records = mock.MagicMock(wraps=channel._csv_records)
-            with mock.patch.object(channel, "_CSV_BLOCK", 4096):
-                with mock.patch.multiple(channel, _csv_lines=lines, _csv_records=records):
-                    assert same_stream(read_tags_csv(str(path)), stream)
-            return lines, records.call_count
+            path.write_bytes(b"\n".join(edit(path.read_bytes().split(b"\n"))))
+            calls = {
+                name: mock.MagicMock(wraps=getattr(channel, name))
+                for name in ("_csv_block", "_csv_records")
+            }
+            parts = []  # what the line search got, copied: the read buffer is reused
 
-        lines, n_records = read(10**5)  # 6 digits each
-        assert lines.call_count == 0 and n_records > 10
-        lines, n_records = read(10**5, crlf=True)
-        assert lines.call_count == n_records > 10  # one width group per block
-        lines, _ = read(10**5 - 2000 * 7)  # 5, then 6 digits
-        assert lines.call_count == 1
-        buf, size = lines.call_args.args[:2]
-        assert {len(line) for line in buf[:size].splitlines()} == {12, 13}
+            def lines(buf, size, lineno, *rest):
+                parts.append((bytes(buf[:size]), lineno))
+                return real_lines(buf, size, lineno, *rest)
+
+            with mock.patch.object(channel, "_CSV_BLOCK", 4096):
+                with mock.patch.multiple(channel, _csv_lines=lines, **calls):
+                    assert same_stream(read_tags_csv(str(path)), stream)
+            return calls["_csv_block"].call_count, parts, calls["_csv_records"]
+
+        real_lines = channel._csv_lines
+        blocks, parts, records = read(10**5)  # 6 digits each
+        assert not parts and records.call_count == blocks > 10
+        blocks, parts, records = read(10**5 - 2000 * 7)  # 5, then 6 digits
+        assert not parts and records.call_count == blocks + 1
+        widths = [call.args[0].shape[1] for call in records.call_args_list]
+        assert widths == [12] * widths.count(12) + [13] * widths.count(13)
+
+        crlf = lambda lines: [line + b"\r" for line in lines[:-1]] + [b""]  # noqa: E731
+        blocks, parts, records = read(10**5, crlf)
+        assert len(parts) == records.call_count == blocks  # one width group per block
+
+        def note(lines):  # a comment line after the header and 78 records
+            return lines[:80] + [b"# a note"] + lines[80:]
+
+        blocks, parts, records = read(10**5, note)
+        assert len(parts) == 1
+        part, lineno = parts[0]
+        assert part.startswith(b"# a note\n") and lineno == 80
+        assert records.call_args_list[0].args[0].shape == (78, 13)
+        assert len(part) < 4096 - 78 * 14  # the part of the first block from the comment on
+
+    def test_a_block_of_many_short_runs_goes_to_the_line_search(self, tmp_path):
+        # Leading zeros on every other record: each run is one line long.
+        # A writer-made block has at most one run per width (8 to 26 bytes),
+        # so after 19 runs the rest of the block is read line by line.
+        body = b"".join(b"signal,%s%d\n" % (b"0" * (t % 2), t) for t in range(100, 140))
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 1000 + body)
+        parts = []
+        real_lines = channel._csv_lines
+
+        def lines(buf, size, lineno, *rest):
+            parts.append((bytes(buf[:size]), lineno))
+            return real_lines(buf, size, lineno, *rest)
+
+        with mock.patch.object(channel, "_csv_lines", lines):
+            back = read_tags_csv(str(path))
+        assert back.times_ps.tolist() == list(range(100, 140))
+        assert parts == [(body[body.index(b"signal,0119\n") :], 2 + 19)]
 
     @pytest.mark.parametrize(
         "comment, bound",

@@ -420,6 +420,13 @@ class TestOwnedGrids:
         with pytest.raises(dataclasses.FrozenInstanceError):
             obj.grid = np.zeros((2, 2))
 
+    def test_equal_only_to_itself_and_hashable(self, kind):
+        # a dataclass __eq__ over the array field raised ValueError, and its
+        # __hash__ TypeError
+        obj, twin = kind(np.ones((2, 2))), kind(np.ones((2, 2)))
+        assert obj == obj and obj != twin and not obj == twin
+        assert len({obj, twin, obj}) == 2 and hash(obj) == hash(obj)
+
 
 SHARED_TMP_PATH = HealthCheck.function_scoped_fixture
 P2_TOP = 65535

@@ -167,10 +167,15 @@ def test_mutants_data_is_well_formed():
         assert m["expect"] == "killed" or m.get("why"), m["id"]
 
 
-def test_mutant_that_hangs_its_tests_is_killed(monkeypatch):
+def load_runner():
     spec = importlib.util.spec_from_file_location("run_mutants", ROOT / "scripts" / "run_mutants.py")
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
+    return runner
+
+
+def test_mutant_that_hangs_its_tests_is_killed(monkeypatch):
+    runner = load_runner()
     timeouts = []
 
     def hang(cmd, **kwargs):
@@ -181,3 +186,21 @@ def test_mutant_that_hangs_its_tests_is_killed(monkeypatch):
     mutant = json.loads((ROOT / "scripts" / "mutants.json").read_text(encoding="utf-8"))[0]
     assert runner.run(mutant) == "killed"
     assert timeouts == [runner.TIMEOUT_S]
+
+
+def test_mutant_ids_select_a_subset(monkeypatch, capsys):
+    runner = load_runner()
+    mutants = json.loads((ROOT / "scripts" / "mutants.json").read_text(encoding="utf-8"))
+    ran = []
+    monkeypatch.setattr(runner, "run", lambda m: ran.append(m["id"]) or m["expect"])
+    ids = [mutants[5]["id"], mutants[2]["id"]]
+    assert runner.main(ids) == 0
+    assert ran == [mutants[2]["id"], mutants[5]["id"]]  # in the order of the file
+    assert capsys.readouterr().out.endswith("2/2 as expected\n")
+
+    ran.clear()
+    assert runner.main([mutants[0]["id"], "no-such-mutant"]) == 2
+    assert not ran and "no-such-mutant" in capsys.readouterr().err
+
+    assert runner.main([]) == 0
+    assert ran == [m["id"] for m in mutants]
