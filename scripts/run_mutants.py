@@ -14,9 +14,10 @@ temporary directory, without `.git` and the ignored output directories,
 the copy is mutated, and `python -m pytest -q -x -p no:cacheprovider
 <tests>` runs there with `PYTHONPATH=<copy>/src`. It leaves out
 `DATA_TEST`, which checks each old text against the source and so fails
-in every mutated copy. A test run that takes more than `TIMEOUT_S`
-seconds is stopped and counts as `killed`: a mutant that hangs the tests
-(a loop that never ends, say) is detected. The working tree is never
+in every mutated copy, and, where libcst is installed, loads hypothesis's
+patch writer as a plugin (`PRELOAD`). A test run that takes more than
+`TIMEOUT_S` seconds is stopped and counts as `killed`: a mutant that hangs
+the tests (a loop that never ends, say) is detected. The working tree is never
 written to. One line is printed per mutant; the exit status is 1 if any
 outcome differs from its `expect`.
 
@@ -26,6 +27,7 @@ its test files, so the full list takes several minutes.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -43,6 +45,13 @@ SKIP = shutil.ignore_patterns(
     ".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__", "*.egg-info",
     "build", "results", "out",
 )
+# Hypothesis imports its patch writer, and so libcst, when it reports a
+# failing example. That import raises a DeprecationWarning (libcst uses
+# mypy_extensions.TypedDict). Met first in the report hook of a test marked
+# filterwarnings("error"), it aborts pytest with INTERNALERROR, exit status 3,
+# although the test has just failed. Loaded as a plugin, the writer is
+# imported at start-up, where the default filters ignore that warning.
+PRELOAD = ["-p", "hypothesis.extra._patching"] if importlib.util.find_spec("libcst") else []
 
 
 def run(mutant: dict) -> str:
@@ -56,7 +65,7 @@ def run(mutant: dict) -> str:
             return "stale"  # the old text is gone or ambiguous
         target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *PRELOAD]
         cmd += [*mutant["tests"], "--deselect", DATA_TEST]
         try:
             done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)

@@ -81,9 +81,11 @@ class TimeTagStream:
         c = np.ascontiguousarray(self.channels)  # the caller's dtype, so no code has wrapped yet
         if c.ndim != 1 or c.shape != t.shape:
             raise ValueError("channels and times_ps must be 1-D and of equal length")
-        bad = (c != 0) & (c != 1)  # against the enum members, numpy makes int64 copies
-        if bad.any():
-            raise ValueError(f"channel code {c[bad][0]} is not signal (0) or herald (1)")
+        # min and max check integer codes; a mask names the bad one, or checks others
+        if c.dtype.kind not in "biu" or (c.size and (c.min() < 0 or c.max() > 1)):
+            bad = (c != 0) & (c != 1)  # against the enum members, numpy makes int64 copies
+            if bad.any():
+                raise ValueError(f"channel code {c[bad][0]} is not signal (0) or herald (1)")
         # A break is a tag no later than the one before it; it is out of
         # order if its time is lower, or if it is a Signal tied to the Herald
         # before it.

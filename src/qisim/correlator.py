@@ -14,6 +14,8 @@ two blocks, so the per-block tallies simply add.
 `bin_and_count` counts occupied bins with whole-block comparisons. A bin
 with tags on both channels counts once in each singles tally and once
 among the occupied bins, so coincidences = signal + herald - occupied.
+`windowed_coincidences` counts clusters from one mask per block of which
+neighbouring tags are within the window.
 """
 
 from __future__ import annotations
@@ -108,11 +110,12 @@ def windowed_coincidences(stream: TimeTagStream, half_window_ps: int) -> int:
     times, codes = stream.times_ps, stream.channels
 
     def next_cluster(i: int) -> int:  # first tag from i on that starts a cluster
+        width = 64
         while i < times.size:
-            gaps = np.flatnonzero(np.diff(times[i - 1 : i + _BLOCK]) > half_window_ps)
+            gaps = np.flatnonzero(np.diff(times[i - 1 : i + width]) > half_window_ps)
             if gaps.size:
                 return i + int(gaps[0])
-            i += _BLOCK
+            i, width = i + width, 2 * width
         return times.size
 
     return sum(
@@ -122,15 +125,18 @@ def windowed_coincidences(stream: TimeTagStream, half_window_ps: int) -> int:
 
 
 def _cluster_pairs(t: np.ndarray, c: np.ndarray, half_window_ps: int) -> int:
-    """`windowed_coincidences` of a non-empty run of whole clusters."""
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(t) > half_window_ps)))
-    sizes = np.diff(np.append(starts, t.size))
-    two = starts[sizes == 2]
+    """`windowed_coincidences` of a non-empty run of whole clusters; link[i]
+    says tags i - 1 and i are within the window, and is False at both ends."""
+    link = np.concatenate(([False], np.diff(t) <= half_window_ps, [False]))
+    two = np.flatnonzero(link[1:-1] & ~link[:-2] & ~link[2:])  # tags i, i + 1 are a cluster
     count = int(np.count_nonzero(c[two] != c[two + 1]))
 
-    in_large = np.repeat(sizes > 2, sizes)
-    sig = t[in_large & (c == int(Channel.SIGNAL))].tolist()
-    her = t[in_large & (c == int(Channel.HERALD))].tolist()
+    inner = np.flatnonzero(link[:-1] & link[1:])  # linked both ways: in a larger cluster
+    if not inner.size:
+        return count
+    tags = np.unique(np.concatenate((inner - 1, inner, inner + 1)))  # all their tags
+    her = c[tags] == int(Channel.HERALD)
+    sig, her = t[tags[~her]].tolist(), t[tags[her]].tolist()
     i = j = 0
     n_s, n_h = len(sig), len(her)
     while i < n_s and j < n_h:

@@ -786,6 +786,32 @@ class TestStreamInvariant:
         with pytest.raises(ValueError, match=r"^channel code 9 is not"):
             TimeTagStream(codes, [1, 2, 3, 4, 5], 10)
 
+    def test_float_codes_are_checked_by_value(self):
+        stream = TimeTagStream(np.array([0.0, 1.0]), [1, 2], 10)
+        assert stream.channels.dtype == np.uint8 and stream.channels.tolist() == [0, 1]
+        message = r"^channel code 0\.5 is not signal \(0\) or herald \(1\)$"
+        with pytest.raises(ValueError, match=message):
+            TimeTagStream(np.array([0.5]), [1], 10)
+
+    def test_bool_and_int8_codes(self):
+        stream = TimeTagStream(np.array([True, False]), [1, 2], 10)
+        assert stream.channels.dtype == np.uint8 and stream.channels.tolist() == [1, 0]
+        with pytest.raises(ValueError, match=r"^channel code -1 is not"):
+            TimeTagStream(np.array([0, -1], dtype=np.int8), [1, 2], 10)
+
+    def test_code_check_allocates_nothing_per_tag(self):
+        # what is left is the order check's one byte per tag; an elementwise
+        # code mask took about two more
+        n = 100_000
+        codes, times = (np.arange(n) % 2).astype(np.uint8), np.arange(n)
+        tracemalloc.start()
+        try:
+            TimeTagStream(codes, times, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n + 4096
+
     @pytest.mark.parametrize("duration", [-5, -1, 2**64])
     def test_duration_outside_u64_rejected(self, duration, tmp_path):
         with pytest.raises(ValueError, match="duration"):

@@ -296,6 +296,13 @@ class TestBlockedReduction:
     @example(stream=stream_from([12000, 12500, 12999], [6000, 12700], 2 * PERIOD), block=2)
     # the last in-bin tags belong to pulse n_pulses, which is not counted
     @example(stream=stream_from([12500, 24500, 25000], [25400], 2 * PERIOD + 5000), block=1)
+    # a 300-tag chain, longer than the cut search's first window
+    @example(stream=stream_from(range(1000, 4000, 10), [4005, 9000], PERIOD), block=3)
+    # a cluster of three ends at the block cut after tag 3
+    @example(stream=stream_from([100, 5000, 5020, 9500], [5010, 9000], PERIOD), block=4)
+    # two-tag clusters at the very start and the very end of the stream
+    @example(stream=stream_from([0, 6000, 12000], [5, 12010], PERIOD), block=1)
+    @example(stream=stream_from([0, 6000, 12000], [5, 12010], PERIOD), block=2)
     def test_blocks_add_up_to_the_whole_stream(self, stream, block):
         with mock.patch.object(correlator, "_BLOCK", block):
             for width in (1, 999, WIDTH, PERIOD):
