@@ -24,11 +24,13 @@ from .model import (
     BinProbabilities,
     ChannelParams,
     ClickCounts,
+    ConfigError,
     Estimate,
     ExperimentConfig,
     SourceParams,
     bare_channel,
     click_pattern_probabilities,
+    count_variance,
 )
 from .rng import CHARACTERIZE_SPACE, SWEEP_SPACE, substream
 
@@ -59,14 +61,15 @@ def snr_from_counts(n_in: int, n_out: int) -> Estimate:
     """Target in/out SNR = (N_in - N_out)/N_out from equal-exposure tallies.
 
     The uncertainty treats N_in and N_out as independent Poisson counts:
-    var = N_in/N_out^2 + N_in^2 N_out/N_out^4.
+    var = N_in/N_out^2 + N_in^2 N_out/N_out^4, where N_in = 0 takes
+    `count_variance`'s one-count floor. N_out = 0 raises `ValueError`.
     """
     if n_out <= 0:
         raise ValueError("SNR undefined: zero background counts")
     if n_in < 0:
         raise ValueError("n_in must be non-negative")
     value = n_in / n_out - 1.0
-    var = n_in / n_out**2 + (n_in * n_in) / n_out**3
+    var = count_variance(n_in) / n_out**2 + (n_in * n_in) / n_out**3
     return Estimate(value=value, std_err=math.sqrt(var))
 
 
@@ -112,8 +115,8 @@ SWEEP_VARIABLES = ("mu", "background")
 @dataclass(frozen=True)
 class SweepRow:
     value: float
-    counts_in: Optional[ClickCounts]
-    counts_out: Optional[ClickCounts]
+    counts_in: ClickCounts
+    counts_out: ClickCounts
     snr_classical: Optional[Estimate]
     snr_quantum: Optional[Estimate]
     qef: float
@@ -144,21 +147,36 @@ CSV_COLUMNS = (
 
 
 def _with_value(config: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
-    if variable == "mu":  # else "background": `run_sweep` admits only SWEEP_VARIABLES
-        return replace(config, source=replace(config.source, mu=value))
-    return replace(config, channel=replace(config.channel, background_per_bin=value))
+    """`config` at one point; an invalid value raises `ConfigError` naming it and the field."""
+    try:
+        if variable == "mu":  # else "background": callers admit only SWEEP_VARIABLES
+            return replace(config, source=replace(config.source, mu=value))
+        return replace(config, channel=replace(config.channel, background_per_bin=value))
+    except ConfigError as exc:
+        raise ConfigError(f"{variable} {value!r}: {exc}") from None
+
+
+def _formed(reasons: list[str], what: str, estimator, *args) -> Optional[Estimate]:
+    """`estimator(*args)`, or None when a zero denominator leaves the
+    statistic undefined; then `what: reason` is appended to `reasons`."""
+    try:
+        return estimator(*args)
+    except ValueError as exc:
+        reasons.append(f"{what}: {exc}")
+        return None
+
+
+def _qef_estimate(snr_q: Estimate, snr_c: Estimate) -> Estimate:
+    ratio = qef(snr_q.value, snr_c.value)
+    err = math.sqrt(snr_q.std_err**2 + ratio**2 * snr_c.std_err**2) / snr_c.value
+    return Estimate(ratio, err)
 
 
 def _run_sweep_row(
-    config: ExperimentConfig,
-    variable: str,
-    index: int,
-    value: float,
-    dwell_pulses: int,
+    config: ExperimentConfig, index: int, value: float, dwell_pulses: int
 ) -> SweepRow:
-    """One sweep point; statistics that cannot be formed (for example an
-    undefined SNR when the out tally is empty) are recorded per row without
-    discarding the raw counts or aborting other rows.
+    """One sweep point of an already valid config. Statistics it cannot
+    form are None (`qef` nan), with their reasons joined in `error`.
 
     The dwell is truncated to whole in/out toggle pairs so both exposures
     are equal. The toggled segments of one target state share their
@@ -168,55 +186,30 @@ def _run_sweep_row(
     rng = substream(config.seed, SWEEP_SPACE, index)
     toggle = config.toggle_period_pulses
     exposure = (dwell_pulses // (2 * toggle)) * toggle
-    problems: list[str] = []
-
-    try:
-        cfg = _with_value(config, variable, value)
-        counts_in = acquisition.simulate_counts(cfg, True, exposure, rng)
-        counts_out = acquisition.simulate_counts(cfg, False, exposure, rng)
-    except ValueError as exc:
-        return SweepRow(value, None, None, None, None, math.nan, math.nan, None, error=str(exc))
-
-    snr_c = snr_q = None
-    qef_value = qef_err = math.nan
-    try:
-        snr_c = snr_from_counts(counts_in.n_signal_clicks, counts_out.n_signal_clicks)
-    except ValueError as exc:
-        problems.append(f"classical SNR: {exc}")
-    try:
-        snr_q = snr_from_counts(counts_in.n_coincidences, counts_out.n_coincidences)
-    except ValueError as exc:
-        problems.append(f"quantum SNR: {exc}")
-    if snr_c is not None and snr_q is not None:
-        try:
-            qef_value = qef(snr_q.value, snr_c.value)
-            qef_err = (
-                math.sqrt(snr_q.std_err**2 + qef_value**2 * snr_c.std_err**2) / snr_c.value
-            )
-        except ValueError as exc:
-            problems.append(str(exc))
-
+    counts_in = acquisition.simulate_counts(config, True, exposure, rng)
+    counts_out = acquisition.simulate_counts(config, False, exposure, rng)
     # Companion correlation measurement over half the dwell: jamming
     # blocked, target held in, same scattered-channel efficiencies and
     # detector noise.
-    g2 = None
-    try:
-        blocked = replace(cfg, channel=replace(cfg.channel, background_per_bin=0.0))
-        g2_counts = acquisition.simulate_counts(blocked, True, dwell_pulses // 2, rng)
-        g2 = estimate_g2(g2_counts)
-    except ValueError as exc:
-        problems.append(f"g2: {exc}")
+    blocked = replace(config, channel=replace(config.channel, background_per_bin=0.0))
+    g2_counts = acquisition.simulate_counts(blocked, True, dwell_pulses // 2, rng)
 
+    reasons: list[str] = []
+    snr_c = _formed(
+        reasons, "classical SNR", snr_from_counts,
+        counts_in.n_signal_clicks, counts_out.n_signal_clicks,
+    )
+    snr_q = _formed(
+        reasons, "quantum SNR", snr_from_counts,
+        counts_in.n_coincidences, counts_out.n_coincidences,
+    )
+    qef_pair = (math.nan, math.nan)
+    if snr_c is not None and snr_q is not None:
+        ratio = _formed(reasons, "QEF", _qef_estimate, snr_q, snr_c)
+        qef_pair = qef_pair if ratio is None else (ratio.value, ratio.std_err)
+    g2 = _formed(reasons, "g2", estimate_g2, g2_counts)
     return SweepRow(
-        value,
-        counts_in,
-        counts_out,
-        snr_c,
-        snr_q,
-        qef_value,
-        qef_err,
-        g2,
-        error="; ".join(problems) if problems else None,
+        value, counts_in, counts_out, snr_c, snr_q, *qef_pair, g2, "; ".join(reasons) or None
     )
 
 
@@ -229,9 +222,10 @@ def run_sweep(
 ) -> SweepTable:
     """Toggled in/out acquisition at each sweep value.
 
-    Rows run in order in this process, each on its own generator keyed by
-    (seed, row index), so a row's draws do not depend on the other rows.
-    Failures are recorded per row without aborting the rest. max_workers
+    Every value's config is built before the first draw, so a value that
+    makes it invalid raises `ConfigError` and nothing is drawn. Rows run in
+    order in this process, each on its own generator keyed by (seed, row
+    index), so a row's draws do not depend on the other rows. max_workers
     is accepted for compatibility and has no effect.
     """
     if variable not in SWEEP_VARIABLES:
@@ -242,10 +236,9 @@ def run_sweep(
         raise ValueError("dwell_pulses must be at least two toggle periods")
 
     ordered = sorted(float(v) for v in values)
-    rows = tuple(
-        _run_sweep_row(config, variable, i, v, dwell_pulses) for i, v in enumerate(ordered)
-    )
-    return SweepTable(rows)
+    configs = [_with_value(config, variable, v) for v in ordered]
+    rows = [_run_sweep_row(c, i, v, dwell_pulses) for i, (v, c) in enumerate(zip(ordered, configs))]
+    return SweepTable(tuple(rows))
 
 
 def _cells(obj, *attrs: str) -> list[str]:
@@ -280,7 +273,7 @@ def sweep_to_csv(table: SweepTable, path: str) -> None:
 
 
 CHARACTERIZE_COLUMNS = ("mu", "n_pulses", "n_signal", "n_herald", "n_coinc", "g2", "g2_err")
-CharacterizePoint = tuple[float, ClickCounts, Optional[Estimate]]
+CharacterizePoint = tuple[float, ClickCounts, Optional[Estimate], Optional[str]]
 
 
 def run_characterize(
@@ -288,19 +281,19 @@ def run_characterize(
 ) -> list[CharacterizePoint]:
     """Singles, coincidences and g2 through the bare channel, one point per mu
     in ascending order, each drawn on its own generator keyed by (seed, point
-    index). A point's g2 is None where it cannot be formed; a mu that makes
-    the config invalid raises `ConfigError`."""
+    index). Every mu's config is built before the first draw, so a mu that
+    makes it invalid raises `ConfigError` and nothing is drawn. A point's g2
+    is None where it cannot be formed, with the reason as its last item."""
     bare = replace(config, channel=bare_channel(config.channel))
+    ordered = sorted(mus)
+    configs = [_with_value(bare, "mu", mu) for mu in ordered]
     points = []
-    for i, mu in enumerate(sorted(mus)):
-        cfg = _with_value(bare, "mu", mu)
+    for i, (mu, cfg) in enumerate(zip(ordered, configs)):
         rng = substream(cfg.seed, CHARACTERIZE_SPACE, i)
         counts = acquisition.simulate_counts(cfg, True, dwell_pulses, rng)
-        try:
-            g2 = estimate_g2(counts)
-        except ValueError:
-            g2 = None
-        points.append((mu, counts, g2))
+        reasons: list[str] = []
+        g2 = _formed(reasons, "g2", estimate_g2, counts)
+        points.append((mu, counts, g2, "; ".join(reasons) or None))
     return points
 
 
@@ -309,6 +302,6 @@ def characterize_to_csv(points: Sequence[CharacterizePoint], path: str) -> None:
     tallies = ("n_pulses", "n_signal_clicks", "n_herald_clicks", "n_coincidences")
     rows = (
         [repr(mu), *_cells(counts, *tallies), *_cells(g2, "value", "std_err")]
-        for mu, counts, g2 in points
+        for mu, counts, g2, _ in points
     )
     _write_csv(path, CHARACTERIZE_COLUMNS, rows)

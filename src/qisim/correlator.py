@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Channel, TimeTagStream, bin_indices
-from .model import ClickCounts, Estimate
+from .model import ClickCounts, Estimate, count_variance
 
 
 _BLOCK = 1 << 16  # tags per reduction block, before its end moves to a safe cut
@@ -158,7 +158,8 @@ def estimate_g2(counts: ClickCounts) -> Estimate:
 
     g2 = (C/n) / ((N_s/n)(N_h/n)). The uncertainty is first-order
     propagation of independent Poisson counting errors on C, N_s, N_h;
-    a coincidence count of zero uses a one-count error floor.
+    C = 0 takes `count_variance`'s one-count floor. No pulses or a zero
+    singles tally raises `ValueError` with the reason.
     """
     if counts.n_pulses <= 0:
         raise ValueError("g2 undefined: no pulses")
@@ -170,9 +171,8 @@ def estimate_g2(counts: ClickCounts) -> Estimate:
     p_sh = counts.n_coincidences / n
     value = p_sh / (p_s * p_h)
     scale = n / (counts.n_signal_clicks * counts.n_herald_clicks)
-    var_c = max(counts.n_coincidences, 1)
     var = scale * scale * (
-        var_c
+        count_variance(counts.n_coincidences)
         + counts.n_coincidences**2 / counts.n_signal_clicks
         + counts.n_coincidences**2 / counts.n_herald_clicks
     )

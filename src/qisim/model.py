@@ -155,6 +155,11 @@ class Estimate:
     std_err: float
 
 
+def count_variance(n: int) -> int:
+    """Poisson variance of a numerator tally, floored at one count."""
+    return max(n, 1)
+
+
 _FRECHET_TOL = 1e-9
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from qisim.model import ChannelParams, ExperimentConfig, SourceParams
+from qisim import channel
+from qisim.model import ChannelParams, ClickCounts, ExperimentConfig, SourceParams
 
 SIGMA = 4.0
 
@@ -24,6 +25,21 @@ def assert_within_sigma(observed: float, expected: float, std: float, label: str
 
 def binomial_std(n: int, p: float) -> float:
     return float(np.sqrt(n * p * (1.0 - p)))
+
+
+def script_draws(monkeypatch, *tallies) -> list:
+    """Make each `channel.simulate_counts` call return the next tally
+    (n_signal, n_herald, n_coinc) over the pulses it was asked for. The
+    orchestrators look the sampler up at call time, so this reaches them.
+    Returns the list of calls made, as (target_in, n_pulses)."""
+    queue, calls = list(tallies), []
+
+    def draw(config, target_in, n_pulses, rng):
+        calls.append((target_in, n_pulses))
+        return ClickCounts(n_pulses, *queue.pop(0))
+
+    monkeypatch.setattr(channel, "simulate_counts", draw)
+    return calls
 
 
 # --- hypothesis strategies -------------------------------------------------

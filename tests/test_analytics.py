@@ -20,6 +20,8 @@ from qisim.analytics import (
 from qisim.channel import simulate_counts
 from qisim.model import (
     ChannelParams,
+    ConfigError,
+    Estimate,
     ExperimentConfig,
     SourceParams,
     bare_channel,
@@ -27,7 +29,7 @@ from qisim.model import (
 )
 from qisim.rng import CHARACTERIZE_SPACE, substream
 
-from .conftest import assert_within_sigma
+from .conftest import assert_within_sigma, script_draws
 
 
 def bootstrap_snr_err(n_in, n_out, n_resamples, rng):
@@ -97,6 +99,12 @@ class TestSnrFromCounts:
     def test_zero_background_undefined(self):
         with pytest.raises(ValueError, match="SNR undefined"):
             snr_from_counts(10, 0)
+
+    def test_zero_in_tally_takes_the_one_count_floor(self):
+        # N_in = 0: SNR -1, and the error of one count over N_out, not 0
+        result = snr_from_counts(0, 5)
+        assert result.value == -1.0
+        assert result.std_err == pytest.approx(1 / 5, rel=1e-12)
 
 
 class TestExpectedSnr:
@@ -315,13 +323,14 @@ class TestRunCharacterize:
         source, channel = params(mu=0.01, dark=0.0, noise_h=0.0)
         cfg = validate_config(ExperimentConfig(source=source, channel=channel, seed=8))
         points = run_characterize(cfg, [0.01, 0.0], 10**6)
-        assert [mu for mu, _, _ in points] == [0.0, 0.01]
+        assert [mu for mu, _, _, _ in points] == [0.0, 0.01]
         bare = dataclasses.replace(cfg, channel=bare_channel(channel))
-        for i, (mu, counts, _) in enumerate(points):
+        for i, (mu, counts, _, _) in enumerate(points):
             at_mu = dataclasses.replace(bare, source=dataclasses.replace(source, mu=mu))
             rng = substream(8, CHARACTERIZE_SPACE, i)
             assert counts == simulate_counts(at_mu, True, 10**6, rng)
-        assert points[0][2] is None and points[1][2].value > 1.0
+        assert points[0][2:] == (None, "g2: g2 undefined: zero singles on a channel")
+        assert points[1][2].value > 1.0 and points[1][3] is None
         path = tmp_path / "char.csv"
         characterize_to_csv(points, str(path))
         lines = path.read_text().splitlines()
@@ -329,3 +338,115 @@ class TestRunCharacterize:
             "mu,n_pulses,n_signal,n_herald,n_coinc,g2,g2_err",
             "0.0,1000000,0,0,0,nan,nan",
         ]
+
+
+ZERO_BACKGROUND = "SNR undefined: zero background counts"
+ZERO_SINGLES = "g2 undefined: zero singles on a channel"
+NONPOSITIVE_SNR_C = "QEF undefined: classical SNR must be positive"
+
+
+class TestZeroTallies:
+    """Each statistic with a zero tally in each position, on scripted draws
+    (n_signal, n_herald, n_coinc): target in, target out, then the companion
+    g2. A zero numerator takes the one-count variance floor; a zero
+    denominator leaves the statistic unformed, with its reason in `error`."""
+
+    CONFIG = validate_config(ExperimentConfig(seed=3, toggle_period_pulses=1000))
+    DWELL = 4000  # 2000 pulses per target state, 2000 for the g2
+    G2 = (40, 100, 8)
+
+    def row(self, monkeypatch, tally_in, tally_out, tally_g2=G2):
+        script_draws(monkeypatch, tally_in, tally_out, tally_g2)
+        (row,) = run_sweep(self.CONFIG, "mu", [0.01], self.DWELL).rows
+        return row
+
+    def test_zero_in_singles_take_the_floor(self, monkeypatch):
+        row = self.row(monkeypatch, (0, 100, 0), (50, 100, 5))
+        assert row.snr_classical.value == -1.0
+        assert row.snr_classical.std_err == pytest.approx(1 / 50, rel=1e-12)
+        # a negative classical SNR is a zero-or-less QEF denominator
+        assert row.error == f"QEF: {NONPOSITIVE_SNR_C}"
+        assert math.isnan(row.qef) and math.isnan(row.qef_err)
+
+    def test_zero_out_singles_leave_both_snrs_unformed(self, monkeypatch):
+        row = self.row(monkeypatch, (50, 100, 5), (0, 100, 0))
+        assert row.snr_classical is None and row.snr_quantum is None
+        assert row.error == f"classical SNR: {ZERO_BACKGROUND}; quantum SNR: {ZERO_BACKGROUND}"
+        assert math.isnan(row.qef) and math.isnan(row.qef_err)
+        assert row.g2 is not None
+
+    def test_zero_in_coincidences_take_the_floor(self, monkeypatch):
+        row = self.row(monkeypatch, (80, 100, 0), (40, 100, 4))
+        assert row.snr_quantum.value == -1.0
+        assert row.snr_quantum.std_err == pytest.approx(1 / 4, rel=1e-12)
+        assert row.qef == -1.0 and math.isfinite(row.qef_err) and row.error is None
+
+    def test_zero_out_coincidences_leave_the_quantum_snr_unformed(self, monkeypatch):
+        row = self.row(monkeypatch, (80, 100, 8), (40, 100, 0))
+        assert row.snr_quantum is None and row.snr_classical.value == 1.0
+        assert row.error == f"quantum SNR: {ZERO_BACKGROUND}"
+        assert math.isnan(row.qef) and math.isnan(row.qef_err)
+
+    def test_zero_quantum_snr_is_a_zero_qef(self, monkeypatch):
+        row = self.row(monkeypatch, (80, 100, 4), (40, 100, 4))
+        assert row.snr_quantum.value == 0.0 and row.qef == 0.0
+        assert row.qef_err == pytest.approx(row.snr_quantum.std_err / 1.0, rel=1e-12)
+        assert row.error is None
+
+    def test_zero_classical_snr_leaves_the_qef_unformed(self, monkeypatch):
+        row = self.row(monkeypatch, (40, 100, 8), (40, 100, 4))
+        assert row.snr_classical.value == 0.0
+        assert row.error == f"QEF: {NONPOSITIVE_SNR_C}"
+        assert math.isnan(row.qef) and math.isnan(row.qef_err)
+
+    def test_zero_g2_coincidences_take_the_floor(self, monkeypatch):
+        row = self.row(monkeypatch, (80, 100, 8), (40, 100, 4), (40, 100, 0))
+        # g2 0, and one count's error: n / (N_s N_h) = 2000 / (40 * 100)
+        assert row.g2 == Estimate(0.0, 0.5) and row.error is None
+
+    @pytest.mark.parametrize("tally_g2", [(0, 100, 0), (40, 0, 0)])
+    def test_zero_g2_singles_leave_g2_unformed(self, monkeypatch, tally_g2):
+        row = self.row(monkeypatch, (80, 100, 8), (40, 100, 4), tally_g2)
+        assert row.g2 is None and row.error == f"g2: {ZERO_SINGLES}"
+        assert math.isfinite(row.qef)
+
+    def test_zero_singles_leave_a_characterize_g2_unformed(self, monkeypatch):
+        script_draws(monkeypatch, (40, 100, 0), (0, 100, 0))
+        points = run_characterize(self.CONFIG, [0.02, 0.01], 1000)
+        assert [p[2:] for p in points] == [
+            (Estimate(0.0, 0.25), None),
+            (None, f"g2: {ZERO_SINGLES}"),
+        ]
+
+
+class TestUndrawablePoints:
+    """A value that makes the config invalid stops the run before any draw."""
+
+    CONFIG = TestZeroTallies.CONFIG
+    TALLIES = [(40, 100, 8)] * 6
+
+    @pytest.mark.parametrize(
+        "variable, values, message",
+        [
+            ("mu", [0.01, -0.001], "mu -0.001: mu out of range"),
+            ("mu", [0.01, 0.02, math.inf], "mu inf: mu out of range"),
+            ("background", [1e-3, math.inf], "background inf: background_per_bin out of range"),
+        ],
+    )
+    def test_sweep_checks_every_value_first(self, monkeypatch, variable, values, message):
+        calls = script_draws(monkeypatch, *self.TALLIES)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(self.CONFIG, variable, values, 4000)
+        assert str(info.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "mus, message",
+        [([0.01, -0.5], "mu -0.5: mu out of range"), ([0.01, math.nan], "mu nan: mu out of range")],
+    )
+    def test_characterize_checks_every_mu_first(self, monkeypatch, mus, message):
+        calls = script_draws(monkeypatch, *self.TALLIES)
+        with pytest.raises(ConfigError) as info:
+            run_characterize(self.CONFIG, mus, 1000)
+        assert str(info.value) == message
+        assert calls == []

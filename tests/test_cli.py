@@ -21,6 +21,8 @@ from qisim.model import (
     validate_config,
 )
 
+from .conftest import script_draws
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -140,6 +142,22 @@ class TestCharacterize:
         )
         assert code == cli.EXIT_CONFIG
         assert "mu out of range" in capsys.readouterr().err
+
+    def test_zero_singles_are_nan_g2_with_the_reason_on_stderr(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        script_draws(monkeypatch, (0, 100, 0), (40, 100, 0))
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "characterize", "--config", config_path, "--mu", "0.01,0.02",
+            "--dwell-s", "0.05", "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            "0.01,4000000,0,100,0,nan,nan",
+            "0.02,4000000,40,100,0,0.0,1000.0",
+        ]
+        assert capsys.readouterr().err == "point 0.01: g2: g2 undefined: zero singles on a channel\n"
 
     def test_large_mu_with_unit_herald_is_all_coincidences(self, tmp_path):
         # mu eta_sig eta_h above ~709.78 once made the patterns NaN, and
@@ -415,27 +433,28 @@ class TestSweep:
         )
         assert code == cli.EXIT_CONFIG
         row_value = repr(float(value))
-        assert f"row {row_value} failed: {field} out of range\n" in capsys.readouterr().err
-        assert out.read_text().splitlines()[1] == ",".join([row_value] + ["nan"] * 11)
+        err = capsys.readouterr().err
+        assert err == f"config error: {variable} {row_value}: {field} out of range\n"
+        assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
-    @pytest.mark.filterwarnings("error")
-    def test_invalid_row_leaves_other_rows(self, fast_config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "characterize"])
+    @pytest.mark.parametrize("values", ["0.005,-0.001", "0.005,0.01,1e400"])
+    def test_invalid_value_anywhere_exits_before_any_draw(
+        self, fast_config_path, tmp_path, capsys, monkeypatch, command, values
+    ):
+        # both commands: one message shape, no draw, no CSV, no ledger line
+        calls = script_draws(monkeypatch, *[(40, 100, 8)] * 9)
         out = tmp_path / "s.csv"
+        values_flag = ["--variable", "mu", "--values"] if command == "sweep" else ["--mu"]
         code = run_cli(
-            "sweep",
-            "--config", fast_config_path,
-            "--variable", "mu",
-            "--values", "0.005,-0.001",
-            "--dwell-s", "0.25",
-            "--out", str(out),
+            command, "--config", fast_config_path, *values_flag, values,
+            "--dwell-s", "0.25", "--out", str(out),
         )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.err == "row -0.001 failed: mu out of range\n"
-        assert "(1/2 rows ok)" in captured.out
-        rows = out.read_text().splitlines()[1:]
-        assert rows[0] == ",".join(["-0.001"] + ["nan"] * 11)
-        assert rows[1].startswith("0.005,") and "nan" not in rows[1]
+        assert code == cli.EXIT_CONFIG
+        bad = repr(float(values.split(",")[-1]))
+        assert capsys.readouterr().err == f"config error: mu {bad}: mu out of range\n"
+        assert calls == []
+        assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
     def test_rows_with_counts_but_no_quantum_snr_are_not_failed(self, tmp_path, capsys):
         # the dark-box recipe on a short grid: no row has a target-out coincidence
@@ -447,13 +466,36 @@ class TestSweep:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "(3/3 rows ok)" in captured.out
-        assert "failed" not in captured.err
-        assert captured.err.count("quantum SNR: SNR undefined: zero background counts") == 3
+        assert captured.out == f"wrote {out} (3 rows)\n"
+        assert captured.err.splitlines() == [
+            f"row {v}: quantum SNR: SNR undefined: zero background counts"
+            for v in ("0.001", "0.0025", "0.005")
+        ]
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[4] for row in rows] == ["0", "0", "0"]  # n_out_coinc
+        assert all(row[7:10] == ["nan"] * 3 for row in rows)  # snr_q, snr_q_err, qef
         (line,) = (tmp_path / "runs.jsonl").read_text().splitlines()
-        assert json.loads(line)["summary"]["failed_rows"] == 0
+        assert json.loads(line)["summary"] == {
+            "variable": "mu", "rows": 3, "dwell_pulses": 160_000_000,
+        }
+
+    def test_zero_denominators_are_nan_with_reasons_on_stderr(
+        self, fast_config_path, tmp_path, capsys, monkeypatch
+    ):
+        # scripted tallies (n_signal, n_herald, n_coinc): in, out, companion g2
+        script_draws(monkeypatch, (50, 100, 5), (0, 100, 0), (0, 100, 0))
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--config", fast_config_path, "--variable", "mu", "--values", "0.005",
+            "--dwell-s", "0.25", "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "0.005,50,0,5,0," + ",".join(["nan"] * 7)
+        assert capsys.readouterr().err == (
+            "row 0.005: classical SNR: SNR undefined: zero background counts; "
+            "quantum SNR: SNR undefined: zero background counts; "
+            "g2: g2 undefined: zero singles on a channel\n"
+        )
 
     def test_no_config_anywhere_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
@@ -585,6 +627,13 @@ class TestRunLedger:
         assert record["command"] == "sweep"
         assert record["seed"] == 33
         assert len(record["config_digest"]) == 64
+
+    def test_sweep_summary_holds_the_dwell(self, fast_config_path, tmp_path):
+        argv = ["--config", fast_config_path, "--dwell-s", "0.25", "--out", str(tmp_path / "s.csv")]
+        assert run_cli("sweep", *argv, "--variable", "background", "--values", "1e-3,2e-3") == 0
+        (line,) = (tmp_path / "runs.jsonl").read_text().splitlines()
+        summary = json.loads(line)["summary"]
+        assert summary == {"variable": "background", "rows": 2, "dwell_pulses": 20_000_000}
 
     def test_usage_error_on_unknown_command(self):
         assert run_cli("frobnicate") == cli.EXIT_USAGE
