@@ -28,6 +28,7 @@ from .model import (
     Estimate,
     ExperimentConfig,
     SourceParams,
+    UndefinedStatistic,
     bare_channel,
     click_pattern_probabilities,
     count_variance,
@@ -53,7 +54,7 @@ def analytic_g2(source: SourceParams, channel: ChannelParams, target_in: bool = 
     """Closed-form pair correlation of the configured channel."""
     bp = click_probabilities(source, channel, target_in)
     if bp.p_signal <= 0 or bp.p_herald <= 0:
-        raise ValueError("g2 undefined: a singles probability is zero")
+        raise UndefinedStatistic("g2 undefined: a singles probability is zero")
     return bp.p_coincidence / (bp.p_signal * bp.p_herald)
 
 
@@ -62,10 +63,10 @@ def snr_from_counts(n_in: int, n_out: int) -> Estimate:
 
     The uncertainty treats N_in and N_out as independent Poisson counts:
     var = N_in/N_out^2 + N_in^2 N_out/N_out^4, where N_in = 0 takes
-    `count_variance`'s one-count floor. N_out = 0 raises `ValueError`.
+    `count_variance`'s one-count floor. N_out = 0 raises `UndefinedStatistic`.
     """
     if n_out <= 0:
-        raise ValueError("SNR undefined: zero background counts")
+        raise UndefinedStatistic("SNR undefined: zero background counts")
     if n_in < 0:
         raise ValueError("n_in must be non-negative")
     value = n_in / n_out - 1.0
@@ -76,7 +77,7 @@ def snr_from_counts(n_in: int, n_out: int) -> Estimate:
 def expected_snr_classical(eta: float, p_s: float, p_b: float) -> float:
     """Singles-counting SNR: eta * P_s / P_b."""
     if p_b <= 0:
-        raise ValueError("SNR undefined: zero background probability")
+        raise UndefinedStatistic("SNR undefined: zero background probability")
     return eta * p_s / p_b
 
 
@@ -87,9 +88,9 @@ def expected_snr_quantum(eta: float, p_sh: float, p_h: float, p_b: float) -> flo
     background click.
     """
     if p_b <= 0:
-        raise ValueError("SNR undefined: zero background probability")
+        raise UndefinedStatistic("SNR undefined: zero background probability")
     if p_h <= 0:
-        raise ValueError("SNR undefined: zero herald probability")
+        raise UndefinedStatistic("SNR undefined: zero herald probability")
     return eta * p_sh / (p_h * p_b)
 
 
@@ -101,7 +102,7 @@ def qef(snr_q: float, snr_c: float) -> float:
     arbitrary loss and jamming.
     """
     if snr_c <= 0:
-        raise ValueError("QEF undefined: classical SNR must be positive")
+        raise UndefinedStatistic("QEF undefined: classical SNR must be positive")
     return snr_q / snr_c
 
 
@@ -157,11 +158,11 @@ def _with_value(config: ExperimentConfig, variable: str, value: float) -> Experi
 
 
 def _formed(reasons: list[str], what: str, estimator, *args) -> Optional[Estimate]:
-    """`estimator(*args)`, or None when a zero denominator leaves the
-    statistic undefined; then `what: reason` is appended to `reasons`."""
+    """`estimator(*args)`, or None when it raises `UndefinedStatistic`; then
+    `what: reason` is appended to `reasons`. Any other error propagates."""
     try:
         return estimator(*args)
-    except ValueError as exc:
+    except UndefinedStatistic as exc:
         reasons.append(f"{what}: {exc}")
         return None
 

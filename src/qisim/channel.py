@@ -24,6 +24,9 @@ model.
 
 `bin_indices` is the pulse-locked binning rule and the only same-bin test:
 the click-per-bin dedupe here and the correlator's reduction both use it.
+
+A stream is exported as QITT binary records or as a tag CSV. The CSV
+reader takes exactly the writer's form, and names the line of any error.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, replace
 
@@ -353,6 +357,7 @@ def read_qitt(path: str) -> TimeTagStream:
 
 _CSV_HEADER = b"channel,time_ps"
 _CSV_DURATION = b"# duration_ps="
+_CSV_FIRST_LINE = re.compile(re.escape(_CSV_DURATION) + rb"(\d{1,20})\n")
 _CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
 _CSV_BLOCK = 1 << 20  # bytes per read or write
 DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
@@ -402,37 +407,28 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
-    """Read a tag CSV file or pipe. Comment lines (first byte `#`) and empty
-    lines may precede the header. Only the line end (`\\n` or `\\r\\n`) is
-    cut from these lines, so a line with any other whitespace is none of the
-    three. A comment line that begins `# duration_ps=` sets the duration (0
-    without one) from the 1 to 20 digits that follow, or raises
-    `ValueError` naming its line if anything else follows.
+    """Read a tag CSV file or pipe in the form `write_tags_csv` writes:
+    `# duration_ps=` and 1 to 20 digits, the header `channel,time_ps`, then
+    one record per line, every line ending in `\\n`. A bad first or second
+    line raises `ValueError` naming it.
 
     The body is read in blocks of `_CSV_BLOCK` bytes (the file size, if that
     is smaller) into one reused buffer of two blocks, which grows only for
-    a line longer than a block. Each
-    block is cut after its last newline and parsed by `_csv_block` into
-    arrays sized from the file size; the unfinished line after the cut
-    moves to the front of the buffer, ahead of the next block.
+    a line longer than a block. Each block is cut after its last newline
+    and parsed by `_csv_block` into arrays sized from the file size; the
+    unfinished line after the cut moves to the front of the buffer, ahead
+    of the next block. One left at the end of the file is a truncated
+    record.
     """
-    duration, line, lineno = 0, b"", 0
     with open(path, "rb") as fh:
-        for line in iter(fh.readline, b""):
-            lineno += 1
-            if line.endswith(b"\n"):
-                line = line[: -2 if line.endswith(b"\r\n") else -1]
-            if line and not line.startswith(b"#"):
-                break
-            if line.startswith(_CSV_DURATION):
-                value = line[len(_CSV_DURATION) :]
-                if not (value.isdigit() and len(value) <= 20):
-                    got = value.decode(errors="replace")
-                    raise ValueError(f"bad duration comment at line {lineno}: {got!r}")
-                duration = int(value)
-        if line != _CSV_HEADER:
-            got = line.decode(errors="replace")
-            raise ValueError(f"expected the header {_CSV_HEADER.decode()!r}, got {got!r}")
+        first, header = fh.readline(), fh.readline()
+        duration = _CSV_FIRST_LINE.fullmatch(first)
+        if duration is None:
+            text = first.removesuffix(b"\n").decode(errors="replace")
+            raise ValueError(f"bad duration comment at line 1: {text!r}")
+        if header != _CSV_HEADER + b"\n":
+            text = header.removesuffix(b"\n").decode(errors="replace")
+            raise ValueError(f"expected the header {_CSV_HEADER.decode()!r} at line 2, got {text!r}")
         # A record takes at least 9 bytes ("signal,0\n"), so the file size
         # bounds the record count; pages that are never written stay unmapped.
         file_size = os.fstat(fh.fileno()).st_size
@@ -440,74 +436,67 @@ def read_tags_csv(path: str) -> TimeTagStream:
         codes, times, n = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0
         step = min(_CSV_BLOCK, file_size) or _CSV_BLOCK  # a pipe has size 0
         buf, tail = bytearray(2 * step), 0  # the unfinished line is buf[:tail]
-        while True:
-            if len(buf) < tail + step:  # a line longer than a block
-                buf.extend(bytes(len(buf)))
-            got = fh.readinto(memoryview(buf)[tail : tail + step])
+        lineno, width = 2, 8
+        while got := fh.readinto(memoryview(buf)[tail : tail + step]):
             size = tail + got
-            if not got:  # at the end, the last line may lack its "\n"
-                buf[size] = ord("\n")
-                size += bool(tail)
             cut = buf.rfind(b"\n", 0, size) + 1
             if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
                 codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
-            if cut:
-                lineno, n = _csv_block(buf, cut, lineno, codes, times, n)
-            if not got:
-                break
+            lineno, n, width = _csv_block(buf, cut, lineno, width, codes, times, n)
             tail = size - cut
             buf[:tail] = buf[cut:size]
-    return TimeTagStream(codes[:n], times[:n], duration)
+            if len(buf) < tail + step:  # a line longer than a block
+                buf.extend(bytes(len(buf)))
+    if tail:
+        raise _bad_record(lineno + 1, buf[:tail])
+    return TimeTagStream(codes[:n], times[:n], int(duration[1]))
+
+
+def _bad_record(lineno: int, line) -> ValueError:
+    text = bytes(line).decode("ascii", errors="replace")
+    return ValueError(f"bad tag record at line {lineno}: {text!r}")
 
 
 def _csv_block(
-    buf: bytes | bytearray, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
-) -> tuple[int, int]:
+    buf, size: int, lineno: int, width: int, codes: np.ndarray, times: np.ndarray, n: int
+) -> tuple[int, int, int]:
     """Parse the lines in buf[:size], which ends in a newline, into
-    codes[n:] and times[n:], and return the last line number and the new
-    record count.
+    codes[n:] and times[n:]; return the last line number, the new record
+    count and the last line's width. `lineno` and `width` are those of the
+    line before the block.
 
-    `lineno` is the file line number before the block. Empty lines and
-    lines starting with `#` are skipped and a `\\r` right before a `\\n`
-    is dropped. A record is 7 name bytes, which must be `signal,` or
-    `herald,`, then 1 to 19 digits that must not exceed the int64 maximum.
-
-    The block is read run by run. A run starts at a line of width w that
-    ends in `\\n` alone: the rest of the block is viewed as rows of w + 1
-    bytes, and the rows up to the first one without a newline at column w
-    are read as one record matrix by `_csv_records`. The next run starts
-    at that row. The writer's widths only grow, so its blocks hold at most
-    one run per width. What is not a run of records (a CRLF or empty line,
-    a comment, a bad record, or the part after 19 runs) goes, from its
-    first line to the end of the block, to `_csv_lines`, which reads it
-    line by line and raises `ValueError` naming the first bad line.
+    A record is `signal,` or `herald,`, then 1 to 19 digits with no leading
+    zero and a value of at most the int64 maximum. The block is read run by
+    run. A run starts at a line of width w: the rest of the block is viewed
+    as rows of w + 1 bytes, and the rows up to the first one without a
+    newline at column w are read as one record matrix by `_csv_records`.
+    Sorted times without leading zeros only grow wider, so a record
+    narrower than the line before raises `StreamOrderError`, and a block
+    holds at most one run per width (8 to 26 bytes). A line that is no
+    record raises `ValueError`. Both name the line. Only a run's first row
+    is checked for a leading zero: a later one is below the first, which
+    the stream's order check rejects.
     """
     a = np.frombuffer(buf, dtype=np.uint8, count=size)
     start = 0
-    for _ in range(19):  # one run per width from 8 to 26 bytes
+    while start < size:
         w = buf.find(b"\n", start, size) - start
-        # A CRLF line is never a record of its width, so such a run skips
-        # the record checks, which would take as long as the line search.
-        if not 8 <= w <= 26 or buf[start + w - 1] == ord("\r"):
-            break
-        rows = a[start : size - (size - start) % (w + 1)].reshape(-1, w + 1)
-        ends = rows[:, w] == ord("\n")
-        m = len(rows) if ends.all() else int(np.argmin(ends))
-        bad = _csv_records(rows[:m, :w], codes, times, slice(n, n + m))
-        if bad > 0:  # a comment as wide as the records, say: the run ends before it
-            _csv_records(rows[:bad, :w], codes, times, slice(n, n + bad))
-        m = m if bad < 0 else bad
-        start, lineno, n = start + m * (w + 1), lineno + m, n + m
-        if bad >= 0 or start == size:
-            break
-    if start == size:
-        return lineno, n
-    return _csv_lines(memoryview(buf)[start:size], size - start, lineno, codes, times, n)
+        bad = m = 0  # no record width, or a leading zero: the first row is bad
+        if 8 <= w <= 26 and (w == 8 or buf[start + 7] != ord("0")):
+            rows = a[start : size - (size - start) % (w + 1)].reshape(-1, w + 1)
+            ends = rows[:, w] == ord("\n")
+            m = len(rows) if ends.all() else int(np.argmin(ends))
+            bad = _csv_records(rows[:m, :w], codes, times, slice(n, n + m))
+        if w < width and bad != 0:  # its first row is a record
+            raise StreamOrderError(f"unsorted stream at line {lineno + 1}")
+        if bad >= 0:
+            line = start + bad * (w + 1)
+            raise _bad_record(lineno + bad + 1, buf[line : buf.find(b"\n", line, size)])
+        start, lineno, n, width = start + m * (w + 1), lineno + m, n + m, w
+    return lineno, n, width
 
 
-def _csv_records(
-    rows: np.ndarray, codes: np.ndarray, times: np.ndarray, dest: slice | np.ndarray
-) -> int:
+def _csv_records(rows: np.ndarray, codes: np.ndarray, times: np.ndarray, dest: slice) -> int:
     """Check the records of the (m, 7 + d) uint8 matrix rows, one per row:
     7 name bytes, then d digits. Store their channels in codes[dest] and
     their times in times[dest] and return -1. If a record is bad, store
@@ -545,50 +534,3 @@ def _decimal(digits: np.ndarray, dtype) -> np.ndarray:
         v += digits[:, j]
     return v
 
-
-def _csv_lines(
-    buf: bytes | memoryview, size: int, lineno: int, codes: np.ndarray, times: np.ndarray, n: int
-) -> tuple[int, int]:
-    """The line-by-line reader of `_csv_block`: locate every line of buf[:size],
-    read the records of each width with `_csv_records`, and raise
-    `ValueError` naming the first bad line. The records of one width are
-    rows of a sliding window over the block: a strided view of consecutive
-    lines with one kind of line end, as in a sorted stream, else gathered."""
-    a = np.frombuffer(buf, dtype=np.uint8, count=size)
-    nl = np.flatnonzero(a == ord("\n"))
-    starts = np.concatenate(([0], nl[:-1] + 1))
-    crlf = np.zeros(nl.size, dtype=bool)
-    bad = []  # (line index in the block, reason) of the first bad line found by each check
-    grammar = "expected signal,<ps> or herald,<ps>"
-    n_cr = np.count_nonzero(a == ord("\r"))
-    if n_cr:
-        crlf = (nl > starts) & (a[nl - 1] == ord("\r"))
-        if n_cr != np.count_nonzero(crlf):
-            lone = a == ord("\r")
-            lone[nl[crlf] - 1] = False
-            bad.append((int(np.searchsorted(nl, np.argmax(lone))), "carriage return inside a line"))
-    length = nl - starts - crlf
-    rec = np.flatnonzero((length > 0) & (a[starts] != ord("#")))
-    # Widths past 26 are all bad, so they share one group.
-    width = np.minimum(length[rec], 27)
-    for w in np.flatnonzero(np.bincount(width)).tolist():
-        idx = np.flatnonzero(width == w)
-        lines, m = rec[idx], idx.size
-        if not 8 <= w <= 26:
-            bad.append((int(lines[0]), grammar))
-            continue
-        win = np.lib.stride_tricks.sliding_window_view(a, w)
-        ends = crlf[lines]
-        if lines[-1] - lines[0] == m - 1 and (ends.all() or not ends.any()):
-            rows = win[starts[lines[0]] : starts[lines[-1]] + 1 : w + 1 + ends[0]]
-            dest = slice(n + idx[0], n + idx[0] + m)
-        else:
-            rows, dest = win[starts[lines]], n + idx
-        i = _csv_records(rows, codes, times, dest)
-        if i >= 0:
-            bad.append((int(lines[i]), grammar))
-    if bad:
-        i, why = min(bad)
-        text = bytes(buf[starts[i] : nl[i]]).decode("ascii", errors="replace")
-        raise ValueError(f"bad tag record at line {lineno + i + 1}: {why}: {text!r}")
-    return lineno + nl.size, n + rec.size

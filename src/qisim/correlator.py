@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Channel, TimeTagStream, bin_indices
-from .model import ClickCounts, Estimate, count_variance
+from .model import ClickCounts, Estimate, UndefinedStatistic, count_variance
 
 
 _BLOCK = 1 << 16  # tags per reduction block, before its end moves to a safe cut
@@ -159,12 +159,12 @@ def estimate_g2(counts: ClickCounts) -> Estimate:
     g2 = (C/n) / ((N_s/n)(N_h/n)). The uncertainty is first-order
     propagation of independent Poisson counting errors on C, N_s, N_h;
     C = 0 takes `count_variance`'s one-count floor. No pulses or a zero
-    singles tally raises `ValueError` with the reason.
+    singles tally raises `UndefinedStatistic` with the reason.
     """
     if counts.n_pulses <= 0:
-        raise ValueError("g2 undefined: no pulses")
+        raise UndefinedStatistic("g2 undefined: no pulses")
     if counts.n_signal_clicks <= 0 or counts.n_herald_clicks <= 0:
-        raise ValueError("g2 undefined: zero singles on a channel")
+        raise UndefinedStatistic("g2 undefined: zero singles on a channel")
     n = counts.n_pulses
     p_s = counts.n_signal_clicks / n
     p_h = counts.n_herald_clicks / n

@@ -32,11 +32,8 @@ from .rng import PIXEL_SPACE, substream
 
 
 def _owned(grid) -> np.ndarray:
-    """grid as a read-only float64 array that no caller can write through:
-    a copy when the array would be the argument or a view of it."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g is grid or g.base is not None:
-        g = g.copy()
+    """grid as a read-only float64 copy, which no caller can write through."""
+    g = np.array(grid, dtype=np.float64)
     g.flags.writeable = False
     return g
 

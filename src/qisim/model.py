@@ -160,6 +160,11 @@ def count_variance(n: int) -> int:
     return max(n, 1)
 
 
+class UndefinedStatistic(ValueError):
+    """A statistic has a zero denominator (for the QEF, a classical SNR of
+    zero or less) and cannot be formed; the message says which."""
+
+
 _FRECHET_TOL = 1e-9
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from qisim import analytics
 from qisim.analytics import (
     CSV_COLUMNS,
     analytic_g2,
@@ -18,12 +19,15 @@ from qisim.analytics import (
     sweep_to_csv,
 )
 from qisim.channel import simulate_counts
+from qisim.correlator import estimate_g2
 from qisim.model import (
     ChannelParams,
+    ClickCounts,
     ConfigError,
     Estimate,
     ExperimentConfig,
     SourceParams,
+    UndefinedStatistic,
     bare_channel,
     validate_config,
 )
@@ -409,6 +413,32 @@ class TestZeroTallies:
         row = self.row(monkeypatch, (80, 100, 8), (40, 100, 4), tally_g2)
         assert row.g2 is None and row.error == f"g2: {ZERO_SINGLES}"
         assert math.isfinite(row.qef)
+
+    @pytest.mark.parametrize(
+        "estimator, args",
+        [
+            (snr_from_counts, (5, 0)),
+            (qef, (1.0, 0.0)),
+            (estimate_g2, (ClickCounts(0, 0, 0, 0),)),
+            (estimate_g2, (ClickCounts(10, 5, 0, 0),)),
+            (analytic_g2, (SourceParams(mu=0.0, noise_herald_per_bin=0.0), ChannelParams())),
+            (expected_snr_classical, (0.5, 0.1, 0.0)),
+            (expected_snr_quantum, (0.5, 0.1, 0.2, 0.0)),
+            (expected_snr_quantum, (0.5, 0.1, 0.0, 0.2)),
+        ],
+    )
+    def test_every_zero_denominator_raises_undefined_statistic(self, estimator, args):
+        with pytest.raises(UndefinedStatistic, match="undefined"):
+            estimator(*args)
+
+    def test_an_estimator_fault_is_no_unformed_statistic(self, monkeypatch):
+        # only `UndefinedStatistic` leaves a statistic unformed; any other error propagates
+        def boom(snr_q, snr_c):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(analytics, "qef", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            self.row(monkeypatch, (80, 100, 8), (40, 100, 4))
 
     def test_zero_singles_leave_a_characterize_g2_unformed(self, monkeypatch):
         script_draws(monkeypatch, (40, 100, 0), (0, 100, 0))

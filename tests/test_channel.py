@@ -647,8 +647,8 @@ class TestStreamFormats:
 
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("channel,time_ps\nsideways,12\n")
-        with pytest.raises(ValueError, match="bad tag record"):
+        path.write_text("# duration_ps=100\nchannel,time_ps\nsideways,12\n")
+        with pytest.raises(ValueError, match="^bad tag record at line 3: 'sideways,12'$"):
             read_tags_csv(str(path))
 
 
@@ -838,10 +838,15 @@ class TestStreamInvariant:
             assert back.times_ps.tolist() == [2**63 - 1] and back.channels.tolist() == [1]
 
     def test_csv_without_duration_rejected(self, tmp_path):
-        # without a duration line the duration is 0, so no tag is in range
         path = tmp_path / "tags.csv"
         path.write_text("channel,time_ps\nsignal,5\n")
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="^bad duration comment at line 1: 'channel,time_ps'$"):
+            read_tags_csv(str(path))
+
+    def test_csv_note_before_the_duration_rejected(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_text("# run 7\n# duration_ps=100\nchannel,time_ps\nsignal,5\n")
+        with pytest.raises(ValueError, match="^bad duration comment at line 1: '# run 7'$"):
             read_tags_csv(str(path))
 
     def test_csv_requires_header(self, tmp_path):
@@ -853,16 +858,15 @@ class TestStreamInvariant:
     @pytest.mark.parametrize("comment", [b"# duration_ps=+1_000", b"# duration_ps= 100 "])
     def test_csv_duration_must_be_digits(self, comment, tmp_path):
         path = tmp_path / "tags.csv"
-        path.write_bytes(b"# run 7\n" + comment + b"\nchannel,time_ps\n")
-        with pytest.raises(ValueError, match="^bad duration comment at line 2: "):
+        path.write_bytes(comment + b"\nchannel,time_ps\n")
+        with pytest.raises(ValueError, match="^bad duration comment at line 1: "):
             read_tags_csv(str(path))
 
     @pytest.mark.parametrize(
         "preamble,message",
         [
             (b"# duration_ps=100 \t\nchannel,time_ps\n", "^bad duration comment at line 1: "),
-            # leading whitespace: not a comment, so it stands where the header should
-            (b"  # duration_ps=100 \t\nchannel,time_ps\n", "^expected the header .*, got '  #"),
+            (b"  # duration_ps=100 \t\nchannel,time_ps\n", "^bad duration comment at line 1: '  #"),
             (b"# duration_ps=100\n\t channel,time_ps  \n", "^expected the header "),
             (b"# duration_ps=100\n \nchannel,time_ps\n", "^expected the header .*, got ' '$"),
         ],
@@ -874,17 +878,25 @@ class TestStreamInvariant:
             read_tags_csv(str(path))
 
     def test_csv_preamble_crlf_line_ends(self, tmp_path):
+        # only "\n" ends a line, so a "\r" before it is part of the line
         path = tmp_path / "tags.csv"
-        path.write_bytes(b"# duration_ps=100\r\n\r\nchannel,time_ps\r\nsignal,5\r\n")
-        stream = read_tags_csv(str(path))
-        assert (stream.duration_ps, stream.times_ps.tolist()) == (100, [5])
+        path.write_bytes(b"# duration_ps=100\r\nchannel,time_ps\r\nsignal,5\r\n")
+        with pytest.raises(ValueError, match=r"^bad duration comment at line 1: '.*=100\\r'$"):
+            read_tags_csv(str(path))
+        path.write_bytes(b"# duration_ps=100\nchannel,time_ps\r\nsignal,5\n")
+        with pytest.raises(ValueError, match=r"^expected the header .* at line 2, got '.*_ps\\r'$"):
+            read_tags_csv(str(path))
 
     def test_csv_duration_mentioned_later_in_a_comment_is_ignored(self, tmp_path):
+        # only line 1 sets the duration; a later mention is rejected as the line it stands in
         path = tmp_path / "tags.csv"
-        path.write_bytes(
-            b"# duration_ps=25000\n# note: duration_ps=3 was wrong\nchannel,time_ps\nsignal,5\n"
-        )
-        assert read_tags_csv(str(path)).duration_ps == 25000
+        note = b"# note: duration_ps=3 was wrong\n"
+        path.write_bytes(b"# duration_ps=25000\n" + note + b"channel,time_ps\nsignal,5\n")
+        with pytest.raises(ValueError, match="^expected the header .* at line 2, got '# note"):
+            read_tags_csv(str(path))
+        path.write_bytes(b"# duration_ps=25000\nchannel,time_ps\n" + note + b"signal,5\n")
+        with pytest.raises(ValueError, match="^bad tag record at line 3: '# note"):
+            read_tags_csv(str(path))
 
     @pytest.mark.parametrize("duration", [0, 1, 25_000, 2**64 - 1])
     def test_csv_duration_round_trips(self, duration, tmp_path):
@@ -935,44 +947,46 @@ DIGIT_EDGES = sorted({0, 2**63 - 1} | {10**k + e for k in range(1, 19) for e in 
 CSV_HEAD = b"# duration_ps=%d\nchannel,time_ps\n"
 
 
-def csv_record_forms(clean: bool) -> st.SearchStrategy:
+def csv_record_forms(clean: bool, zero_led: bool) -> st.SearchStrategy:
     """(filler lines, name, zero padding, sign or space, suffix, line end)
-    of one record. Clean forms are all valid; the others add forms that
-    either reader may reject."""
+    of one record. Clean forms are the writer's; the others add forms that
+    the reader rejects, most of which loadtxt reads. Without `zero_led`,
+    no line has a time with a leading zero."""
 
     def pick(good, bad):
         return st.sampled_from(good if clean else good * 3 + bad)
 
-    filler = pick(["", "#", "# c", "#x,5"], [" ", "\t", "  # c"])
-    if not clean:
+    filler = st.sampled_from(["", "#", "# c", "#x,5", " ", "\t", "  # c"])
+    if zero_led:
         filler |= st.text(st.sampled_from("signalherd,0123456789#+- \t\r"), max_size=10)
     return st.tuples(
-        st.lists(filler, max_size=2),
+        st.lists(filler, max_size=0 if clean else 1),
         pick(["signal", "herald"], ["Signal", "heraldx", "", " signal"]),
-        pick(["", "", "0", "000"], ["0" * 20]),
+        pick([""], ["0", "000", "0" * 20] if zero_led else []),
         pick([""], [" ", "\t", "+", "-"]),
         pick([""], [" ", "#x", ",", ".0"]),
-        pick(["\n", "\r\n"], ["\r"]),
+        pick(["\n"], ["\r\n", "\r"]),
     )
 
 
-RECORD_FORMS = st.sampled_from([csv_record_forms(True), csv_record_forms(False)])
 CSV_TIMES = st.lists(st.integers(0, 10**6) | st.integers(0, 2**63 + 10), max_size=12)
 
 
 @st.composite
-def csv_bodies(draw):
-    """ASCII tag-CSV bodies: sorted times in records between comment and
-    blank lines, with LF or CRLF line ends, leading zeros and sometimes no
-    newline at the end; half of them also carry rejectable forms."""
+def csv_bodies(draw, zero_led: bool = True):
+    """ASCII tag-CSV bodies of sorted times: half in the writer's form, half
+    with lines that break it (comment, blank or CRLF lines, leading zeros,
+    no newline at the end, ...)."""
+    clean = draw(st.booleans())
     times = sorted(draw(CSV_TIMES))
-    forms = draw(st.lists(draw(RECORD_FORMS), min_size=len(times), max_size=len(times)))
+    forms = csv_record_forms(clean, zero_led)
+    forms = draw(st.lists(forms, min_size=len(times), max_size=len(times)))
     body = "".join(
         "".join(f + end for f in filler) + f"{name},{pre}{pad}{t}{post}{end}"
         for t, (filler, name, pad, pre, post, end) in zip(times, forms)
     )
-    if draw(st.booleans()):  # the last line without its line end
-        body = body.removesuffix("\n").removesuffix("\r")
+    if not clean and draw(st.booleans()):  # the last line without its newline
+        body = body.removesuffix("\n")
     return body.encode("ascii")
 
 
@@ -995,7 +1009,8 @@ class TestTagCsvCodec:
         max_examples=400, derandomize=True, deadline=None, suppress_health_check=[SHARED_TMP_PATH]
     )
     @given(body=csv_bodies(), duration=st.sampled_from([10**6 + 1, 2**63]))
-    @example(body=b"signal,5\r\nherald,5\n# c\n\nsignal,0012\r\n\r\nherald,13", duration=100)
+    @example(body=b"signal,5\nherald,5\nsignal,12\nherald,13\n", duration=100)
+    @example(body=b"signal,5\nherald,5\nsignal,012\nherald,013\n", duration=100)
     def test_reader_accepts_only_what_loadtxt_reads_alike(self, body, duration, tmp_path):
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % duration + body)
@@ -1019,6 +1034,10 @@ class TestTagCsvCodec:
             b"signal,5\rherald,6\n",  # a lone CR used to end a line
             b"# c\rsignal,5\n",  # ... and so could end a comment
             b"signal,%s5\n" % (b"0" * 19),  # 20 digits
+            b"signal,5\r\n",  # the writer ends every line in "\n"
+            b"# c\nsignal,5\n",
+            b"\nsignal,5\n",
+            b"signal,5",  # a last line without its newline: a truncated file
         ],
     )
     def test_newly_rejected_forms(self, body, tmp_path):
@@ -1055,9 +1074,11 @@ class TestTagCsvCodec:
     @settings(
         max_examples=300, derandomize=True, deadline=None, suppress_health_check=[SHARED_TMP_PATH]
     )
-    @given(body=csv_bodies(), block=st.integers(1, 40))
+    @given(body=csv_bodies(zero_led=False), block=st.integers(1, 40))
     def test_block_size_changes_nothing(self, body, block, tmp_path):
-        # every line of these bodies crosses block edges at some block size
+        # Every line of these bodies crosses block edges at some block size.
+        # No time has a leading zero: inside a run, one is found where a
+        # block starts, else by the stream's order check (`test_leading_zeros`).
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 2**63 + body)
 
@@ -1096,13 +1117,11 @@ class TestTagCsvCodec:
         ],
     )
     def test_mixed_line_ends(self, body, tmp_path):
-        # records of one width with LF and CRLF ends are not evenly spaced;
-        # with CRLF ends only they are, and a CR sits where a last digit would
+        # only "\n" ends a line, so the first CRLF record is a bad one
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 100 + body)
-        back = read_tags_csv(str(path))
-        assert back.times_ps.tolist() == [10, 11, 12, 13, 14]
-        assert back.channels.tolist() == [0, 0, 1, 0, 0]
+        with pytest.raises(ValueError, match=r"^bad tag record at line 3: 'signal,10\\r'$"):
+            read_tags_csv(str(path))
 
     @pytest.mark.parametrize(
         "body",
@@ -1113,112 +1132,74 @@ class TestTagCsvCodec:
         ],
     )
     def test_one_width_lookalikes_read_like_loadtxt(self, body, tmp_path):
-        # each block looks like rows of its first line's width, each ending
-        # in a newline, yet holds lines that are not records of that width
+        # Each block looks like rows of its first line's width, each ending
+        # in a newline, yet holds a line that is no record: the comment, the
+        # blank line, the leading zero. That line is named. In writer form,
+        # without it and with the zero dropped, the body reads like loadtxt.
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 100 + body)
+        lines = body.splitlines()
+        bad = next(i for i, line in enumerate(lines) if b",0" in line or b"," not in line)
+        with pytest.raises(ValueError, match=f"^bad tag record at line {3 + bad}: "):
+            read_tags_csv(str(path))
+        records = [line.split(b",") for line in lines if b"," in line]
+        path.write_bytes(CSV_HEAD % 100 + b"".join(b"%s,%d\n" % (c, int(t)) for c, t in records))
         back = read_tags_csv(str(path))
         assert len(back) == 2
         assert same_stream(back, loadtxt_read_tags_csv(str(path)))
 
-    def test_line_search_only_for_what_is_not_a_run_of_records(self, tmp_path):
-        # Counts calls, takes no time: a block is read as one record matrix
-        # per run of lines of one width, so a sorted stream never goes
-        # through the line search, even where its times gain a digit. A
-        # block of CRLF lines goes straight to the line search, and a comment
-        # sends the line search only the part of its block from it on.
+    def test_leading_zeros(self, tmp_path):
         path = tmp_path / "tags.csv"
-        steps = np.arange(4000) * 7
+        # at the start of a run, a time with a leading zero is no record
+        path.write_bytes(CSV_HEAD % 1000 + b"signal,5\nsignal,07\nherald,08\n")
+        with pytest.raises(ValueError, match="^bad tag record at line 4: 'signal,07'$"):
+            read_tags_csv(str(path))
+        # inside a run it is below the run's first time, which has none
+        path.write_bytes(CSV_HEAD % 1000 + b"signal,10\nsignal,07\n")
+        with pytest.raises(StreamOrderError, match="^unsorted stream$"):
+            read_tags_csv(str(path))
 
-        def read(start: int, edit=lambda lines: lines):
-            stream = TimeTagStream.from_arrays([0, 1] * 2000, start + steps, 10**6)
-            write_tags_csv(stream, str(path))
-            path.write_bytes(b"\n".join(edit(path.read_bytes().split(b"\n"))))
-            calls = {
-                name: mock.MagicMock(wraps=getattr(channel, name))
-                for name in ("_csv_block", "_csv_records")
-            }
-            parts = []  # what the line search got, copied: the read buffer is reused
-
-            def lines(buf, size, lineno, *rest):
-                parts.append((bytes(buf[:size]), lineno))
-                return real_lines(buf, size, lineno, *rest)
-
-            with mock.patch.object(channel, "_CSV_BLOCK", 4096):
-                with mock.patch.multiple(channel, _csv_lines=lines, **calls):
-                    assert same_stream(read_tags_csv(str(path)), stream)
-            return calls["_csv_block"].call_count, parts, calls["_csv_records"]
-
-        real_lines = channel._csv_lines
-        blocks, parts, records = read(10**5)  # 6 digits each
-        assert not parts and records.call_count == blocks > 10
-        blocks, parts, records = read(10**5 - 2000 * 7)  # 5, then 6 digits
-        assert not parts and records.call_count == blocks + 1
-        widths = [call.args[0].shape[1] for call in records.call_args_list]
-        assert widths == [12] * widths.count(12) + [13] * widths.count(13)
-
-        crlf = lambda lines: [line + b"\r" for line in lines[:-1]] + [b""]  # noqa: E731
-        blocks, parts, records = read(10**5, crlf)
-        assert len(parts) == records.call_count == blocks  # one width group per block
-
-        def note(lines):  # a comment line after the header and 78 records
-            return lines[:80] + [b"# a note"] + lines[80:]
-
-        blocks, parts, records = read(10**5, note)
-        assert len(parts) == 1
-        part, lineno = parts[0]
-        assert part.startswith(b"# a note\n") and lineno == 80
-        assert records.call_args_list[0].args[0].shape == (78, 13)
-        assert len(part) < 4096 - 78 * 14  # the part of the first block from the comment on
-
-    def test_a_block_of_many_short_runs_goes_to_the_line_search(self, tmp_path):
-        # Leading zeros on every other record: each run is one line long.
-        # A writer-made block has at most one run per width (8 to 26 bytes),
-        # so after 19 runs the rest of the block is read line by line.
-        body = b"".join(b"signal,%s%d\n" % (b"0" * (t % 2), t) for t in range(100, 140))
+    @pytest.mark.parametrize("block", [_CSV_BLOCK, 10])
+    def test_narrower_record_is_out_of_order(self, block, tmp_path):
+        # Without leading zeros, fewer digits is a smaller time, so the
+        # narrower record is named, also when a block edge falls before it.
+        # A narrower line that is no record is a bad record.
         path = tmp_path / "tags.csv"
-        path.write_bytes(CSV_HEAD % 1000 + body)
-        parts = []
-        real_lines = channel._csv_lines
+        head = CSV_HEAD % 1000 + b"signal,5\nsignal,100\nherald,100\n"  # lines 1-5
+        with mock.patch.object(channel, "_CSV_BLOCK", block):
+            path.write_bytes(head + b"signal,99\nsignal,101\n")
+            with pytest.raises(StreamOrderError, match="^unsorted stream at line 6$"):
+                read_tags_csv(str(path))
+            path.write_bytes(head + b"signal,9x\nsignal,101\n")
+            with pytest.raises(ValueError, match="^bad tag record at line 6: 'signal,9x'$"):
+                read_tags_csv(str(path))
 
-        def lines(buf, size, lineno, *rest):
-            parts.append((bytes(buf[:size]), lineno))
-            return real_lines(buf, size, lineno, *rest)
-
-        with mock.patch.object(channel, "_csv_lines", lines):
-            back = read_tags_csv(str(path))
-        assert back.times_ps.tolist() == list(range(100, 140))
-        assert parts == [(body[body.index(b"signal,0119\n") :], 2 + 19)]
-
-    @pytest.mark.parametrize(
-        "comment, bound",
-        [
-            pytest.param(b"", 4.31 * 2**20, id="consecutive"),
-            pytest.param(b"#c\n", 8 * 2**20, id="gathered"),
-        ],
-    )
-    def test_line_search_temporaries(self, comment, bound):
-        # A 1 MiB block of 13-digit records, consecutive or with a comment
-        # after every third, so that the records of one width are gathered.
-        # Gathering through an int64 index matrix took 11.2 MiB.
-        three = b"signal,%013d\nherald,%013d\nsignal,%013d\n" + comment
+    def test_block_temporaries(self):
+        # A 1 MiB block of 13-digit records is one run: its record matrix is
+        # a view of the block, and the temporaries take a few bytes a record.
+        three = b"signal,%013d\nherald,%013d\nsignal,%013d\n"
         buf = b"".join(three % (t, t, t + 1) for t in range(10**12, 10**12 + 17_000))
         buf = buf[: buf.rfind(b"\n", 0, 1 << 20) + 1]
         codes, times = np.empty(len(buf) // 9, np.uint8), np.empty(len(buf) // 9, np.int64)
         tracemalloc.start()
         try:
-            channel._csv_lines(buf, len(buf), 0, codes, times, 0)
+            lineno, n, width = channel._csv_block(buf, len(buf), 2, 8, codes, times, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound
+        assert (lineno, n, width) == (2 + len(buf) // 21, len(buf) // 21, 20)
+        assert peak <= 4.31 * 2**20
 
     def test_int64_maximum_and_unterminated_last_line(self, tmp_path):
         path = tmp_path / "tags.csv"
-        path.write_bytes(CSV_HEAD % 2**63 + b"signal,0\r\nherald,9223372036854775807")
+        path.write_bytes(CSV_HEAD % 2**63 + b"signal,0\nherald,9223372036854775807\n")
         back = read_tags_csv(str(path))
         assert back.channels.tolist() == [0, 1]
         assert back.times_ps.tolist() == [0, 2**63 - 1]
+        # without its newline, the last line is a truncated record
+        path.write_bytes(CSV_HEAD % 2**63 + b"signal,0\nherald,9223372036854775807")
+        with pytest.raises(ValueError, match="^bad tag record at line 4: 'herald,922.*807'$"):
+            read_tags_csv(str(path))
 
     @pytest.mark.parametrize(
         "body",
@@ -1234,70 +1215,71 @@ class TestTagCsvCodec:
     )
     def test_bad_record_inside_a_run(self, body, tmp_path):
         # the bad record has the length of the good one before it, or the
-        # block is a whole number of rows of the first line's width
+        # block is a whole number of rows of the first line's width; a CRLF
+        # line is itself a bad record, so there the first line is named
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 2**63 + body)
-        with pytest.raises(ValueError, match="bad tag record at line 4"):
+        line = 3 if b"\r" in body else 4
+        with pytest.raises(ValueError, match=f"bad tag record at line {line}"):
             read_tags_csv(str(path))
 
     def test_error_names_the_first_bad_line(self, tmp_path):
         path = tmp_path / "tags.csv"
-        head = b"# run 7\n\n" + CSV_HEAD % 100 + b"# body\n\nsignal,1\r\n"  # lines 1-7
-        path.write_bytes(head + b"herald,1x\n# c\rx\n")
-        with pytest.raises(ValueError, match="at line 8: expected"):
+        head = CSV_HEAD % 100 + b"signal,1\nherald,1\n"  # lines 1-4
+        path.write_bytes(head + b"herald,1x\nsignal,2\r\n")
+        with pytest.raises(ValueError, match="^bad tag record at line 5: 'herald,1x'$"):
             read_tags_csv(str(path))
-        path.write_bytes(head + b"# c\rx\nherald,1x\n")
-        with pytest.raises(ValueError, match="at line 8: carriage return"):
+        path.write_bytes(head + b"signal,2\r\nherald,1x\n")
+        with pytest.raises(ValueError, match=r"^bad tag record at line 5: 'signal,2\\r'$"):
+            read_tags_csv(str(path))
+        path.write_bytes(head + b"signal,10\nsignal,9\nsignal,1x\n")
+        with pytest.raises(StreamOrderError, match="^unsorted stream at line 6$"):
             read_tags_csv(str(path))
 
     def test_block_edges(self, tmp_path):
-        """Over three `_CSV_BLOCK`s: a comment line across the first block
-        edge, a second block of comments only, a CRLF record across the
-        second edge and a blank CRLF line across the third; the last line
-        has no newline."""
-        head = CSV_HEAD % 2**40
-        body, times, heralds = bytearray(), [], []
+        """Over four `_CSV_BLOCK`s of records: a record across the first
+        block edge, a wider run that starts right at the second, and a
+        record whose newline is the first byte of the fourth block."""
+        body, times = bytearray(), []
 
-        def fill(offset: int, comment: bytes = b"") -> None:
-            """Records, or copies of the comment, then one shorter comment
-            or blank line, up to `offset` bytes of body."""
-            while offset - len(body) >= 22:
-                if comment:
-                    body.extend(comment)
-                else:
-                    times.append(len(times))
-                    body.extend(b"signal,%013d\n" % times[-1])
-            rest = offset - len(body)
-            body.extend(b"#" * (rest - 1) + b"\n" if rest else b"")
+        def records(digits: int, count: int) -> None:
+            """`count` records of `digits` digits, every third a herald."""
+            for _ in range(count):
+                times.append(max(times[-1] + 1 if times else 0, 10 ** (digits - 1)))
+                body.extend(b"%s,%d\n" % (CSV_NAMES[len(times) % 3 == 0].encode(), times[-1]))
 
-        fill(_CSV_BLOCK - 10)
-        body.extend(b"# across the first edge\n")
-        fill(2 * _CSV_BLOCK - 22, comment=b"# nothing but notes..\n")
-        assert b"," not in body[_CSV_BLOCK:]
-        heralds.append(len(times))
-        times.append(len(times))
-        body.extend(b"herald,%013d\r\n" % times[-1])
-        assert body[2 * _CSV_BLOCK - 2 : 2 * _CSV_BLOCK] == b"\r\n"
-        fill(3 * _CSV_BLOCK - 1)
-        body.extend(b"\r\n")
-        fill(3 * _CSV_BLOCK + 1000)
-        heralds.append(len(times))
-        times.append(len(times))
-        body.extend(b"herald,%d" % times[-1])
+        def fill(digits: int, end: int) -> None:
+            """Records of `digits` digits, then of one more, up to exactly `end` bytes."""
+            rest = end - len(body)
+            wide = rest % (digits + 8)  # rest = (digits + 8) * rows + wide
+            records(digits, (rest - wide) // (digits + 8) - wide)
+            records(digits + 1, wide)
+            assert len(body) == end
+
+        fill(13, 2 * _CSV_BLOCK)
+        assert body[_CSV_BLOCK - 1] != ord("\n")  # a record across the first edge
+        fill(15, 3 * _CSV_BLOCK + 1)
+        assert body[2 * _CSV_BLOCK + 22] == ord("\n")  # 15 digits from the second edge on
+        assert body[3 * _CSV_BLOCK] == ord("\n")
+        records(17, 50)
 
         path = tmp_path / "tags.csv"
+        head = CSV_HEAD % 2**60
         path.write_bytes(head + body)
         back = read_tags_csv(str(path))
         assert same_stream(back, loadtxt_read_tags_csv(str(path)))
         assert back.times_ps.tolist() == times
-        assert np.flatnonzero(back.channels).tolist() == heralds
+        assert np.flatnonzero(back.channels).tolist() == list(range(2, len(times), 3))
 
         # a bad record in the fourth block names its file line
         bad = body.rindex(b"signal,")
-        body[bad : bad + 6] = b"sIgnal"
-        path.write_bytes(head + body)
+        path.write_bytes(head + body[:bad] + b"sIgnal" + body[bad + 6 :])
         lineno = (head + body[:bad]).count(b"\n") + 1
-        with pytest.raises(ValueError, match=f"bad tag record at line {lineno}:"):
+        with pytest.raises(ValueError, match=f"^bad tag record at line {lineno}: 'sIgnal,"):
+            read_tags_csv(str(path))
+        # as does a last record cut short
+        path.write_bytes(head + body[:-1])
+        with pytest.raises(ValueError, match=f"^bad tag record at line {len(times) + 2}: "):
             read_tags_csv(str(path))
 
 

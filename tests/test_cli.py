@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qisim import cli
+from qisim import analytics, cli
 from qisim.imaging import PixelImage, Scene, contrast, scene_to_pgm, two_level_scene
 from qisim.model import (
     ChannelParams,
@@ -496,6 +496,24 @@ class TestSweep:
             "quantum SNR: SNR undefined: zero background counts; "
             "g2: g2 undefined: zero singles on a channel\n"
         )
+
+    def test_a_fault_in_an_estimator_fails_the_run(
+        self, fast_config_path, tmp_path, capsys, monkeypatch
+    ):
+        # only an undefined statistic is written as nan; any other error is no result
+        def boom(snr_q, snr_c):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(analytics, "qef", boom)
+        script_draws(monkeypatch, (80, 100, 8), (40, 100, 4), (40, 100, 8))
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--config", fast_config_path, "--variable", "mu", "--values", "0.005",
+            "--dwell-s", "0.25", "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "input error: boom\n"
+        assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
     def test_no_config_anywhere_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)

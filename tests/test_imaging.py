@@ -409,6 +409,19 @@ class TestOwnedGrids:
         assert whole.grid.tolist() == [[0.0, 0.5], [1.0, 0.25]]
         assert column.grid.tolist() == [[0.0], [1.0]]
 
+        class Holder:
+            """An array-like that hands out its own float64 array unless asked for a copy."""
+
+            values = np.ones((2, 2))
+
+            def __array__(self, dtype=None, copy=None):
+                return self.values.copy() if copy else self.values
+
+        holder = Holder()
+        obj = kind(holder)
+        holder.values[0, 0] = 7.0
+        assert obj.grid.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
     def test_writing_into_the_grid_raises(self, kind):
         obj = kind(np.ones((2, 2)))
         with pytest.raises(ValueError, match="read-only"):
