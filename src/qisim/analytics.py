@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import channel as acquisition
 from .correlator import estimate_g2
@@ -157,6 +159,20 @@ def _with_value(config: ExperimentConfig, variable: str, value: float) -> Experi
         raise ConfigError(f"{variable} {value!r}: {exc}") from None
 
 
+def _points(
+    config: ExperimentConfig, variable: str, values: Sequence[float], space: int
+) -> Iterator[tuple[float, ExperimentConfig, np.random.Generator]]:
+    """Yield (value, config, generator) for each value, ascending. Every
+    config is built before the first generator. A generator is keyed by
+    (seed, space, the upper and lower 32 bits of the value's float64 bits,
+    the number of earlier values with those bits), as `rng` describes."""
+    ordered = sorted(float(v) for v in values)
+    configs = [_with_value(config, variable, v) for v in ordered]
+    bits = [int(np.float64(v).view(np.uint64)) for v in ordered]
+    for i, (v, c, b) in enumerate(zip(ordered, configs, bits)):
+        yield v, c, substream(config.seed, space, b >> 32, b & 0xFFFFFFFF, bits[:i].count(b))
+
+
 def _formed(reasons: list[str], what: str, estimator, *args) -> Optional[Estimate]:
     """`estimator(*args)`, or None when it raises `UndefinedStatistic`; then
     `what: reason` is appended to `reasons`. Any other error propagates."""
@@ -174,7 +190,7 @@ def _qef_estimate(snr_q: Estimate, snr_c: Estimate) -> Estimate:
 
 
 def _run_sweep_row(
-    config: ExperimentConfig, index: int, value: float, dwell_pulses: int
+    config: ExperimentConfig, rng: np.random.Generator, value: float, dwell_pulses: int
 ) -> SweepRow:
     """One sweep point of an already valid config. Statistics it cannot
     form are None (`qef` nan), with their reasons joined in `error`.
@@ -184,7 +200,6 @@ def _run_sweep_row(
     pattern probabilities, so their summed tallies are one multinomial
     draw over the whole exposure.
     """
-    rng = substream(config.seed, SWEEP_SPACE, index)
     toggle = config.toggle_period_pulses
     exposure = (dwell_pulses // (2 * toggle)) * toggle
     counts_in = acquisition.simulate_counts(config, True, exposure, rng)
@@ -223,11 +238,11 @@ def run_sweep(
 ) -> SweepTable:
     """Toggled in/out acquisition at each sweep value.
 
-    Every value's config is built before the first draw, so a value that
-    makes it invalid raises `ConfigError` and nothing is drawn. Rows run in
-    order in this process, each on its own generator keyed by (seed, row
-    index), so a row's draws do not depend on the other rows. max_workers
-    is accepted for compatibility and has no effect.
+    Rows come from `_points` in ascending order: a value that makes the
+    config invalid raises `ConfigError` before anything is drawn, and a
+    row's draws depend only on the seed and its value, so extending or
+    splitting `values` reproduces the rows already run. max_workers is
+    accepted for compatibility and has no effect.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}")
@@ -236,10 +251,8 @@ def run_sweep(
     if dwell_pulses < 2 * config.toggle_period_pulses:
         raise ValueError("dwell_pulses must be at least two toggle periods")
 
-    ordered = sorted(float(v) for v in values)
-    configs = [_with_value(config, variable, v) for v in ordered]
-    rows = [_run_sweep_row(c, i, v, dwell_pulses) for i, (v, c) in enumerate(zip(ordered, configs))]
-    return SweepTable(tuple(rows))
+    points = _points(config, variable, values, SWEEP_SPACE)
+    return SweepTable(tuple(_run_sweep_row(c, rng, v, dwell_pulses) for v, c, rng in points))
 
 
 def _cells(obj, *attrs: str) -> list[str]:
@@ -281,16 +294,13 @@ def run_characterize(
     config: ExperimentConfig, mus: Sequence[float], dwell_pulses: int
 ) -> list[CharacterizePoint]:
     """Singles, coincidences and g2 through the bare channel, one point per mu
-    in ascending order, each drawn on its own generator keyed by (seed, point
-    index). Every mu's config is built before the first draw, so a mu that
-    makes it invalid raises `ConfigError` and nothing is drawn. A point's g2
-    is None where it cannot be formed, with the reason as its last item."""
+    from `_points` in ascending order: a mu that makes the config invalid
+    raises `ConfigError` before anything is drawn, and a point's draws depend
+    only on the seed and its mu. A point's g2 is None where it cannot be
+    formed, with the reason as its last item."""
     bare = replace(config, channel=bare_channel(config.channel))
-    ordered = sorted(mus)
-    configs = [_with_value(bare, "mu", mu) for mu in ordered]
     points = []
-    for i, (mu, cfg) in enumerate(zip(ordered, configs)):
-        rng = substream(cfg.seed, CHARACTERIZE_SPACE, i)
+    for mu, cfg, rng in _points(bare, "mu", mus, CHARACTERIZE_SPACE):
         counts = acquisition.simulate_counts(cfg, True, dwell_pulses, rng)
         reasons: list[str] = []
         g2 = _formed(reasons, "g2", estimate_g2, counts)

@@ -96,6 +96,20 @@ def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
     return dwell
 
 
+def _whole_toggle_pairs(config: ExperimentConfig, dwell: int) -> None:
+    """A sweep exposes each target state for whole toggle periods, so its
+    dwell must be a whole number of in/out toggle pairs. The error names the
+    nearest dwells that are, up to 2**63 - 1 pulses."""
+    pair, rate = 2 * config.toggle_period_pulses, config.source.rep_rate_hz
+    if dwell % pair:
+        whole = (k * pair for k in (dwell // pair, dwell // pair + 1))
+        near = [f"{n / rate!r} s" for n in whole if 0 < n <= np.iinfo(np.int64).max]
+        raise UsageError(
+            f"sweep dwell {dwell / rate!r} s is not a whole number of target in/out toggle"
+            f" pairs of {pair / rate!r} s; nearest accepted: {' or '.join(near) or 'none'}"
+        )
+
+
 def _report_unformed(kind: str, points: list[tuple[float, Optional[str]]]) -> None:
     """One stderr line per point with a statistic it could not form."""
     for value, error in points:
@@ -136,6 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--values-per-s applies to the background variable only")
         values = [v / config.source.rep_rate_hz for v in values]
     dwell = _dwell_pulses(config, args.dwell_s)
+    _whole_toggle_pairs(config, dwell)
     table = analytics.run_sweep(config, args.variable, values, dwell)
     analytics.sweep_to_csv(table, args.out)
     summary = {"variable": args.variable, "rows": len(table.rows), "dwell_pulses": dwell}

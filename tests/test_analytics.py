@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from qisim.model import (
     bare_channel,
     validate_config,
 )
-from qisim.rng import CHARACTERIZE_SPACE, substream
+from qisim.rng import CHARACTERIZE_SPACE, SWEEP_SPACE, substream
 
 from .conftest import assert_within_sigma, script_draws
 
@@ -321,18 +322,27 @@ class TestRunSweep:
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def value_key(value: float, occurrence: int = 0) -> tuple[int, int, int]:
+    """A point's key after (seed, space): the float64 bits of its value as
+    (upper, lower) 32-bit words, then how many earlier points share them."""
+    return (*struct.unpack(">II", struct.pack(">d", value)), occurrence)
+
+
 class TestRunCharacterize:
-    def test_points_sorted_keyed_by_index_and_undefined_g2_is_nan(self, tmp_path):
+    def test_points_sorted_keyed_by_value_and_undefined_g2_is_nan(self, tmp_path):
         # no darks: at mu = 0 both singles tallies are zero and g2 is undefined
         source, channel = params(mu=0.01, dark=0.0, noise_h=0.0)
         cfg = validate_config(ExperimentConfig(source=source, channel=channel, seed=8))
-        points = run_characterize(cfg, [0.01, 0.0], 10**6)
-        assert [mu for mu, _, _, _ in points] == [0.0, 0.01]
+        points = run_characterize(cfg, [0.01, 0.0, 0.01], 10**6)
+        mus = [mu for mu, _, _, _ in points]
+        assert mus == [0.0, 0.01, 0.01]
         bare = dataclasses.replace(cfg, channel=bare_channel(channel))
         for i, (mu, counts, _, _) in enumerate(points):
             at_mu = dataclasses.replace(bare, source=dataclasses.replace(source, mu=mu))
-            rng = substream(8, CHARACTERIZE_SPACE, i)
+            # a repeated mu draws its own stream, keyed by its occurrence
+            rng = substream(8, CHARACTERIZE_SPACE, *value_key(mu, mus[:i].count(mu)))
             assert counts == simulate_counts(at_mu, True, 10**6, rng)
+        assert points[1][1] != points[2][1]
         assert points[0][2:] == (None, "g2: g2 undefined: zero singles on a channel")
         assert points[1][2].value > 1.0 and points[1][3] is None
         path = tmp_path / "char.csv"
@@ -342,6 +352,42 @@ class TestRunCharacterize:
             "mu,n_pulses,n_signal,n_herald,n_coinc,g2,g2_err",
             "0.0,1000000,0,0,0,nan,nan",
         ]
+
+
+class TestPointKeys:
+    """A row's or point's draws depend on (seed, space, value bits,
+    occurrence) only: never on the other values of its grid."""
+
+    CONFIG = TestRunSweep().small_config()
+    DWELL = 200 * CONFIG.toggle_period_pulses  # every statistic is formed
+
+    @pytest.mark.parametrize(
+        "variable, values, more",
+        [("mu", [5e-3, 0.02], [1e-3, 0.01, 0.03]), ("background", [1e-3, 4e-3], [5e-4, 2e-3])],
+    )
+    def test_sweep_rows_do_not_depend_on_the_other_values(self, variable, values, more):
+        alone = run_sweep(self.CONFIG, variable, values, self.DWELL).rows
+        mixed = run_sweep(self.CONFIG, variable, more + values, self.DWELL).rows
+        assert all(row.error is None for row in alone)
+        assert [row for row in mixed if row.value in values] == list(alone)
+        split = [run_sweep(self.CONFIG, variable, [v], self.DWELL).rows[0] for v in values]
+        assert split == list(alone)
+
+    def test_characterize_points_do_not_depend_on_the_other_mus(self):
+        alone = run_characterize(self.CONFIG, [5e-3, 0.02], 10**6)
+        mixed = run_characterize(self.CONFIG, [0.03, 0.02, 1e-3, 5e-3], 10**6)
+        assert [p for p in mixed if p[0] in (5e-3, 0.02)] == alone
+
+    def test_a_repeated_sweep_value_draws_its_own_stream(self):
+        rows = run_sweep(self.CONFIG, "mu", [0.01, 0.01], self.DWELL).rows
+        assert rows[0].counts_in != rows[1].counts_in
+        at = dataclasses.replace(
+            self.CONFIG, source=dataclasses.replace(self.CONFIG.source, mu=0.01)
+        )
+        for k, row in enumerate(rows):
+            rng = substream(self.CONFIG.seed, SWEEP_SPACE, *value_key(0.01, k))
+            assert row.counts_in == simulate_counts(at, True, self.DWELL // 2, rng)
+            assert row.counts_out == simulate_counts(at, False, self.DWELL // 2, rng)
 
 
 ZERO_BACKGROUND = "SNR undefined: zero background counts"

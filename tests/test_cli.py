@@ -456,6 +456,27 @@ class TestSweep:
         assert calls == []
         assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "dwell, nearest", [("3", "2.0 s or 4.0 s"), ("1", "2.0 s"), ("5.5", "4.0 s or 6.0 s")]
+    )
+    def test_dwell_of_part_of_a_toggle_pair_is_usage_error(
+        self, config_path, tmp_path, capsys, monkeypatch, dwell, nearest
+    ):
+        # paper_default toggles every second: each in/out pair is 2 s
+        calls = script_draws(monkeypatch, *[(40, 100, 8)] * 3)
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--config", config_path, "--variable", "mu", "--values", "0.005",
+            "--dwell-s", dwell, "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: sweep dwell {float(dwell)!r} s is not a whole number of target"
+            f" in/out toggle pairs of 2.0 s; nearest accepted: {nearest}\n"
+        )
+        assert calls == []
+        assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
+
     def test_rows_with_counts_but_no_quantum_snr_are_not_failed(self, tmp_path, capsys):
         # the dark-box recipe on a short grid: no row has a target-out coincidence
         config = os.path.join(RECIPES, "paper_default.json")
@@ -727,9 +748,9 @@ def test_golden_output_digests(
         "fast.json": "4dfbc7342d2cd04638aba6e2fa2db0276f022fd1b2a83d2c80f6fe1359d7619d",
         "imaging.json": "415994f764781daec1903e47dfd9e422af79920481ebc658bf019bff5d0f18ee",
         "scene.pgm": "3bf6b1be334521bc30aef4729c7a9f012c9eb755519982531a4cdf84eb026f62",
-        "out/char.csv": "c4c83784dc21e421928da93824eda47968ca79c9c3dbec68d77921526dfdfc56",
-        "out/mu.csv": "3f386747049fbf27a3abb37bc686758a954e0e6924e99ca71888f6222f607ea0",
-        "out/bg.csv": "00d0e1347871b0a89bf084ee07258b2aea0970b9185dcf3dc2ec353fc0ea8536",
+        "out/char.csv": "2deb70dfa52003b357d4a1b720e6a8b30217c20be802cb56d7a95778c4ac3438",
+        "out/mu.csv": "3cdb9475c16b2091497d3b2ff4d6b4f599932ca0a3ca233e29d89239c7fd3710",
+        "out/bg.csv": "8c058144213fd24dff7ec2d41bf6c45469ae7845ac3d9a88737db76f54d9c8d9",
         "out/img_ci.pgm": "c7365073c2b1f993c8d73480eba7ef749f281da1ec574731d8b7e4164ee28038",
         "out/img_ci.csv": "834b7811ff5ca777867577e7d4625737546f13ab2309228d2ded8c9e7d1aa7ec",
         "out/img_ci_smooth.pgm": "a8fdf9b2d79aeb2f1ece2851e05fb147583e4277be50bc259972a14aae627140",

@@ -1,8 +1,7 @@
 """The paper's figures: each command of the README's "Paper figures"
 section, run through `cli.main` on the committed inputs in recipes/ at a
-short dwell; a smoke test of the one driver left in scripts/; and the
-data of the hand mutants that scripts/run_mutants.py applies, and how it
-scores a mutant whose tests hang."""
+short dwell; and the data of the hand mutants that scripts/run_mutants.py
+applies, and how it scores a mutant whose tests hang."""
 
 import hashlib
 import importlib.util
@@ -10,7 +9,7 @@ import json
 import os
 import shlex
 import subprocess
-import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,21 +29,26 @@ def image_recipe(config: str, seed: str, dwell_s: str, prefix: str) -> list[str]
 
 
 # The README's commands with a short dwell, and the SHA-256 of every file
-# each writes but the run ledger, which holds timestamps. The jamming CSV
-# is the bytes that the driver script its command replaced wrote at the same
-# seed and dwell.
+# each writes but the run ledger, which holds timestamps. A sweep's dwell is
+# a whole number of in/out toggle pairs, 2 s each for these configs.
 RECIPES = {
     "jamming": (
         ["sweep", "--config", "recipes/paper_default.json", "--seed", "2",
          "--variable", "background", "--values", "2e3,5e3,1e4,2e4,5e4,1e5,2e5",
-         "--values-per-s", "--dwell-s", "3", "--out", "jamming.csv"],
-        {"jamming.csv": "313d8438797ba64e673a7f7a189cc8f69588df06b1553def989c6a816ec037d9"},
+         "--values-per-s", "--dwell-s", "2", "--out", "jamming.csv"],
+        {"jamming.csv": "b84cb5b0fde44b5f2f815e338454ac81bcb9208598952001c0b0bda882f1dcf3"},
     ),
     "dark_box": (
         ["sweep", "--config", "recipes/paper_default.json", "--seed", "1",
          "--variable", "mu", "--values", "1e-3,2.5e-3,5e-3,7.5e-3,1e-2,1.5e-2,2e-2,2.5e-2",
          "--dwell-s", "2", "--out", "dark_box.csv"],
-        {"dark_box.csv": "d49a4299f0679f259dfb55266f303b3a027feeb313107445ba0763d5a9a829f0"},
+        {"dark_box.csv": "7959ea33ab9c078e8ce7d7390955b1d4df1b3c874b22e2f76090c1e8b51a6c02"},
+    ),
+    "brightness": (
+        ["sweep", "--config", "recipes/paper_jammed_10kcps.json", "--seed", "3",
+         "--variable", "mu", "--values", "1e-3,2.5e-3,5e-3,7.5e-3,1e-2,1.5e-2,2e-2,2.5e-2",
+         "--dwell-s", "2", "--out", "brightness.csv"],
+        {"brightness.csv": "16aae8499e971621161a87082d1d5ea303c2804dedb62700344a83494262e9dc"},
     ),
     "quiet": (
         image_recipe("imaging_quiet.json", "4", "1", "quiet"),
@@ -127,29 +131,15 @@ def imaging_config(background_cps: float) -> ExperimentConfig:
 
 def test_recipe_inputs_are_the_configs_and_scene_they_name(tmp_path):
     save_config(paper_default(), str(tmp_path / "paper_default.json"))
+    jammed = paper_default()
+    jammed = replace(jammed, channel=replace(jammed.channel, background_per_bin=1e4 / 8e7))
+    save_config(jammed, str(tmp_path / "paper_jammed_10kcps.json"))
     save_config(imaging_config(0.0), str(tmp_path / "imaging_quiet.json"))
     save_config(imaging_config(14000.0), str(tmp_path / "imaging_jammed.json"))
     scene_to_pgm(two_level_scene(16, 16)[0], str(tmp_path / "two_level_16.pgm"))
     assert sorted(os.listdir(ROOT / "recipes")) == sorted(os.listdir(tmp_path))
     for path in tmp_path.iterdir():
         assert (ROOT / "recipes" / path.name).read_bytes() == path.read_bytes(), path.name
-
-
-@pytest.mark.parametrize("script", ["snr_vs_brightness.py"])
-def test_script_runs_with_defaults(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out-dir", str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert os.listdir(tmp_path) == [Path(script).stem + ".csv"]
 
 
 def test_mutants_data_is_well_formed():
