@@ -195,20 +195,17 @@ def _run_sweep_row(
     """One sweep point of an already valid config. Statistics it cannot
     form are None (`qef` nan), with their reasons joined in `error`.
 
-    The dwell is truncated to whole in/out toggle pairs so both exposures
-    are equal. The toggled segments of one target state share their
-    pattern probabilities, so their summed tallies are one multinomial
-    draw over the whole exposure.
+    The toggled segments of one target state share their pattern
+    probabilities, so their summed tallies are one multinomial draw over
+    the state's whole exposure, half the dwell.
     """
-    toggle = config.toggle_period_pulses
-    exposure = (dwell_pulses // (2 * toggle)) * toggle
-    counts_in = acquisition.simulate_counts(config, True, exposure, rng)
-    counts_out = acquisition.simulate_counts(config, False, exposure, rng)
-    # Companion correlation measurement over half the dwell: jamming
-    # blocked, target held in, same scattered-channel efficiencies and
-    # detector noise.
+    half = dwell_pulses // 2
+    counts_in = acquisition.simulate_counts(config, True, half, rng)
+    counts_out = acquisition.simulate_counts(config, False, half, rng)
+    # Companion correlation measurement, also over half the dwell: jamming
+    # blocked, target held in, same scattered-channel efficiencies and noise.
     blocked = replace(config, channel=replace(config.channel, background_per_bin=0.0))
-    g2_counts = acquisition.simulate_counts(blocked, True, dwell_pulses // 2, rng)
+    g2_counts = acquisition.simulate_counts(blocked, True, half, rng)
 
     reasons: list[str] = []
     snr_c = _formed(
@@ -236,7 +233,9 @@ def run_sweep(
     dwell_pulses: int,
     max_workers: int = 1,
 ) -> SweepTable:
-    """Toggled in/out acquisition at each sweep value.
+    """Toggled in/out acquisition at each sweep value. Each target state
+    and the companion g2 get `dwell_pulses // 2` pulses; `qisim sweep`
+    takes only dwells of whole in/out toggle pairs.
 
     Rows come from `_points` in ascending order: a value that makes the
     config invalid raises `ConfigError` before anything is drawn, and a
@@ -248,8 +247,8 @@ def run_sweep(
         raise ValueError(f"unknown sweep variable {variable!r}")
     if not values:
         raise ValueError("empty sweep values")
-    if dwell_pulses < 2 * config.toggle_period_pulses:
-        raise ValueError("dwell_pulses must be at least two toggle periods")
+    if dwell_pulses < 2:
+        raise ValueError("dwell_pulses must be at least 2, one pulse per target state")
 
     points = _points(config, variable, values, SWEEP_SPACE)
     return SweepTable(tuple(_run_sweep_row(c, rng, v, dwell_pulses) for v, c, rng in points))

@@ -410,7 +410,8 @@ def read_tags_csv(path: str) -> TimeTagStream:
     """Read a tag CSV file or pipe in the form `write_tags_csv` writes:
     `# duration_ps=` and 1 to 20 digits, the header `channel,time_ps`, then
     one record per line, every line ending in `\\n`. A bad first or second
-    line raises `ValueError` naming it.
+    line raises `ValueError` naming it; no more of them is read than those
+    lines can hold (35 and 16 bytes).
 
     The body is read in blocks of `_CSV_BLOCK` bytes (the file size, if that
     is smaller) into one reused buffer of two blocks, which grows only for
@@ -421,7 +422,7 @@ def read_tags_csv(path: str) -> TimeTagStream:
     record.
     """
     with open(path, "rb") as fh:
-        first, header = fh.readline(), fh.readline()
+        first, header = fh.readline(35), fh.readline(16)  # each line at its longest
         duration = _CSV_FIRST_LINE.fullmatch(first)
         if duration is None:
             text = first.removesuffix(b"\n").decode(errors="replace")
@@ -453,8 +454,9 @@ def read_tags_csv(path: str) -> TimeTagStream:
 
 
 def _bad_record(lineno: int, line) -> ValueError:
-    text = bytes(line).decode("ascii", errors="replace")
-    return ValueError(f"bad tag record at line {lineno}: {text!r}")
+    text = bytes(line[:40]).decode("ascii", errors="replace")  # a record has at most 26 bytes
+    cut = "..." if len(line) > 40 else ""
+    return ValueError(f"bad tag record at line {lineno}: {text!r}{cut}")
 
 
 def _csv_block(

@@ -78,15 +78,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
+def _dwell_pulses(config: ExperimentConfig, dwell_s, default: int) -> int:
     """Seconds flag converted through the repetition rate; when absent the
-    config's per-acquisition pulse count is the dwell."""
-    if dwell_s is None:
-        return config.n_pulses
-    if not math.isfinite(dwell_s):
+    dwell is `default` pulses."""
+    if dwell_s is not None and not math.isfinite(dwell_s):
         raise UsageError(f"dwell {dwell_s} s is not a finite number of seconds")
     try:
-        dwell = config.pulses_for_seconds(dwell_s)
+        dwell = default if dwell_s is None else config.pulses_for_seconds(dwell_s)
     except OverflowError:  # the pulse count is +-inf
         dwell = math.copysign(math.inf, dwell_s)
     if dwell < 1:
@@ -96,11 +94,13 @@ def _dwell_pulses(config: ExperimentConfig, dwell_s) -> int:
     return dwell
 
 
-def _whole_toggle_pairs(config: ExperimentConfig, dwell: int) -> None:
-    """A sweep exposes each target state for whole toggle periods, so its
+def _whole_toggle_pairs(config: ExperimentConfig, dwell_s) -> int:
+    """The sweep dwell in pulses, one in/out toggle pair without a seconds
+    flag. A sweep exposes each target state for whole toggle periods, so its
     dwell must be a whole number of in/out toggle pairs. The error names the
     nearest dwells that are, up to 2**63 - 1 pulses."""
     pair, rate = 2 * config.toggle_period_pulses, config.source.rep_rate_hz
+    dwell = _dwell_pulses(config, dwell_s, pair)
     if dwell % pair:
         whole = (k * pair for k in (dwell // pair, dwell // pair + 1))
         near = [f"{n / rate!r} s" for n in whole if 0 < n <= np.iinfo(np.int64).max]
@@ -108,6 +108,7 @@ def _whole_toggle_pairs(config: ExperimentConfig, dwell: int) -> None:
             f"sweep dwell {dwell / rate!r} s is not a whole number of target in/out toggle"
             f" pairs of {pair / rate!r} s; nearest accepted: {' or '.join(near) or 'none'}"
         )
+    return dwell
 
 
 def _report_unformed(kind: str, points: list[tuple[float, Optional[str]]]) -> None:
@@ -130,7 +131,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     mus = _parse_floats(args.mu)
     if not mus:
         raise UsageError("empty mu list")
-    dwell = _dwell_pulses(config, args.dwell_s)
+    dwell = _dwell_pulses(config, args.dwell_s, config.n_pulses)
     points = analytics.run_characterize(config, mus, dwell)
     analytics.characterize_to_csv(points, args.out)
     summary = {"points": len(points), "dwell_pulses": dwell}
@@ -149,8 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.variable != "background":
             raise UsageError("--values-per-s applies to the background variable only")
         values = [v / config.source.rep_rate_hz for v in values]
-    dwell = _dwell_pulses(config, args.dwell_s)
-    _whole_toggle_pairs(config, dwell)
+    dwell = _whole_toggle_pairs(config, args.dwell_s)
     table = analytics.run_sweep(config, args.variable, values, dwell)
     analytics.sweep_to_csv(table, args.out)
     summary = {"variable": args.variable, "rows": len(table.rows), "dwell_pulses": dwell}
@@ -163,20 +163,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_image(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scene = imaging.scene_from_pgm(args.scene)
-    dwell = _dwell_pulses(config, args.dwell_s)
+    dwell = _dwell_pulses(config, args.dwell_s, config.n_pulses)
     ci, qi = imaging.raster_scan(scene, config, dwell)
 
-    outputs = []
+    # Every image is built before the first file is written.
+    writes = []
     for img, tag in ((ci, "ci"), (qi, "qi")):
-        pgm_path = f"{args.out_prefix}_{tag}.pgm"
-        csv_path = f"{args.out_prefix}_{tag}.csv"
-        imaging.write_pgm(pgm_path, img.grid)
-        imaging.image_to_csv(img, csv_path)
-        outputs += [pgm_path, csv_path]
-        if args.smooth and min(img.grid.shape) >= 2:
-            smooth_path = f"{args.out_prefix}_{tag}_smooth.pgm"
-            imaging.write_pgm(smooth_path, imaging.interpolate4(img).grid)
-            outputs.append(smooth_path)
+        prefix = f"{args.out_prefix}_{tag}"
+        writes += [
+            (imaging.write_pgm, img, prefix + ".pgm"), (imaging.image_to_csv, img, prefix + ".csv")
+        ]
+        if args.smooth:
+            writes.append((imaging.write_pgm, imaging.interpolate4(img), prefix + "_smooth.pgm"))
+    for write, img, path in writes:
+        write(img, path)
+    outputs = [path for _, _, path in writes]
 
     summary: dict = {"dwell_pulses": dwell, "shape": list(scene.grid.shape)}
     levels = np.unique(scene.grid)
@@ -203,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--dwell-s", type=float, default=None,
-            help="seconds per point, sweep point or pixel (default: config n_pulses)",
+            help="seconds per point, sweep point or pixel (default: config n_pulses;"
+            " for sweep, one target in/out toggle pair)",
         )
         p.add_argument(
             "--threads", type=int, default=1,

@@ -31,18 +31,15 @@ from .model import ExperimentConfig, click_pattern_probabilities
 from .rng import PIXEL_SPACE, substream
 
 
-def _owned(grid) -> np.ndarray:
-    """grid as a read-only float64 copy, which no caller can write through."""
-    g = np.array(grid, dtype=np.float64)
+def _owned(grid, kind: str) -> np.ndarray:
+    """grid as a non-empty 2-D read-only float64 copy, which no caller can
+    write through. The copy is made here: an array-like's `__array__` may
+    ignore `copy=True` and hand over its own memory."""
+    g = np.asarray(grid, dtype=np.float64).copy()
+    if g.ndim != 2 or min(g.shape) < 1:
+        raise ValueError(f"{kind} grid must be a non-empty 2-D array")
     g.flags.writeable = False
     return g
-
-
-def _check_image(g: np.ndarray) -> None:
-    if g.ndim != 2 or min(g.shape) < 1:
-        raise ValueError("image grid must be a non-empty 2-D array")
-    if not np.all((g >= 0) & (g < np.inf)):  # NaN fails too
-        raise ValueError("image values must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +49,7 @@ class Scene:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = _owned(self.grid)
-        if grid.ndim != 2 or min(grid.shape) < 1:
-            raise ValueError("scene grid must be a non-empty 2-D array")
+        grid = _owned(self.grid, "scene")
         if not np.all((grid >= 0) & (grid <= 1)):  # NaN fails too
             raise ValueError("scene reflectivity must lie in [0, 1]")
         object.__setattr__(self, "grid", grid)
@@ -68,8 +63,9 @@ class PixelImage:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = _owned(self.grid)
-        _check_image(grid)
+        grid = _owned(self.grid, "image")
+        if not np.all((grid >= 0) & (grid < np.inf)):  # NaN fails too
+            raise ValueError("image values must be finite and non-negative")
         object.__setattr__(self, "grid", grid)
 
 
@@ -119,11 +115,12 @@ def interpolate4(image: PixelImage) -> PixelImage:
 
     Output is (2H-1) x (2W-1): original samples sit at even indices,
     inserted samples average their 2 (edge) or 4 (face) nearest originals.
+    An image of one row or one column raises `ValueError`.
     """
     g = image.grid
     h, w = g.shape
     if h < 2 or w < 2:
-        raise ValueError("image too small to interpolate")
+        raise ValueError(f"image of {h} x {w} pixels too small to interpolate: needs 2 x 2")
     out = np.zeros((2 * h - 1, 2 * w - 1), dtype=np.float64)
     out[::2, ::2] = g
     out[::2, 1::2] = 0.5 * (g[:, :-1] + g[:, 1:])
@@ -238,11 +235,10 @@ def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:
         _write_rows(fh, values, b"", b" ")
 
 
-def write_pgm(path: str, grid: np.ndarray) -> None:
+def write_pgm(image: PixelImage, path: str) -> None:
     """Write counts as P2, linearly rescaled so the peak maps to 65535
     (any positive peak, subnormal ones included)."""
-    g = np.asarray(grid, dtype=np.float64)
-    _check_image(g)  # PixelImage's check, without its copy
+    g = image.grid
     mant, e = math.frexp(float(g.max()))  # apart: 65535 / peak overflows at a subnormal peak
     scaled = np.ldexp(g, -e)
     scaled *= 65535 / mant if mant else 0.0

@@ -254,25 +254,31 @@ class TestRunSweep:
         cfg = self.small_config()
         with pytest.raises(ValueError, match="empty sweep values"):
             run_sweep(cfg, "mu", [], 10**6)
-        with pytest.raises(ValueError, match="toggle"):
-            run_sweep(cfg, "mu", [1e-3], 100)
+        with pytest.raises(ValueError, match="^dwell_pulses must be at least 2"):
+            run_sweep(cfg, "mu", [1e-3], 1)
         with pytest.raises(ValueError, match="unknown sweep variable"):
             run_sweep(cfg, "reflectivity", [0.5], 10**6)
 
     def test_rows_sorted_and_complete(self):
         cfg = self.small_config()
-        # a dwell that is not a whole number of toggle pairs: both exposures
-        # are truncated to whole in/out pairs
-        dwell, toggle = 20_050_000, cfg.toggle_period_pulses
+        # a dwell that is not a whole number of toggle pairs: each target
+        # state still gets half of it
+        dwell = 20_050_001
         table = run_sweep(cfg, "mu", [0.02, 0.005, 0.01], dwell_pulses=dwell)
         values = [row.value for row in table.rows]
         assert values == sorted(values)
         for row in table.rows:
             assert row.error is None
-            assert row.counts_in.n_pulses == (dwell // (2 * toggle)) * toggle
-            assert row.counts_in.n_pulses == row.counts_out.n_pulses
+            assert row.counts_in.n_pulses == row.counts_out.n_pulses == 10_025_000
             assert row.g2.value > 1.0
             assert row.qef > 0
+
+    @pytest.mark.parametrize("dwell", [2, 3])
+    def test_shortest_dwell_gives_each_state_one_pulse(self, dwell):
+        (row,) = run_sweep(self.small_config(), "mu", [1e-3], dwell).rows
+        assert row.counts_in.n_pulses == row.counts_out.n_pulses == 1
+        assert row.snr_classical is None and row.g2 is None
+        assert row.error is not None
 
     def test_background_sweep_moves_background(self):
         cfg = self.small_config()

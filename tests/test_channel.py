@@ -34,6 +34,7 @@ from qisim.channel import (
 )
 from qisim.model import (
     ChannelParams,
+    ClickCounts,
     ExperimentConfig,
     SourceParams,
     paper_default,
@@ -142,6 +143,13 @@ class TestSimulateCounts:
         a = simulate_counts(cfg, True, 10**6, substream(cfg.seed, 8))
         b = simulate_counts(cfg, True, 10**6, substream(cfg.seed, 8))
         assert a == b
+
+
+    def test_zero_pulses_are_an_empty_acquisition(self):
+        cfg = make_config(mu=0.5, background_per_bin=0.5)
+        assert simulate_counts(cfg, True, 0, substream(1, 1)) == ClickCounts(0, 0, 0, 0)
+        with pytest.raises(ValueError, match="n_pulses"):
+            simulate_counts(cfg, True, -1, substream(1, 1))
 
 
 class TestSimulateTags:
@@ -420,6 +428,11 @@ class TestSimulateTags:
     def test_rejects_negative_pulse_count(self):
         with pytest.raises(ValueError, match="n_pulses"):
             simulate_tags(make_config(), True, -5, substream(8, 1))
+
+    def test_zero_pulses_are_an_empty_stream(self):
+        cfg = make_config(mu=0.5, background_per_bin=0.5)
+        stream = simulate_tags(cfg, True, 0, substream(8, 2))
+        assert len(stream) == 0 and stream.duration_ps == 0
 
     def test_rejects_pulse_times_beyond_int64(self):
         # 10**15 pulses of 12.5 ns pass 2**63 - 1 ps: k*T would wrap negative.
@@ -876,6 +889,33 @@ class TestStreamInvariant:
         path.write_bytes(preamble + b"signal,5\n")
         with pytest.raises(ValueError, match=message):
             read_tags_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"# duration_ps=" + b"1" * 1_600_000, "^bad duration comment at line 1: "),
+            (b"# duration_ps=100\n" + b"channel," * 200_000, "^expected the header "),
+            (
+                b"# duration_ps=100\nchannel,time_ps\n" + b"signal,1" * 200_000,
+                "^bad tag record at line 3: ",
+            ),
+        ],
+    )
+    def test_csv_long_line_gives_a_short_error(self, tmp_path, data, message):
+        # 1.6 MB lines without a newline: the error quotes a few dozen bytes
+        path = tmp_path / "tags.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message) as err:
+            read_tags_csv(str(path))
+        assert len(str(err.value)) < 200
+
+    def test_csv_duration_line_is_read_to_its_longest(self, tmp_path):
+        # 20 digits fill the 35 bytes line 1 may hold; a 21st makes it no duration line
+        path = tmp_path / "tags.csv"
+        for digits, message in ((20, "^duration_ps 9{20} outside"), (21, "^bad duration comment")):
+            path.write_bytes(b"# duration_ps=%s\nchannel,time_ps\n" % (b"9" * digits))
+            with pytest.raises(ValueError, match=message):
+                read_tags_csv(str(path))
 
     def test_csv_preamble_crlf_line_ends(self, tmp_path):
         # only "\n" ends a line, so a "\r" before it is part of the line

@@ -477,6 +477,32 @@ class TestSweep:
         assert calls == []
         assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
+    def test_default_dwell_is_one_toggle_pair(self, tmp_path):
+        # the recipe's n_pulses is one 1 s toggle period, half a pair
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--config", os.path.join(RECIPES, "paper_jammed_10kcps.json"),
+            "--variable", "mu", "--values", "1e-3", "--out", str(out),
+        )
+        assert code == 0
+        (line,) = (tmp_path / "runs.jsonl").read_text().splitlines()
+        assert json.loads(line)["summary"]["dwell_pulses"] == 160_000_000
+        assert out.read_text().splitlines()[1].split(",")[1:3] != ["0", "0"]
+
+    def test_default_dwell_past_int64_is_usage_error(self, tmp_path, capsys):
+        cfg = validate_config(ExperimentConfig(toggle_period_pulses=2**62))
+        path = tmp_path / "long.json"
+        save_config(cfg, str(path))
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--config", str(path), "--variable", "mu", "--values", "1e-3",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: dwell too long: more than 2**63 - 1 pulses\n"
+        assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
+
     def test_rows_with_counts_but_no_quantum_snr_are_not_failed(self, tmp_path, capsys):
         # the dark-box recipe on a short grid: no row has a target-out coincidence
         config = os.path.join(RECIPES, "paper_default.json")
@@ -603,6 +629,23 @@ class TestImage:
         for tag in ("ci", "qi"):
             grid = np.loadtxt(f"{prefix}_{tag}.csv", delimiter=",")
             assert summary[f"{tag}_contrast"] == contrast(PixelImage(grid), mask)
+
+    @pytest.mark.parametrize("width, height", [(3, 1), (1, 3)])
+    def test_smooth_on_a_thin_scene_is_input_error_and_writes_nothing(
+        self, imaging_config_path, tmp_path, capsys, width, height
+    ):
+        scene = tmp_path / "thin.pgm"
+        scene.write_text(f"P2\n{width} {height}\n1\n0 1 0\n")
+        code = run_cli(
+            "image", "--config", imaging_config_path, "--scene", str(scene),
+            "--dwell-s", "1", "--out-prefix", str(tmp_path / "img"), "--smooth",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"input error: image of {height} x {width} pixels too small to interpolate:"
+            " needs 2 x 2\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imaging.json", "thin.pgm"]
 
     def test_missing_scene_is_io_error(self, imaging_config_path, tmp_path):
         code = run_cli(
