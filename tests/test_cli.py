@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qisim import analytics, cli
-from qisim.imaging import PixelImage, Scene, contrast, scene_to_pgm, two_level_scene
+from qisim import analytics, cli, imaging
+from qisim.imaging import PixelImage, Scene, contrast, scene_to_pgm, two_level_scene, write_pgm
 from qisim.model import (
     ChannelParams,
     ExperimentConfig,
@@ -647,6 +647,45 @@ class TestImage:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["imaging.json", "thin.pgm"]
 
+    @pytest.mark.parametrize("blocked", ["img_qi.csv", "img_qi_smooth.pgm", "runs.jsonl"])
+    def test_a_directory_at_an_output_or_the_ledger_leaves_nothing(
+        self, imaging_config_path, scene_path, tmp_path, capsys, blocked
+    ):
+        (tmp_path / blocked).mkdir()
+        code = run_cli(
+            "image", "--config", imaging_config_path, "--scene", scene_path,
+            "--dwell-s", "1", "--out-prefix", str(tmp_path / "img"), "--smooth",
+        )
+        assert code == cli.EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"io error: [Errno 21] Is a directory: '{tmp_path / blocked}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["imaging.json", "scene.pgm", blocked]
+        )
+        assert not any((tmp_path / blocked).iterdir())
+
+    def test_a_failed_write_leaves_nothing(
+        self, imaging_config_path, scene_path, tmp_path, capsys, monkeypatch
+    ):
+        # the third file fails half written, after two others are complete
+        calls, write_pgm = [], imaging.write_pgm
+
+        def failing(image, path):
+            calls.append(path)
+            write_pgm(image, path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(imaging, "write_pgm", failing)
+        code = run_cli(
+            "image", "--config", imaging_config_path, "--scene", scene_path,
+            "--dwell-s", "1", "--out-prefix", str(tmp_path / "img"), "--smooth",
+        )
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr() == ("", "io error: [Errno 28] No space left on device\n")
+        assert [os.path.dirname(p) for p in calls] == [str(tmp_path)] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["imaging.json", "scene.pgm"]
+
     def test_missing_scene_is_io_error(self, imaging_config_path, tmp_path):
         code = run_cli(
             "image",
@@ -747,11 +786,19 @@ class TestRunLedger:
     def test_ledger_refuses_non_finite_values(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
         ledger.write_text('{"earlier": "record"}\n')
+        writes = [(write_pgm, PixelImage(np.ones((2, 2))), str(tmp_path / "img_ci.pgm"))]
         with pytest.raises(ValueError):
-            cli._record_run(
-                str(tmp_path / "img_ci.pgm"), paper_default(), "image", [], {"qi_contrast": math.nan}
-            )
+            cli._record_run(paper_default(), "image", writes, {"qi_contrast": math.nan})
         assert ledger.read_text() == '{"earlier": "record"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
+
+    def test_outputs_are_created_as_open_creates_them(self, fast_config_path, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["--config", fast_config_path, "--dwell-s", "0.25", "--out", str(out)]
+        assert run_cli("sweep", *argv, "--variable", "mu", "--values", "1e-3") == 0
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_golden_output_digests(
