@@ -900,6 +900,7 @@ class TestStreamInvariant:
                 "^bad tag record at line 3: ",
             ),
         ],
+        ids=["duration-line", "header-line", "record"],
     )
     def test_csv_long_line_gives_a_short_error(self, tmp_path, data, message):
         # 1.6 MB lines without a newline: the error quotes a few dozen bytes
