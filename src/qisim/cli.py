@@ -104,6 +104,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if not path:
         raise UsageError(f"no config given (use --config or ${CONFIG_ENV_VAR})")
     config = model.load_config(path)
+    # Every command draws from the closed form, which has no dead time yet;
+    # `validate_config` accepts one, since `simulate_tags` applies it.
+    if config.channel.dead_time_ps > 0:
+        raise model.ConfigError(
+            f"channel.dead_time_ps is {config.channel.dead_time_ps}, but the commands"
+            " have no model of dead time; set it to 0"
+        )
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
@@ -217,34 +224,26 @@ def cmd_image(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qisim",
-        description="Photon-pair standoff detection simulator and analytics.",
+def _common_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help=f"config JSON path (default ${CONFIG_ENV_VAR})")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument(
+        "--dwell-s", type=float, default=None,
+        help="seconds per point, sweep point or pixel (default: config n_pulses;"
+        " for sweep, one target in/out toggle pair)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect (every run is one process)",
+    )
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help=f"config JSON path (default ${CONFIG_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--dwell-s", type=float, default=None,
-            help="seconds per point, sweep point or pixel (default: config n_pulses;"
-            " for sweep, one target in/out toggle pair)",
-        )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; has no effect (every run is one process)",
-        )
 
-    p = sub.add_parser("characterize", help="source counts and correlation vs mu")
-    common(p)
+def _characterize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", required=True, help="comma-separated mean photon numbers")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("sweep", help="toggled target in/out sweep")
-    common(p)
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variable", choices=analytics.SWEEP_VARIABLES, required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument(
@@ -253,20 +252,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="interpret background values as counts/s instead of per bin",
     )
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("image", help="raster-scan a PGM reflectivity scene")
-    common(p)
+
+def _image_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene PGM (P2) path")
     p.add_argument("--out-prefix", required=True, help="output path prefix")
     p.add_argument("--smooth", action="store_true", help="also write 2x upsampled PGMs")
-    p.set_defaults(func=cmd_image)
 
+
+_COMMANDS = {  # name: (help, own options, handler)
+    "characterize": ("source counts and correlation vs mu", _characterize_options, cmd_characterize),
+    "sweep": ("toggled target in/out sweep", _sweep_options, cmd_sweep),
+    "image": ("raster-scan a PGM reflectivity scene", _image_options, cmd_image),
+}
+
+
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The `qisim` parser. Every command is listed, so the top-level help,
+    usage and errors name them all, but only `command`'s options are
+    declared: a run parses one command's, and each `add_argument` builds a
+    help formatter, which reads the terminal size."""
+    parser = argparse.ArgumentParser(
+        prog="qisim",
+        description="Photon-pair standoff detection simulator and analytics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            _common_options(p)
+            options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the command that the first positional argument names, or
+    # fails before any command parses. The top-level parser has no option
+    # that takes a value, so every argument before that one is an option
+    # string, which no command name is: the first command name in argv is
+    # the command that runs. (Not argv[0]: `--seed=3 sweep ...` runs sweep.)
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

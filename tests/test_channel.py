@@ -446,11 +446,45 @@ class TestSimulateTags:
             simulate_tags(paper_default(), True, 10**15, NoDraws())
 
     def test_longest_run_fits_int64(self):
-        cfg = make_config(mu=0.0)  # no light, so no draw scales with the pulse count
-        n = (2**63 - 1) // cfg.pulse_period_ps
-        assert simulate_tags(cfg, True, n, substream(8, 3)).duration_ps == n * cfg.pulse_period_ps
+        # 2**63 - 1 is a multiple of 7, so a 7 ps period ends the last run at
+        # exactly the int64 maximum; no light, so no draw scales with the pulses
+        cfg = make_config(mu=0.0)
+        cfg = dataclasses.replace(
+            cfg,
+            source=dataclasses.replace(cfg.source, rep_rate_hz=1e12 / 7),
+            channel=dataclasses.replace(cfg.channel, bin_width_ps=7),
+        )
+        assert cfg.pulse_period_ps == 7
+        stream = simulate_tags(cfg, True, (2**63 - 1) // 7, substream(8, 3))
+        assert stream.duration_ps == 2**63 - 1 and len(stream) == 0
         with pytest.raises(ValueError, match="int64"):
-            simulate_tags(cfg, True, n + 1, substream(8, 3))
+            simulate_tags(cfg, True, (2**63 - 1) // 7 + 1, substream(8, 3))
+
+    def test_tags_jittered_onto_the_run_edges(self):
+        # Every pulse has a locked click in both channels (p_locked is 1).
+        # The signal tag of pulse 1 is jittered onto 0 ps, the first time in
+        # the run, and kept; that of pulse 0 onto the duration, the first
+        # time past it, and lost. The herald offsets are 0.
+        class StubbedJitter:
+            def __init__(self, rng, offsets):
+                self.rng, self.offsets = rng, iter(offsets)
+
+            def normal(self, loc, scale, size):
+                return np.array(next(self.offsets), dtype=np.float64)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        cfg = make_config(
+            mu=1000.0, eta_herald=1.0, collection_fraction=1.0, eta_transmit=1.0,
+            eta_signal_detector=1.0,
+        )
+        period = cfg.pulse_period_ps
+        rng = StubbedJitter(substream(8, 4), [[2 * period, -period], [0, 0]])
+        stream = simulate_tags(cfg, True, 2, rng)
+        assert stream.duration_ps == 2 * period
+        assert stream.channels.tolist() == [0, 1, 1]
+        assert stream.times_ps.tolist() == [0, 0, period]
 
     def test_click_per_bin_near_int64_max(self):
         # t + T//2 passes 2^63 in the last whole period below it
@@ -1252,6 +1286,7 @@ class TestTagCsvCodec:
             b"signal,10\nherald,1x\n",  # the last row of a block of one width
             b"signal,10\nheralx,11\n",
             b"signal,10\nsignal,110signal,12\n",  # no newline at its row's end
+            b"signal,19\nsignal,2a\n",  # rows are checked one by one, and 9 is a digit
         ],
     )
     def test_bad_record_inside_a_run(self, body, tmp_path):
@@ -1389,6 +1424,16 @@ class TestBernoulliIndices:
     def test_impossible_or_subnormal_p(self, p):
         # a subnormal p makes the geometric gaps saturate at the int64 maximum
         assert _bernoulli_indices(p, 10**6, substream(13, 2)).size == 0
+
+    def test_last_index_exactly_n(self):
+        # n = 100, p = 0.01: one block of 21 gaps, twenty of 1 and then 81,
+        # so the block's last index is n itself, the first past the trials
+        class Gaps:
+            def geometric(self, p, size):
+                assert size == 21
+                return np.array([1] * 20 + [81])
+
+        assert _bernoulli_indices(0.01, 100, Gaps()).tolist() == list(range(20))
 
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +337,27 @@ class TestConfigTypes:
             bad |= st.floats()
         config = write_config_with(tmp_path / "bad.json", section, name, data.draw(bad))
         assert characterize_with(config, tmp_path / "char.csv") == cli.EXIT_CONFIG
+
+
+class TestDeadTime:
+    # The commands draw from the closed form, which has no dead time, so a
+    # config with one is refused before anything is drawn or written.
+    @pytest.mark.parametrize("command", ["characterize", "sweep", "image"])
+    def test_dead_time_is_config_error(self, command, scene_path, tmp_path, capsys):
+        config = write_config_with(tmp_path / "dead.json", "channel", "dead_time_ps", 1)
+        out = tmp_path / "out"
+        out.mkdir()
+        own = {
+            "characterize": ["--mu", "0.01", "--out", str(out / "char.csv")],
+            "sweep": ["--variable", "mu", "--values", "0.01", "--out", str(out / "sweep.csv")],
+            "image": ["--scene", scene_path, "--out-prefix", str(out / "img")],
+        }[command]
+        assert run_cli(command, "--config", config, *own) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: channel.dead_time_ps is 1, but the commands have no model of"
+            " dead time; set it to 0\n"
+        )
+        assert not any(out.iterdir())
 
 
 class TestSweep:
@@ -799,6 +821,140 @@ class TestRunLedger:
         umask = os.umask(0o022)
         os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# The front end's texts at 80 columns (argparse wraps help at the terminal
+# width, which it reads from COLUMNS), as Python 3.11's argparse words them.
+USAGE = {
+    None: "usage: qisim [-h] {characterize,sweep,image} ...\n",
+    "characterize": (
+        "usage: qisim characterize [-h] [--config CONFIG] [--seed SEED]\n"
+        "                          [--dwell-s DWELL_S] [--threads THREADS] --mu MU\n"
+        "                          --out OUT\n"
+    ),
+    "sweep": (
+        "usage: qisim sweep [-h] [--config CONFIG] [--seed SEED] [--dwell-s DWELL_S]\n"
+        "                   [--threads THREADS] --variable {mu,background} --values\n"
+        "                   VALUES [--values-per-s] --out OUT\n"
+    ),
+    "image": (
+        "usage: qisim image [-h] [--config CONFIG] [--seed SEED] [--dwell-s DWELL_S]\n"
+        "                   [--threads THREADS] --scene SCENE --out-prefix OUT_PREFIX\n"
+        "                   [--smooth]\n"
+    ),
+}
+COMMON_HELP = (
+    "  --config CONFIG       config JSON path (default $QISIM_CONFIG)\n"
+    "  --seed SEED           override the config seed\n"
+    "  --dwell-s DWELL_S     seconds per point, sweep point or pixel (default:\n"
+    "                        config n_pulses; for sweep, one target in/out toggle\n"
+    "                        pair)\n"
+    "  --threads THREADS     accepted for compatibility; has no effect (every run\n"
+    "                        is one process)\n"
+)
+HELP = {
+    None: USAGE[None] + (
+        "\n"
+        "Photon-pair standoff detection simulator and analytics.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {characterize,sweep,image}\n"
+        "    characterize        source counts and correlation vs mu\n"
+        "    sweep               toggled target in/out sweep\n"
+        "    image               raster-scan a PGM reflectivity scene\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "characterize": USAGE["characterize"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --config CONFIG    config JSON path (default $QISIM_CONFIG)\n"
+        "  --seed SEED        override the config seed\n"
+        "  --dwell-s DWELL_S  seconds per point, sweep point or pixel (default: config\n"
+        "                     n_pulses; for sweep, one target in/out toggle pair)\n"
+        "  --threads THREADS  accepted for compatibility; has no effect (every run is\n"
+        "                     one process)\n"
+        "  --mu MU            comma-separated mean photon numbers\n"
+        "  --out OUT          output CSV path\n"
+    ),
+    "sweep": USAGE["sweep"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ) + COMMON_HELP + (
+        "  --variable {mu,background}\n"
+        "  --values VALUES       comma-separated sweep values\n"
+        "  --values-per-s        interpret background values as counts/s instead of per\n"
+        "                        bin\n"
+        "  --out OUT             output CSV path\n"
+    ),
+    "image": USAGE["image"] + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ) + COMMON_HELP + (
+        "  --scene SCENE         scene PGM (P2) path\n"
+        "  --out-prefix OUT_PREFIX\n"
+        "                        output path prefix\n"
+        "  --smooth              also write 2x upsampled PGMs\n"
+    ),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="texts as Python 3.11's argparse words them"
+)
+class TestFrontEnd:
+    """Help, usage and parse errors, byte for byte, with their exit codes.
+    Only the command that runs has its options declared, so these pin that
+    no text shows which."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", [None, "characterize", "sweep", "image"])
+    def test_help(self, command, capsys):
+        argv = ["-h"] if command is None else [command, "-h"]
+        assert run_cli(*argv) == cli.EXIT_OK
+        assert capsys.readouterr() == (HELP[command], "")
+
+    @pytest.mark.parametrize(
+        "argv, usage, error",
+        [
+            ([], None, "the following arguments are required: command"),
+            (
+                ["swep"], None,
+                "argument command: invalid choice: 'swep'"
+                " (choose from 'characterize', 'sweep', 'image')",
+            ),
+            (
+                ["sweep", "--mu", "1"], "sweep",
+                "the following arguments are required: --variable, --values, --out",
+            ),
+            (
+                ["--config", "x", "sweep"], None,
+                "argument command: invalid choice: 'x'"
+                " (choose from 'characterize', 'sweep', 'image')",
+            ),
+            (
+                ["image", "--scene", "s.pgm"], "image",
+                "the following arguments are required: --out-prefix",
+            ),
+            # an option before the command: argparse still runs the
+            # command's parser, which must know its options
+            (
+                ["--seed=3", "sweep", "--variable", "mu", "--values", "1", "--out", "o.csv"],
+                None, "unrecognized arguments: --seed=3",
+            ),
+        ],
+    )
+    def test_usage_errors(self, argv, usage, error, capsys):
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        prog = "qisim" if usage is None else f"qisim {usage}"
+        assert capsys.readouterr() == ("", f"{USAGE[usage]}{prog}: error: {error}\n")
 
 
 def test_golden_output_digests(
