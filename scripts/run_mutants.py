@@ -12,7 +12,9 @@ outcome: `killed` (some test fails) or `survives` (all pass; `why` says
 why that is acceptable). For each entry the repository is copied into a
 temporary directory, without `.git` and the ignored output directories,
 the copy is mutated, and `python -m pytest -q -x -p no:cacheprovider
-<tests>` runs there with `PYTHONPATH=<copy>/src`. It leaves out
+--hypothesis-profile mutants <tests>` runs there with
+`PYTHONPATH=<copy>/src`; that profile, registered in `tests/conftest.py`,
+skips shrinking a failing example, which only slows a kill. It leaves out
 `DATA_TEST`, which checks each old text against the source and so fails
 in every mutated copy, and, where libcst is installed, loads hypothesis's
 patch writer as a plugin (`PRELOAD`). A test run that takes more than
@@ -66,6 +68,7 @@ def run(mutant: dict) -> str:
         target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *PRELOAD]
+        cmd += ["--hypothesis-profile", "mutants"]
         cmd += [*mutant["tests"], "--deselect", DATA_TEST]
         try:
             done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)

@@ -190,22 +190,21 @@ def _qef_estimate(snr_q: Estimate, snr_c: Estimate) -> Estimate:
 
 
 def _run_sweep_row(
-    config: ExperimentConfig, rng: np.random.Generator, value: float, dwell_pulses: int
+    value: float, rng: np.random.Generator, patterns: np.ndarray, dwell_pulses: int
 ) -> SweepRow:
-    """One sweep point of an already valid config. Statistics it cannot
-    form are None (`qef` nan), with their reasons joined in `error`.
+    """One sweep point, drawn from the rows of `patterns`: the point's click
+    patterns with the target in, with it out, and for the companion g2.
+    Statistics it cannot form are None (`qef` nan), with their reasons
+    joined in `error`.
 
     The toggled segments of one target state share their pattern
     probabilities, so their summed tallies are one multinomial draw over
     the state's whole exposure, half the dwell.
     """
     half = dwell_pulses // 2
-    counts_in = acquisition.simulate_counts(config, True, half, rng)
-    counts_out = acquisition.simulate_counts(config, False, half, rng)
-    # Companion correlation measurement, also over half the dwell: jamming
-    # blocked, target held in, same scattered-channel efficiencies and noise.
-    blocked = replace(config, channel=replace(config.channel, background_per_bin=0.0))
-    g2_counts = acquisition.simulate_counts(blocked, True, half, rng)
+    counts_in = acquisition.draw_counts(patterns[0], half, rng)
+    counts_out = acquisition.draw_counts(patterns[1], half, rng)
+    g2_counts = acquisition.draw_counts(patterns[2], half, rng)
 
     reasons: list[str] = []
     snr_c = _formed(
@@ -235,13 +234,16 @@ def run_sweep(
 ) -> SweepTable:
     """Toggled in/out acquisition at each sweep value. Each target state
     and the companion g2 get `dwell_pulses // 2` pulses; `qisim sweep`
-    takes only dwells of whole in/out toggle pairs.
+    takes only dwells of whole in/out toggle pairs. The companion
+    measurement has the jamming blocked and the target in.
 
     Rows come from `_points` in ascending order: a value that makes the
     config invalid raises `ConfigError` before anything is drawn, and a
     row's draws depend only on the seed and its value, so extending or
-    splitting `values` reproduces the rows already run. max_workers is
-    accepted for compatibility and has no effect.
+    splitting `values` reproduces the rows already run. The closed form is
+    evaluated once per target state, with the swept field holding every
+    row's value, as `imaging.raster_scan` holds every pixel's reflectivity.
+    max_workers is accepted for compatibility and has no effect.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}")
@@ -250,8 +252,23 @@ def run_sweep(
     if dwell_pulses < 2:
         raise ValueError("dwell_pulses must be at least 2, one pulse per target state")
 
-    points = _points(config, variable, values, SWEEP_SPACE)
-    return SweepTable(tuple(_run_sweep_row(c, rng, v, dwell_pulses) for v, c, rng in points))
+    points = list(_points(config, variable, values, SWEEP_SPACE))
+    swept = np.array([v for v, _, _ in points])
+    source, channel = config.source, config.channel
+    if variable == "mu":
+        source = replace(source, mu=swept)
+    else:
+        channel = replace(channel, background_per_bin=swept)
+    blocked = replace(channel, background_per_bin=0.0)
+    states = ((channel, True), (channel, False), (blocked, True))
+    # (row, state, pattern); a pattern the swept field does not reach is the same in every row
+    patterns = np.array(
+        [np.broadcast_arrays(*click_pattern_probabilities(source, ch, t), swept)[:4]
+         for ch, t in states]
+    ).transpose(2, 0, 1)
+    return SweepTable(
+        tuple(_run_sweep_row(v, rng, p, dwell_pulses) for (v, _, rng), p in zip(points, patterns))
+    )
 
 
 def _cells(obj, *attrs: str) -> list[str]:

@@ -5,8 +5,9 @@ and so produce the same per-bin statistics:
 
 * `simulate_counts` draws the four per-pulse click patterns (both, signal
   only, herald only, neither) from one multinomial over the pattern
-  probabilities. It costs O(1) per acquisition segment regardless of the
-  pulse count.
+  probabilities, through `draw_counts`, which a sweep also calls with
+  patterns it evaluated for all its rows at once. It costs O(1) per
+  acquisition segment regardless of the pulse count.
 * `simulate_tags` realizes the event stream: the pulse-locked click
   patterns (pairs, jamming and pair-less herald noise), uniform dark
   counts and Gaussian detector jitter, reduced to click tags with at most
@@ -136,9 +137,15 @@ def simulate_counts(
     config: ExperimentConfig, target_in: bool, n_pulses: int, rng: np.random.Generator
 ) -> ClickCounts:
     """Aggregate acquisition: one multinomial over the click patterns."""
+    patterns = click_pattern_probabilities(config.source, config.channel, target_in)
+    return draw_counts(patterns, n_pulses, rng)
+
+
+def draw_counts(patterns, n_pulses: int, rng: np.random.Generator) -> ClickCounts:
+    """The tallies of n_pulses pulses, drawn as one multinomial over the four
+    click patterns (both, signal only, herald only, neither)."""
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
-    patterns = click_pattern_probabilities(config.source, config.channel, target_in)
     n11, n10, n01, _ = rng.multinomial(n_pulses, patterns)
     return ClickCounts(
         n_pulses=n_pulses,
@@ -450,7 +457,14 @@ def read_tags_csv(path: str) -> TimeTagStream:
                 buf.extend(bytes(len(buf)))
     if tail:
         raise _bad_record(lineno + 1, buf[:tail])
-    return TimeTagStream(codes[:n], times[:n], int(duration[1]))
+    codes, times = codes[:n], times[:n]
+    try:
+        return TimeTagStream(codes, times, int(duration[1]))
+    except StreamOrderError:
+        # the first tag below the one before it, or a Signal tied with a
+        # Herald before it; tag j is on line j + 3
+        back = (times[1:] < times[:-1]) | ((times[1:] == times[:-1]) & (codes[1:] < codes[:-1]))
+        raise StreamOrderError(f"unsorted stream at line {int(np.argmax(back)) + 4}") from None
 
 
 def _bad_record(lineno: int, line) -> ValueError:

@@ -269,16 +269,16 @@ _COMMANDS = {  # name: (help, own options, handler)
 
 def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The `qisim` parser. Every command is listed, so the top-level help,
-    usage and errors name them all, but only `command`'s options are
-    declared: a run parses one command's, and each `add_argument` builds a
-    help formatter, which reads the terminal size."""
+    usage and errors name them all, but only `command`'s options, `-h`
+    among them, are declared: a run parses one command's, and each
+    `add_argument` builds a help formatter, which reads the terminal size."""
     parser = argparse.ArgumentParser(
         prog="qisim",
         description="Photon-pair standoff detection simulator and analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, options, func) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, add_help=name == command)
         if name == command:
             _common_options(p)
             options(p)

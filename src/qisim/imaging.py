@@ -33,9 +33,11 @@ from .rng import PIXEL_SPACE, substream
 
 def _owned(grid, kind: str) -> np.ndarray:
     """grid as a non-empty 2-D read-only float64 copy, which no caller can
-    write through. The copy is made here: an array-like's `__array__` may
-    ignore `copy=True` and hand over its own memory."""
-    g = np.asarray(grid, dtype=np.float64).copy()
+    write through. The one copy is made here, by the conversion or else by
+    `copy`: an array-like's `__array__` may ignore `copy=True` and hand over
+    its own memory."""
+    g = np.asarray(grid)
+    g = g.astype(np.float64) if g.dtype != np.float64 else g.copy()
     if g.ndim != 2 or min(g.shape) < 1:
         raise ValueError(f"{kind} grid must be a non-empty 2-D array")
     g.flags.writeable = False

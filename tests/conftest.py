@@ -8,12 +8,24 @@ random draws are seeded, so a passing suite is deterministic.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from qisim import channel
-from qisim.model import ChannelParams, ClickCounts, ExperimentConfig, SourceParams
+from qisim.model import (
+    ChannelParams,
+    ClickCounts,
+    ExperimentConfig,
+    SourceParams,
+    click_pattern_probabilities,
+)
 
 SIGMA = 4.0
+
+# A mutant's test run stops at its first failure, and only whether one
+# fails counts, so shrinking the failing example is wasted time there.
+# `scripts/run_mutants.py` selects this profile; other runs keep the default.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def assert_within_sigma(observed: float, expected: float, std: float, label: str = "") -> None:
@@ -28,18 +40,26 @@ def binomial_std(n: int, p: float) -> float:
 
 
 def script_draws(monkeypatch, *tallies) -> list:
-    """Make each `channel.simulate_counts` call return the next tally
-    (n_signal, n_herald, n_coinc) over the pulses it was asked for. The
-    orchestrators look the sampler up at call time, so this reaches them.
-    Returns the list of calls made, as (target_in, n_pulses)."""
+    """Make each `channel.draw_counts` call return the next tally
+    (n_signal, n_herald, n_coinc) over the pulses it was asked for. Every
+    draw of `simulate_counts`, `run_sweep` and `run_characterize` goes
+    through it, looked up at call time, so this reaches them all. Returns
+    the list of calls made, as (patterns, n_pulses): the four pattern
+    probabilities as floats, which show the target state and config drawn
+    (see `patterns_of`)."""
     queue, calls = list(tallies), []
 
-    def draw(config, target_in, n_pulses, rng):
-        calls.append((target_in, n_pulses))
+    def draw(patterns, n_pulses, rng):
+        calls.append((tuple(float(p) for p in patterns), n_pulses))
         return ClickCounts(n_pulses, *queue.pop(0))
 
-    monkeypatch.setattr(channel, "simulate_counts", draw)
+    monkeypatch.setattr(channel, "draw_counts", draw)
     return calls
+
+
+def patterns_of(config: ExperimentConfig, target_in: bool) -> tuple:
+    """The closed-form patterns a draw for config and target state is given."""
+    return click_pattern_probabilities(config.source, config.channel, target_in)
 
 
 # --- hypothesis strategies -------------------------------------------------

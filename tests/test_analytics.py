@@ -1,10 +1,14 @@
 import dataclasses
 import math
 import struct
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from qisim import analytics
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from qisim import analytics, channel
 from qisim.analytics import (
     CSV_COLUMNS,
     analytic_g2,
@@ -34,7 +38,7 @@ from qisim.model import (
 )
 from qisim.rng import CHARACTERIZE_SPACE, SWEEP_SPACE, substream
 
-from .conftest import assert_within_sigma, script_draws
+from .conftest import assert_within_sigma, experiment_configs, patterns_of, script_draws
 
 
 def bootstrap_snr_err(n_in, n_out, n_resamples, rng):
@@ -396,6 +400,80 @@ class TestPointKeys:
             assert row.counts_out == simulate_counts(at, False, self.DWELL // 2, rng)
 
 
+FLOAT_MAX = sys.float_info.max
+
+
+class TestVectorizedSweep:
+    """A sweep evaluates the closed form once per target state over all its
+    rows, then draws each row from its own generator: the same tallies as
+    `simulate_counts` on that row's own configs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=experiment_configs(),
+        variable=st.sampled_from(analytics.SWEEP_VARIABLES),
+        # a small pool repeats values often; 0 and FLOAT_MAX are both fields' bounds
+        values=st.lists(
+            st.sampled_from([0.0, 2e-3, 0.01, FLOAT_MAX]) | st.floats(0.0, 0.05),
+            min_size=1, max_size=6,
+        ),
+        dwell=st.integers(2, 10**9),
+    )
+    @example(
+        config=ExperimentConfig(channel=ChannelParams(background_per_bin=1e-3)),
+        variable="mu", values=[0.01, FLOAT_MAX, 0.0, 0.01], dwell=10**6,
+    )
+    @example(
+        config=ExperimentConfig(), variable="background",
+        values=[FLOAT_MAX, 1e-3, 0.0, 1e-3, 1e-3], dwell=10**6,
+    )
+    def test_each_row_draws_its_own_configs(self, config, variable, values, dwell):
+        drawn, draw = [], channel.draw_counts
+
+        def spy(patterns, n_pulses, rng):
+            drawn.append(draw(patterns, n_pulses, rng))
+            return drawn[-1]
+
+        with mock.patch.object(channel, "draw_counts", spy):
+            rows = run_sweep(config, variable, values, dwell).rows
+        ordered = sorted(float(v) for v in values)
+        keys = [value_key(v) for v in ordered]
+        assert [row.value for row in rows] == ordered
+        assert len(drawn) == 3 * len(rows)
+        half = dwell // 2
+        for k, (v, row) in enumerate(zip(ordered, rows)):
+            if variable == "mu":
+                at = dataclasses.replace(config, source=dataclasses.replace(config.source, mu=v))
+            else:
+                at = dataclasses.replace(
+                    config, channel=dataclasses.replace(config.channel, background_per_bin=v)
+                )
+            blocked = dataclasses.replace(
+                at, channel=dataclasses.replace(at.channel, background_per_bin=0.0)
+            )
+            rng = substream(config.seed, SWEEP_SPACE, *keys[k][:2], keys[:k].count(keys[k]))
+            expected = [
+                simulate_counts(at, True, half, rng),
+                simulate_counts(at, False, half, rng),
+                simulate_counts(blocked, True, half, rng),
+            ]
+            assert drawn[3 * k : 3 * k + 3] == expected
+            assert (row.counts_in, row.counts_out) == tuple(expected[:2])
+
+    def test_the_closed_form_is_evaluated_once_per_target_state(self, monkeypatch):
+        calls = []
+
+        def closed_form(source, channel, target_in):
+            calls.append((np.shape(source.mu), np.shape(channel.background_per_bin), target_in))
+            return click_pattern_probabilities(source, channel, target_in)
+
+        monkeypatch.setattr(analytics, "click_pattern_probabilities", closed_form)
+        values = [1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1]
+        rows = run_sweep(TestPointKeys.CONFIG, "background", values, 2000).rows
+        assert len(rows) == 7
+        assert calls == [((), (7,), True), ((), (7,), False), ((), (), True)]
+
+
 ZERO_BACKGROUND = "SNR undefined: zero background counts"
 ZERO_SINGLES = "g2 undefined: zero singles on a channel"
 NONPOSITIVE_SNR_C = "QEF undefined: classical SNR must be positive"
@@ -412,8 +490,17 @@ class TestZeroTallies:
     G2 = (40, 100, 8)
 
     def row(self, monkeypatch, tally_in, tally_out, tally_g2=G2):
-        script_draws(monkeypatch, tally_in, tally_out, tally_g2)
+        calls = script_draws(monkeypatch, tally_in, tally_out, tally_g2)
         (row,) = run_sweep(self.CONFIG, "mu", [0.01], self.DWELL).rows
+        # target in, target out, then the companion: jamming blocked, target in
+        at = dataclasses.replace(
+            self.CONFIG, source=dataclasses.replace(self.CONFIG.source, mu=0.01)
+        )
+        blocked = dataclasses.replace(
+            at, channel=dataclasses.replace(at.channel, background_per_bin=0.0)
+        )
+        states = [(at, True), (at, False), (blocked, True)]
+        assert calls == [(patterns_of(c, t), self.DWELL // 2) for c, t in states]
         return row
 
     def test_zero_in_singles_take_the_floor(self, monkeypatch):
@@ -493,8 +580,14 @@ class TestZeroTallies:
             self.row(monkeypatch, (80, 100, 8), (40, 100, 4))
 
     def test_zero_singles_leave_a_characterize_g2_unformed(self, monkeypatch):
-        script_draws(monkeypatch, (40, 100, 0), (0, 100, 0))
+        calls = script_draws(monkeypatch, (40, 100, 0), (0, 100, 0))
         points = run_characterize(self.CONFIG, [0.02, 0.01], 1000)
+        bare = dataclasses.replace(self.CONFIG, channel=bare_channel(self.CONFIG.channel))
+        at = [
+            dataclasses.replace(bare, source=dataclasses.replace(bare.source, mu=mu))
+            for mu in (0.01, 0.02)
+        ]
+        assert calls == [(patterns_of(c, True), 1000) for c in at]
         assert [p[2:] for p in points] == [
             (Estimate(0.0, 0.25), None),
             (None, f"g2: {ZERO_SINGLES}"),

@@ -1231,8 +1231,29 @@ class TestTagCsvCodec:
             read_tags_csv(str(path))
         # inside a run it is below the run's first time, which has none
         path.write_bytes(CSV_HEAD % 1000 + b"signal,10\nsignal,07\n")
-        with pytest.raises(StreamOrderError, match="^unsorted stream$"):
+        with pytest.raises(StreamOrderError, match="^unsorted stream at line 4$"):
             read_tags_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"signal,20\nsignal,10\n", 4),
+            (b"herald,10\nsignal,10\n", 4),  # a Signal tied with the Herald before it
+            (b"signal,5\nherald,7\nsignal,7\n", 5),
+            (b"signal,10\nsignal,07\n", 4),  # zero-led: at a block edge, no record
+            (b"signal,5\nherald,5\nsignal,6\nsignal,6\nherald,8\nsignal,7\n", 8),
+        ],
+    )
+    def test_record_below_one_as_wide_names_its_line(self, body, line, tmp_path):
+        # the same line at any block size, as an order error or, where a
+        # block edge puts a leading zero first in its run, as a bad record
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 1000 + body)
+        for block in (_CSV_BLOCK, 10):
+            with mock.patch.object(channel, "_CSV_BLOCK", block):
+                with pytest.raises(ValueError, match=f" at line {line}(:|$)") as err:
+                    read_tags_csv(str(path))
+            assert isinstance(err.value, StreamOrderError) or b",0" in body
 
     @pytest.mark.parametrize("block", [_CSV_BLOCK, 10])
     def test_narrower_record_is_out_of_order(self, block, tmp_path):

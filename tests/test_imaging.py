@@ -417,21 +417,37 @@ class TestOwnedGrids:
         holder.values[0, 0] = 7.0
         assert obj.grid.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
-    def test_an_array_like_that_ignores_copy_shares_no_memory(self, kind):
+    @pytest.mark.parametrize("source_dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "ignores-copy"])
+    def test_every_grid_becomes_an_unshared_read_only_float64(self, kind, source_dtype, wrap):
         class Holder:
-            """An array-like that hands out its own float64 array even when asked for a copy."""
+            """An array-like that hands out its own array even when asked for a copy."""
 
-            values = np.ones((2, 2))
+            values = np.ones((2, 2), dtype=source_dtype)
 
             def __array__(self, dtype=None, copy=None):
                 return self.values
 
         holder = Holder()
-        obj = kind(holder)
+        obj = kind(holder if wrap else holder.values)
+        assert obj.grid.dtype == np.float64 and not obj.grid.flags.writeable
         assert not np.shares_memory(obj.grid, holder.values)
         assert holder.values.flags.writeable
-        holder.values[0, 0] = 0.7
+        holder.values[0, 0] = 0
         assert obj.grid.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("source_dtype", [np.int64, np.float64])
+    def test_one_copy_is_made(self, kind, source_dtype):
+        # the copy, then the value check's masks: about 1.38 grids; a second
+        # copy of a converted grid made it 2.0
+        grid = np.ones((128, 128), dtype=source_dtype)
+        tracemalloc.start()
+        try:
+            kind(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * grid.size * 8
 
     def test_writing_into_the_grid_raises(self, kind):
         obj = kind(np.ones((2, 2)))
