@@ -247,7 +247,7 @@ def run_sweep(
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}")
-    if not values:
+    if len(values) == 0:
         raise ValueError("empty sweep values")
     if dwell_pulses < 2:
         raise ValueError("dwell_pulses must be at least 2, one pulse per target state")
@@ -259,13 +259,10 @@ def run_sweep(
         source = replace(source, mu=swept)
     else:
         channel = replace(channel, background_per_bin=swept)
-    blocked = replace(channel, background_per_bin=0.0)
+    blocked = replace(channel, background_per_bin=np.zeros_like(swept))
     states = ((channel, True), (channel, False), (blocked, True))
-    # (row, state, pattern); a pattern the swept field does not reach is the same in every row
-    patterns = np.array(
-        [np.broadcast_arrays(*click_pattern_probabilities(source, ch, t), swept)[:4]
-         for ch, t in states]
-    ).transpose(2, 0, 1)
+    # (row, state, pattern)
+    patterns = np.array([click_pattern_probabilities(source, *s) for s in states]).transpose(2, 0, 1)
     return SweepTable(
         tuple(_run_sweep_row(v, rng, p, dwell_pulses) for (v, _, rng), p in zip(points, patterns))
     )

@@ -50,24 +50,30 @@ class Channel(enum.IntEnum):
 
 
 class StreamOrderError(ValueError):
-    """The tag stream is not time-ordered."""
+    """The tag stream is not time-ordered; `tag` is the index, from 0, of
+    the first tag out of order."""
+
+    def __init__(self, message: str, tag: int) -> None:
+        super().__init__(message)
+        self.tag = tag
 
 
 _DURATION_MAX = 2**64 - 1  # the u64 duration field of the QITT header
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TimeTagStream:
     """Time-ordered detection record for both channels.
 
-    Stored as parallel arrays: channel codes in {0, 1} and times in
-    [0, duration_ps), sorted by time, ties broken Signal before Herald.
-    The constructor checks this invariant, so every stream (simulated,
-    read from a file or built directly) holds it: bad order raises
-    `StreamOrderError`, any other violation `ValueError`. The checks run in
-    this order, and the first that fails raises: the codes, before the cast
-    to uint8; the time range, after the cast to int64 (a u64 time of 2**63
-    or more is out of range); the order.
+    Stored as parallel arrays: channel codes in {0, 1} and times in whole
+    picoseconds in [0, duration_ps), sorted by time, ties broken Signal
+    before Herald. The constructor checks this invariant, so every stream
+    (simulated, read from a file or built directly) holds it: bad order
+    raises `StreamOrderError`, any other violation `ValueError`. The checks
+    run in this order, and the first that fails raises: whole picoseconds
+    (a fractional part, NaN or an infinity), the codes, before the cast to
+    uint8; the time range, after the cast to int64 (a u64 time of 2**63 or
+    more is out of range); the order. Streams compare by identity.
     Arrays are treated as read-only after construction.
     """
 
@@ -76,13 +82,23 @@ class TimeTagStream:
     duration_ps: int
 
     def __post_init__(self) -> None:
-        self.duration_ps = int(self.duration_ps)
-        if not 0 <= self.duration_ps <= _DURATION_MAX:
-            raise ValueError(f"duration_ps {self.duration_ps} outside [0, 2**64 - 1]")
+        d = self.duration_ps
+        if not isinstance(d, (int, np.integer)) and not float(d).is_integer():  # NaN, inf too
+            raise ValueError(f"duration_ps {d} is not a whole number of picoseconds")
+        duration = int(d)
+        if not 0 <= duration <= _DURATION_MAX:
+            raise ValueError(f"duration_ps {duration} outside [0, 2**64 - 1]")
+        t = np.asarray(self.times_ps)
+        if t.dtype.kind == "f":  # whole picoseconds; integer arrays skip these passes
+            odd = ~np.isfinite(t) | (np.trunc(t) != t)
+            if odd.any():
+                raise ValueError(f"tag time {t[odd][0]} is not a whole number of picoseconds")
+            # no float outside int64 casts to a defined value; -1 fails the range check
+            t = np.where((t >= 0) & (t < 2.0**63), t, -1)
         try:  # times first: copying the codes first fragments the heap (+6 MB RSS)
-            t = np.asarray(self.times_ps).astype(np.int64, order="C", copy=False)
+            t = t.astype(np.int64, order="C", copy=False)
         except OverflowError:  # a Python int beyond the int64 range
-            raise ValueError(f"tag time outside [0, {self.duration_ps}) ps") from None
+            raise ValueError(f"tag time outside [0, {duration}) ps") from None
         c = np.ascontiguousarray(self.channels)  # the caller's dtype, so no code has wrapped yet
         if c.ndim != 1 or c.shape != t.shape:
             raise ValueError("channels and times_ps must be 1-D and of equal length")
@@ -95,15 +111,18 @@ class TimeTagStream:
         # order if its time is lower, or if it is a Signal tied to the Herald
         # before it.
         breaks = np.flatnonzero(t[1:] <= t[:-1])
-        unsorted = bool(np.any((t[breaks + 1] < t[breaks]) | (c[breaks + 1] < c[breaks])))
+        back = (t[breaks + 1] < t[breaks]) | (c[breaks + 1] < c[breaks])
         # On the int64 values: a u64 time of 2**63 or more has wrapped negative.
         if t.size:
-            first, last = (t.min(), t.max()) if unsorted else (t[0], t[-1])
-            if first < 0 or int(last) >= self.duration_ps:
-                raise ValueError(f"tag time outside [0, {self.duration_ps}) ps")
-        if unsorted:
-            raise StreamOrderError("unsorted stream")
-        self.channels, self.times_ps = c.astype(np.uint8, copy=False), t
+            first, last = (t.min(), t.max()) if back.any() else (t[0], t[-1])
+            if first < 0 or int(last) >= duration:
+                raise ValueError(f"tag time outside [0, {duration}) ps")
+        if back.any():
+            tag = int(breaks[np.argmax(back)]) + 1
+            raise StreamOrderError(f"unsorted stream at tag {tag}", tag)
+        object.__setattr__(self, "channels", c.astype(np.uint8, copy=False))
+        object.__setattr__(self, "times_ps", t)
+        object.__setattr__(self, "duration_ps", duration)
 
     def __len__(self) -> int:
         return int(self.times_ps.shape[0])
@@ -418,14 +437,17 @@ def read_tags_csv(path: str) -> TimeTagStream:
     `# duration_ps=` and 1 to 20 digits, the header `channel,time_ps`, then
     one record per line, every line ending in `\\n`. A bad first or second
     line raises `ValueError` naming it; no more of them is read than those
-    lines can hold (35 and 16 bytes).
+    lines can hold (35 and 16 bytes). Every later line is a record, so tag
+    j is on line j + 3.
 
     The body is read in blocks of `_CSV_BLOCK` bytes (the file size, if that
-    is smaller) into one reused buffer of two blocks, which grows only for
-    a line longer than a block. Each block is cut after its last newline
-    and parsed by `_csv_block` into arrays sized from the file size; the
-    unfinished line after the cut moves to the front of the buffer, ahead
-    of the next block. One left at the end of the file is a truncated
+    is smaller, and at least 27, the longest record line) into one reused
+    buffer of two blocks. So the buffer holds a record line and the
+    unfinished line before it; a line that two blocks cannot end is no
+    record. Each block is cut after its last newline and parsed by
+    `_csv_block` into arrays sized from the file size; the unfinished line
+    after the cut moves to the front of the buffer, ahead of the next
+    block. One left at the end of the file, or filling the buffer, is a bad
     record.
     """
     with open(path, "rb") as fh:
@@ -442,29 +464,23 @@ def read_tags_csv(path: str) -> TimeTagStream:
         file_size = os.fstat(fh.fileno()).st_size
         cap = file_size // 9 + 1
         codes, times, n = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0
-        step = min(_CSV_BLOCK, file_size) or _CSV_BLOCK  # a pipe has size 0
+        step = max(min(_CSV_BLOCK, file_size) or _CSV_BLOCK, 27)  # a pipe has size 0
         buf, tail = bytearray(2 * step), 0  # the unfinished line is buf[:tail]
-        lineno, width = 2, 8
+        # a full buffer reads nothing more, which ends the loop
         while got := fh.readinto(memoryview(buf)[tail : tail + step]):
             size = tail + got
             cut = buf.rfind(b"\n", 0, size) + 1
             if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
                 codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
-            lineno, n, width = _csv_block(buf, cut, lineno, width, codes, times, n)
+            n = _csv_block(buf, cut, codes, times, n)
             tail = size - cut
             buf[:tail] = buf[cut:size]
-            if len(buf) < tail + step:  # a line longer than a block
-                buf.extend(bytes(len(buf)))
     if tail:
-        raise _bad_record(lineno + 1, buf[:tail])
-    codes, times = codes[:n], times[:n]
+        raise _bad_record(n + 3, buf[:tail])
     try:
-        return TimeTagStream(codes, times, int(duration[1]))
-    except StreamOrderError:
-        # the first tag below the one before it, or a Signal tied with a
-        # Herald before it; tag j is on line j + 3
-        back = (times[1:] < times[:-1]) | ((times[1:] == times[:-1]) & (codes[1:] < codes[:-1]))
-        raise StreamOrderError(f"unsorted stream at line {int(np.argmax(back)) + 4}") from None
+        return TimeTagStream(codes[:n], times[:n], int(duration[1]))
+    except StreamOrderError as err:
+        raise StreamOrderError(f"unsorted stream at line {err.tag + 3}", err.tag) from None
 
 
 def _bad_record(lineno: int, line) -> ValueError:
@@ -473,13 +489,10 @@ def _bad_record(lineno: int, line) -> ValueError:
     return ValueError(f"bad tag record at line {lineno}: {text!r}{cut}")
 
 
-def _csv_block(
-    buf, size: int, lineno: int, width: int, codes: np.ndarray, times: np.ndarray, n: int
-) -> tuple[int, int, int]:
+def _csv_block(buf, size: int, codes: np.ndarray, times: np.ndarray, n: int) -> int:
     """Parse the lines in buf[:size], which ends in a newline, into
-    codes[n:] and times[n:]; return the last line number, the new record
-    count and the last line's width. `lineno` and `width` are those of the
-    line before the block.
+    codes[n:] and times[n:], the first n tags being those before the
+    block; return the new record count. Tag j is on line j + 3.
 
     A record is `signal,` or `herald,`, then 1 to 19 digits with no leading
     zero and a value of at most the int64 maximum. The block is read run by
@@ -487,13 +500,14 @@ def _csv_block(
     as rows of w + 1 bytes, and the rows up to the first one without a
     newline at column w are read as one record matrix by `_csv_records`.
     Sorted times without leading zeros only grow wider, so a record
-    narrower than the line before raises `StreamOrderError`, and a block
-    holds at most one run per width (8 to 26 bytes). A line that is no
-    record raises `ValueError`. Both name the line. Only a run's first row
-    is checked for a leading zero: a later one is below the first, which
-    the stream's order check rejects.
+    narrower than the line before (as wide as the last time stored needs)
+    raises `StreamOrderError`, and a block holds at most one run per width
+    (8 to 26 bytes). A line that is no record raises `ValueError`. Both
+    name the line. Only a run's first row is checked for a leading zero: a
+    later one is below the first, which the stream's order check rejects.
     """
     a = np.frombuffer(buf, dtype=np.uint8, count=size)
+    width = 7 + len(str(times[n - 1])) if n else 8
     start = 0
     while start < size:
         w = buf.find(b"\n", start, size) - start
@@ -504,12 +518,12 @@ def _csv_block(
             m = len(rows) if ends.all() else int(np.argmin(ends))
             bad = _csv_records(rows[:m, :w], codes, times, slice(n, n + m))
         if w < width and bad != 0:  # its first row is a record
-            raise StreamOrderError(f"unsorted stream at line {lineno + 1}")
+            raise StreamOrderError(f"unsorted stream at line {n + 3}", n)
         if bad >= 0:
             line = start + bad * (w + 1)
-            raise _bad_record(lineno + bad + 1, buf[line : buf.find(b"\n", line, size)])
-        start, lineno, n, width = start + m * (w + 1), lineno + m, n + m, w
-    return lineno, n, width
+            raise _bad_record(n + bad + 3, buf[line : buf.find(b"\n", line, size)])
+        start, n, width = start + m * (w + 1), n + m, w
+    return n
 
 
 def _csv_records(rows: np.ndarray, codes: np.ndarray, times: np.ndarray, dest: slice) -> int:

@@ -209,10 +209,10 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
 
     Returned as (both, signal only, herald only, neither); each term is
     computed in a cancellation-free form so the tiny pattern probabilities
-    keep full relative precision. Scalar parameters give four Python
-    floats. Any numeric field may instead hold a numpy array (for example
-    one target reflectivity per pixel); the four results are then arrays
-    broadcast over those fields.
+    keep full relative precision. Scalar parameters give four numpy
+    float64 scalars, which are Python floats. Any numeric field may instead
+    hold a numpy array (for example one target reflectivity per pixel); the
+    four results are then arrays broadcast over those fields.
     """
     mu = source.mu
     eta_h = source.eta_herald
@@ -232,8 +232,6 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
     p10 = np.maximum(0.0, p_s - p11)
     p01 = np.maximum(0.0, p_h - p11)
     p00 = np.maximum(0.0, 1.0 - p11 - p10 - p01)
-    if np.ndim(p11) == 0:
-        return float(p11), float(p10), float(p01), float(p00)
     return p11, p10, p01, p00
 
 

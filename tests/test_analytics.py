@@ -258,10 +258,17 @@ class TestRunSweep:
         cfg = self.small_config()
         with pytest.raises(ValueError, match="empty sweep values"):
             run_sweep(cfg, "mu", [], 10**6)
+        with pytest.raises(ValueError, match="empty sweep values"):
+            run_sweep(cfg, "mu", np.array([]), 10**6)
         with pytest.raises(ValueError, match="^dwell_pulses must be at least 2"):
             run_sweep(cfg, "mu", [1e-3], 1)
         with pytest.raises(ValueError, match="unknown sweep variable"):
             run_sweep(cfg, "reflectivity", [0.5], 10**6)
+
+    def test_values_may_be_a_numpy_array(self):
+        cfg = self.small_config()
+        from_array = run_sweep(cfg, "mu", np.array([1e-3, 2e-3]), 1000).rows
+        assert repr(from_array) == repr(run_sweep(cfg, "mu", [1e-3, 2e-3], 1000).rows)  # nan too
 
     def test_rows_sorted_and_complete(self):
         cfg = self.small_config()
@@ -471,7 +478,7 @@ class TestVectorizedSweep:
         values = [1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1]
         rows = run_sweep(TestPointKeys.CONFIG, "background", values, 2000).rows
         assert len(rows) == 7
-        assert calls == [((), (7,), True), ((), (7,), False), ((), (), True)]
+        assert calls == [((), (7,), True), ((), (7,), False), ((), (7,), True)]
 
 
 ZERO_BACKGROUND = "SNR undefined: zero background counts"

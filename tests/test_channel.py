@@ -863,6 +863,66 @@ class TestStreamInvariant:
             tracemalloc.stop()
         assert peak < n + 4096
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "times, named",
+        [([0, 5.5], "5.5"), ([0.7, 5.2], "0.7"), ([0, math.nan], "nan"), ([math.inf], "inf"),
+         ([-math.inf, 1], "-inf"), (np.array([0, 2.5], np.float32), "2.5")],
+    )
+    def test_times_not_whole_picoseconds_rejected(self, times, named):
+        # they were truncated; NaN warned, then failed the range check
+        with pytest.raises(ValueError, match=f"^tag time {named} is not a whole number of "):
+            TimeTagStream([0] * len(times), np.asarray(times), 10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_whole_float_times_are_exact(self):
+        stream = TimeTagStream([0, 1], np.array([0.0, 7.0]), 10)
+        assert stream.times_ps.dtype == np.int64 and stream.times_ps.tolist() == [0, 7]
+        # the longest duration; as int64, no time of 2**63 or more is in range
+        message = r"^tag time outside \[0, 18446744073709551615\) ps$"
+        for times in ([5.0, 2.0**63], [-1.0, 5.0], [5.0, 2.0**64], [-(2.0**70), 5.0]):
+            with pytest.raises(ValueError, match=message):
+                TimeTagStream([0, 1], np.array(times), 2**64 - 1)
+
+    @pytest.mark.parametrize("duration", [10.9, math.nan, math.inf, -math.inf, np.float64(0.5)])
+    def test_duration_not_whole_picoseconds_rejected(self, duration):
+        with pytest.raises(ValueError, match=f"^duration_ps {duration} is not a whole number"):
+            TimeTagStream([], [], duration)
+        assert TimeTagStream([], [], 10.0).duration_ps == 10
+
+    def test_fields_are_frozen(self):
+        stream = TimeTagStream.from_arrays([0, 1], [1, 2], 10)
+        for field in dataclasses.fields(stream):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(stream, field.name, getattr(stream, field.name))
+
+    def test_streams_compare_by_identity(self):
+        # comparing the arrays field by field raised for two tags or more
+        a, b = (TimeTagStream.from_arrays([0, 1], [1, 2], 10) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+    def test_order_error_names_the_first_tag_out_of_order(self, tmp_path):
+        # a harmless tie (tag 2), then a Signal tied with the Herald before
+        # it (tag 4), then a lower time (tag 6)
+        codes, times = [0, 0, 1, 1, 0, 1, 0], [1, 2, 2, 3, 3, 5, 4]
+        with pytest.raises(StreamOrderError, match="^unsorted stream at tag 4$") as err:
+            TimeTagStream.from_arrays(codes, times, 10, sort=False)
+        assert err.value.tag == 4
+        records = np.empty(len(times), dtype=[("channel", "u1"), ("time_ps", "<u8")])
+        records["channel"], records["time_ps"] = codes, times
+        path = tmp_path / "tags.qitt"
+        path.write_bytes(struct.pack("<4sHHQ", b"QITT", 1, 0, 10) + records.tobytes())
+        with pytest.raises(StreamOrderError, match="^unsorted stream at tag 4$") as err:
+            read_qitt(str(path))
+        assert err.value.tag == 4
+        path = tmp_path / "tags.csv"
+        body = "".join(f"{CSV_NAMES[c]},{t}\n" for c, t in zip(codes, times))
+        path.write_text(f"# duration_ps=10\nchannel,time_ps\n{body}")
+        with pytest.raises(StreamOrderError, match="^unsorted stream at line 7$") as err:
+            read_tags_csv(str(path))
+        assert err.value.tag == 4
+
     @pytest.mark.parametrize("duration", [-5, -1, 2**64])
     def test_duration_outside_u64_rejected(self, duration, tmp_path):
         with pytest.raises(ValueError, match="duration"):
@@ -943,6 +1003,21 @@ class TestStreamInvariant:
         with pytest.raises(ValueError, match=message) as err:
             read_tags_csv(str(path))
         assert len(str(err.value)) < 200
+
+    def test_csv_line_without_newline_reads_two_blocks(self, tmp_path):
+        # the reader stops when its two blocks hold no newline; it read the
+        # whole file, and its traced peak was four times the file size
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"# duration_ps=100\nchannel,time_ps\nsignal," + b"1" * (32 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                read_tags_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "bad tag record at line 3: 'signal,%s'..." % ("1" * 33)
+        assert peak < 2 * path.stat().st_size
 
     def test_csv_duration_line_is_read_to_its_longest(self, tmp_path):
         # 20 digits fill the 35 bytes line 1 may hold; a 21st makes it no duration line
@@ -1270,6 +1345,19 @@ class TestTagCsvCodec:
             with pytest.raises(ValueError, match="^bad tag record at line 6: 'signal,9x'$"):
                 read_tags_csv(str(path))
 
+    def test_zero_led_record_then_narrower_across_a_block_edge(self, tmp_path):
+        # Two faults: line 4 is zero-led inside a run, line 5 is narrower
+        # than it. In one block the run's width names line 5. Across a block
+        # edge the width is the stored time's, so line 5 reads, and the
+        # stream names line 4, the first tag out of order.
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 1000 + b"signal,100\nsignal,050\nsignal,99\n")
+        with pytest.raises(StreamOrderError, match="^unsorted stream at line 5$"):
+            read_tags_csv(str(path))
+        with mock.patch.object(channel, "_CSV_BLOCK", 27):  # the edge after line 4
+            with pytest.raises(StreamOrderError, match="^unsorted stream at line 4$"):
+                read_tags_csv(str(path))
+
     def test_block_temporaries(self):
         # A 1 MiB block of 13-digit records is one run: its record matrix is
         # a view of the block, and the temporaries take a few bytes a record.
@@ -1279,11 +1367,11 @@ class TestTagCsvCodec:
         codes, times = np.empty(len(buf) // 9, np.uint8), np.empty(len(buf) // 9, np.int64)
         tracemalloc.start()
         try:
-            lineno, n, width = channel._csv_block(buf, len(buf), 2, 8, codes, times, 0)
+            n = channel._csv_block(buf, len(buf), codes, times, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (lineno, n, width) == (2 + len(buf) // 21, len(buf) // 21, 20)
+        assert n == len(buf) // 21
         assert peak <= 4.31 * 2**20
 
     def test_int64_maximum_and_unterminated_last_line(self, tmp_path):

@@ -172,3 +172,22 @@ def test_no_two_plain_dataclasses_declare_the_same_fields():
             seen.setdefault(shape, name)
     assert len(seen) >= 4  # the rule sees the config parts, the sweep types and Estimate
     assert not offenders, f"dataclasses with the same fields: {offenders}"
+
+
+def test_every_dataclass_is_frozen():
+    # A value type checks its invariant once, when it is built; a field
+    # assigned later would skip that check.
+    seen, offenders = 0, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for d in node.decorator_list:
+                if ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass":
+                    seen += 1
+                    keywords = {ast.unparse(k) for k in getattr(d, "keywords", [])}
+                    if "frozen=True" not in keywords:
+                        offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert seen >= 10  # the config parts, the result types, the stream, the images
+    assert not offenders, f"dataclasses that are not frozen: {offenders}"
