@@ -7,9 +7,12 @@ analysis on top of them.
 
 SNR follows the target in/out convention: SNR = (N_in - N_out)/N_out,
 counting singles for classical illumination and coincidences for the
-pair-source protocol. Their ratio, the quantum enhancement factor, equals
-the source's second-order coherence because the overall efficiency and
-the background probability cancel.
+pair-source protocol. Their ratio, the quantum enhancement factor, is in
+expectation the pair correlation g2 of the target-in channel with
+jamming, dark counts and stray light removed, because the overall
+efficiency and the background probability cancel. `run_sweep`'s companion
+g2 keeps the darks and stray light, so at low brightness it sits below
+the QEF.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ def expected_snr_quantum(eta: float, p_sh: float, p_h: float, p_b: float) -> flo
 def qef(snr_q: float, snr_c: float) -> float:
     """Quantum enhancement factor, the ratio of the two SNRs.
 
-    Algebraically this is P_sh/(P_s*P_h): the overall efficiency and the
+    In expectation this is P_sh/(P_s*P_h) of the target-in channel with
+    jamming, darks and stray light removed: the overall efficiency and the
     background probability cancel, which is why the enhancement survives
     arbitrary loss and jamming.
     """
@@ -168,9 +172,13 @@ def _points(
     the number of earlier values with those bits), as `rng` describes."""
     ordered = sorted(float(v) for v in values)
     configs = [_with_value(config, variable, v) for v in ordered]
-    bits = [int(np.float64(v).view(np.uint64)) for v in ordered]
-    for i, (v, c, b) in enumerate(zip(ordered, configs, bits)):
-        yield v, c, substream(config.seed, space, b >> 32, b & 0xFFFFFFFF, bits[:i].count(b))
+    # bits -> occurrence of the latest value with them; a map, as 0.0 and -0.0
+    # sort as equal, so equal bits need not be adjacent
+    seen: dict[int, int] = {}
+    for v, c in zip(ordered, configs):
+        b = int(np.float64(v).view(np.uint64))
+        seen[b] = seen.get(b, -1) + 1
+        yield v, c, substream(config.seed, space, b >> 32, b & 0xFFFFFFFF, seen[b])
 
 
 def _formed(reasons: list[str], what: str, estimator, *args) -> Optional[Estimate]:

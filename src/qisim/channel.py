@@ -61,6 +61,14 @@ class StreamOrderError(ValueError):
 _DURATION_MAX = 2**64 - 1  # the u64 duration field of the QITT header
 
 
+def _fractional(x) -> bool:
+    """Whether an object tag time is not a whole number: a fraction, NaN or an infinity."""
+    try:
+        return int(x) != x
+    except (ValueError, OverflowError):  # NaN; an infinity
+        return True
+
+
 @dataclass(frozen=True, eq=False)
 class TimeTagStream:
     """Time-ordered detection record for both channels.
@@ -71,7 +79,8 @@ class TimeTagStream:
     (simulated, read from a file or built directly) holds it: bad order
     raises `StreamOrderError`, any other violation `ValueError`. The checks
     run in this order, and the first that fails raises: whole picoseconds
-    (a fractional part, NaN or an infinity), the codes, before the cast to
+    (a float or object time with a fractional part, NaN or an infinity;
+    Fractions and Decimals included), the codes, before the cast to
     uint8; the time range, after the cast to int64 (a u64 time of 2**63 or
     more is out of range); the order. Streams compare by identity.
     Arrays are treated as read-only after construction.
@@ -89,8 +98,11 @@ class TimeTagStream:
         if not 0 <= duration <= _DURATION_MAX:
             raise ValueError(f"duration_ps {duration} outside [0, 2**64 - 1]")
         t = np.asarray(self.times_ps)
-        if t.dtype.kind == "f":  # whole picoseconds; integer arrays skip these passes
-            odd = ~np.isfinite(t) | (np.trunc(t) != t)
+        if t.dtype.kind in "fO":  # whole picoseconds; integer arrays skip these passes
+            if t.dtype.kind == "f":
+                odd = ~np.isfinite(t) | (np.trunc(t) != t)
+            else:  # Python ints, Fractions, Decimals: a whole one equals its int()
+                odd = np.array([_fractional(x) for x in t.flat], bool).reshape(t.shape)
             if odd.any():
                 raise ValueError(f"tag time {t[odd][0]} is not a whole number of picoseconds")
             # no float outside int64 casts to a defined value; -1 fails the range check

@@ -194,45 +194,51 @@ def click_pattern_probabilities(source: SourceParams, channel: ChannelParams, ta
     The per-bin model: a pulse makes a Poisson number of pairs with mean
     mu; each pair's signal photon is detected with the full arm efficiency
     eta_sig and its herald with eta_h, independently; jamming, dark and
-    stray light add independent Poisson intensities. Click detectors fire
-    on one or more photons, so
+    stray light add independent Poisson intensities. Detected or lost
+    photon by photon, the pulse holds three independent Poisson processes,
+    with means
 
-        P(no S) = exp(-(mu*eta_sig + beta + delta_s)),  P_s = 1 - P(no S)
-        P(no H) = exp(-(mu*eta_h + delta_h)),           P_h = 1 - P(no H)
-        P_sh = P_s*P_h + P(no S)*P(no H) * expm1(mu*eta_sig*eta_h)
+        s = mu*eta_sig*(1 - eta_h) + signal noise   (signal only)
+        h = mu*eta_h*(1 - eta_sig) + herald noise   (herald only)
+        b = mu*eta_sig*eta_h                        (both)
 
-    where the second P_sh term is the pair-correlation excess over
-    independent channels. With x = mu*eta_sig*eta_h it is evaluated as
-    exp(log P(no S) + log P(no H) + x) * -expm1(-x), whose exponent is never
-    positive, so no factor overflows at any accepted mu. These forms are
-    exact and are the oracle the Monte Carlo modes are tested against.
+    Click detectors fire on one or more photons. With quiet(x) = exp(-x)
+    and fired(x) = -expm1(-x), each pattern is one product of a factor per
+    process, save that both channels click when the pair process fires or
+    when it is quiet and the other two fire:
 
-    Returned as (both, signal only, herald only, neither); each term is
-    computed in a cancellation-free form so the tiny pattern probabilities
-    keep full relative precision. Scalar parameters give four numpy
-    float64 scalars, which are Python floats. Any numeric field may instead
-    hold a numpy array (for example one target reflectivity per pixel); the
-    four results are then arrays broadcast over those fields.
+        both        fired(b) + quiet(b)*fired(s)*fired(h)
+        signal only quiet(b)*fired(s)*quiet(h)
+        herald only quiet(b)*quiet(s)*fired(h)
+        neither     quiet(b)*quiet(s)*quiet(h)
+
+    No probability is subtracted from another, so each keeps full relative
+    precision however small it is. These forms are exact and are the
+    oracle the Monte Carlo modes are tested against.
+
+    Returned as (both, signal only, herald only, neither). Scalar
+    parameters give four numpy float64 scalars, which are Python floats.
+    Any numeric field may instead hold a numpy array (for example one
+    target reflectivity per pixel); the four results are then arrays
+    broadcast over those fields.
     """
     mu = source.mu
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
 
-    # A log term below -float max is -inf, its limit; numpy arrays would
-    # warn of the overflow where Python floats do not.
+    # log quiet(x) = -x for each process. A log term below -float max is
+    # -inf, its limit; numpy arrays would warn of the overflow where Python
+    # floats do not.
     with np.errstate(over="ignore"):
-        log_no_s = -mu * eta_sig - channel.signal_noise_per_bin
-        log_no_h = -mu * eta_h - source.noise_herald_per_bin
-        x = mu * eta_sig * eta_h
-        log_excess = log_no_s + log_no_h + x
-    p_s = -np.expm1(log_no_s)
-    p_h = -np.expm1(log_no_h)
-    excess = np.exp(log_excess) * -np.expm1(-x)
-    p11 = p_s * p_h + excess
-    p10 = np.maximum(0.0, p_s - p11)
-    p01 = np.maximum(0.0, p_h - p11)
-    p00 = np.maximum(0.0, 1.0 - p11 - p10 - p01)
-    return p11, p10, p01, p00
+        log_quiet_s = -mu * eta_sig * (1.0 - eta_h) - channel.signal_noise_per_bin
+        log_quiet_h = -mu * eta_h * (1.0 - eta_sig) - source.noise_herald_per_bin
+    log_quiet_b = -mu * eta_sig * eta_h
+    quiet_b = np.exp(log_quiet_b)
+    # quiet(b)*fired(s) and quiet(b)*quiet(s), each shared by two patterns
+    fired_s, quiet_s = quiet_b * -np.expm1(log_quiet_s), quiet_b * np.exp(log_quiet_s)
+    fired_h, quiet_h = -np.expm1(log_quiet_h), np.exp(log_quiet_h)
+    p11 = -np.expm1(log_quiet_b) + fired_s * fired_h
+    return p11, fired_s * quiet_h, quiet_s * fired_h, quiet_s * quiet_h
 
 
 _FLOAT_MAX = sys.float_info.max

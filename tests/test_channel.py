@@ -6,6 +6,8 @@ import struct
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -867,7 +869,10 @@ class TestStreamInvariant:
     @pytest.mark.parametrize(
         "times, named",
         [([0, 5.5], "5.5"), ([0.7, 5.2], "0.7"), ([0, math.nan], "nan"), ([math.inf], "inf"),
-         ([-math.inf, 1], "-inf"), (np.array([0, 2.5], np.float32), "2.5")],
+         ([-math.inf, 1], "-inf"), (np.array([0, 2.5], np.float32), "2.5"),
+         (np.array([Fraction(1, 2), 3], object), "1/2"), (np.array([0, Decimal("2.5")], object), "2.5"),
+         (np.array([0, math.nan], object), "nan"), (np.array([Decimal("NaN")], object), "NaN"),
+         (np.array([math.inf], object), "inf"), (np.array([Decimal("-Infinity")], object), "-Infinity")],
     )
     def test_times_not_whole_picoseconds_rejected(self, times, named):
         # they were truncated; NaN warned, then failed the range check
@@ -878,9 +883,12 @@ class TestStreamInvariant:
     def test_whole_float_times_are_exact(self):
         stream = TimeTagStream([0, 1], np.array([0.0, 7.0]), 10)
         assert stream.times_ps.dtype == np.int64 and stream.times_ps.tolist() == [0, 7]
+        whole = np.array([2, Fraction(4, 2), Decimal("3")], object)  # and so are whole objects
+        assert TimeTagStream([0, 1, 0], whole, 10).times_ps.tolist() == [2, 2, 3]
         # the longest duration; as int64, no time of 2**63 or more is in range
         message = r"^tag time outside \[0, 18446744073709551615\) ps$"
-        for times in ([5.0, 2.0**63], [-1.0, 5.0], [5.0, 2.0**64], [-(2.0**70), 5.0]):
+        for times in ([5.0, 2.0**63], [-1.0, 5.0], [5.0, 2.0**64], [-(2.0**70), 5.0],
+                      np.array([5, 2**64], object)):
             with pytest.raises(ValueError, match=message):
                 TimeTagStream([0, 1], np.array(times), 2**64 - 1)
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import decimal
 import json
 import math
 import numbers
@@ -474,7 +475,7 @@ class TestBoundsTable:
 
 def poisson_patterns_written_out(source, channel, target_in):
     """The Poisson patterns with the excess written as P(no S) P(no H) expm1(x):
-    an independent reference for the model's overflow-free evaluation order."""
+    an independent reference for the model's three-process products."""
     mu = source.mu
     eta_h = source.eta_herald
     eta_sig = channel.signal_arm_efficiency(target_in)
@@ -489,6 +490,49 @@ def poisson_patterns_written_out(source, channel, target_in):
     return p11, p10, p01, np.maximum(0.0, 1.0 - p11 - p10 - p01)
 
 
+def log_uniform(hi: float, *ends: float) -> st.SearchStrategy[float]:
+    """0, one of `ends`, or 2**e for e uniform from the least subnormal up to hi."""
+    spread = st.floats(-1074.0, math.log2(hi), exclude_max=True).map(lambda e: 2.0**e)
+    return st.one_of(st.sampled_from((0.0, *ends)), spread)
+
+
+EFFICIENCY_ENDS = (1.0, 2.0**-52, 1.0 - 2.0**-52)
+SIGNAL_EFFICIENCIES = ("eta_transmit", "target_reflectivity", "collection_fraction", "eta_signal_detector")
+SIGNAL_NOISES = ("background_per_bin", "dark_signal_per_bin", "stray_light_per_bin")
+
+
+def reference_patterns(source, channel, target_in):
+    """The four patterns and s + h + b in `decimal`, from the exact field values.
+
+    The three processes' means are exact to 80 digits. 1 - e**-x is taken
+    with 60 digits past its leading zeros: at a flat precision e**-x rounds
+    to 1 for a small enough x, and the difference to 0."""
+    D = decimal.Decimal
+    with decimal.localcontext(prec=80):
+        mu, eta_h = D(source.mu), D(source.eta_herald)
+        eta_sig = D(int(target_in))
+        for name in SIGNAL_EFFICIENCIES:
+            eta_sig *= D(getattr(channel, name))
+        noise_s = sum(D(getattr(channel, name)) for name in SIGNAL_NOISES)
+        s = mu * eta_sig * (1 - eta_h) + noise_s
+        h = mu * eta_h * (1 - eta_sig) + D(source.noise_herald_per_bin)
+        b = mu * eta_sig * eta_h
+
+        def fired(x):
+            with decimal.localcontext(prec=60 + max(0, -x.adjusted())):
+                return 1 - (-x).exp()
+
+        quiet_b, quiet_s, quiet_h = ((-x).exp() for x in (b, s, h))
+        fired_b, fired_s, fired_h = (fired(x) for x in (b, s, h))
+        patterns = (
+            fired_b + quiet_b * fired_s * fired_h,
+            quiet_b * fired_s * quiet_h,
+            quiet_b * quiet_s * fired_h,
+            quiet_b * quiet_s * quiet_h,
+        )
+        return patterns, s + h + b
+
+
 class TestClickPatternProbabilities:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -499,8 +543,8 @@ class TestClickPatternProbabilities:
     def test_poisson_matches_written_out_formula(self, source, channel, target_in):
         got = click_pattern_probabilities(source, channel, target_in)
         want = poisson_patterns_written_out(source, channel, target_in)
-        # p10 and p01 are differences of a singles and the coincidence
-        # probability, so their rounding is relative to the singles
+        # the reference's p10 and p01 are differences of a singles and the
+        # coincidence probability, so its rounding is relative to the singles
         scale = max(want[0] + want[1], want[0] + want[2])
         for g, w in zip(got, want):
             assert g == pytest.approx(float(w), rel=1e-14, abs=1e-15 * scale)
@@ -633,7 +677,7 @@ class TestClickPatternProbabilities:
         ),
         target_in=st.booleans(),
     )
-    @example(  # P(S) rounds to 1, and 1 - p11 - p10 - p01 to -2**-54: p00 needs its clamp
+    @example(  # P(S) rounds to 1, and 1 - p11 - p10 - p01 to -2**-54; p00 is a product
         source=SourceParams(mu=1e-3, eta_herald=0.2, noise_herald_per_bin=0.4),
         channel=ChannelParams(background_per_bin=37.0),
         target_in=True,
@@ -654,3 +698,42 @@ class TestClickPatternProbabilities:
         pixels = dataclasses.replace(channel, target_reflectivity=np.array(reflectivities))
         for k, p in enumerate(click_pattern_probabilities(source, pixels, target_in)):
             assert np.array_equal(np.broadcast_to(p, 2), [e[k] for e in each]), (k, p, each)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        source=st.builds(
+            SourceParams,
+            mu=log_uniform(_BOUNDS["mu"][1]),
+            eta_herald=log_uniform(1.0, *EFFICIENCY_ENDS),
+            noise_herald_per_bin=log_uniform(_BOUNDS["noise_herald_per_bin"][1]),
+        ),
+        channel=st.builds(
+            ChannelParams,
+            **{n: log_uniform(1.0, *EFFICIENCY_ENDS) for n in SIGNAL_EFFICIENCIES},
+            **{n: log_uniform(_BOUNDS[n][1]) for n in SIGNAL_NOISES},
+        ),
+        target_in=st.booleans(),
+    )
+    @example(  # mu 19.1, every efficiency 1: p01 is 5.07e-32, far below P(H)'s rounding
+        source=SourceParams(mu=19.1, eta_herald=1.0, noise_herald_per_bin=1e-23),
+        channel=ChannelParams(
+            eta_transmit=1.0, collection_fraction=1.0, eta_signal_detector=1.0, dark_signal_per_bin=0.0
+        ),
+        target_in=True,
+    )
+    @example(  # and herald efficiency 1 - 2**-52: p10 is 2.15e-23, far below P(S)'s rounding
+        source=SourceParams(mu=19.1, eta_herald=1.0 - 2.0**-52),
+        channel=ChannelParams(
+            eta_transmit=1.0, collection_fraction=1.0, eta_signal_detector=1.0, dark_signal_per_bin=0.0
+        ),
+        target_in=True,
+    )
+    def test_patterns_keep_relative_precision(self, source, channel, target_in):
+        # a few ulp of each pattern, times the conditioning of e**-x at the
+        # processes' total mean, wherever the exact pattern is a normal double
+        want, total = reference_patterns(source, channel, target_in)
+        bound = 4 * decimal.Decimal(2.0**-52) * max(1, total)
+        got = click_pattern_probabilities(source, channel, target_in)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if w >= sys.float_info.min:
+                assert abs(decimal.Decimal(float(g)) - w) <= bound * w, (k, float(g), float(w))
