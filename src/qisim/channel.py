@@ -26,8 +26,10 @@ model.
 `bin_indices` is the pulse-locked binning rule and the only same-bin test:
 the click-per-bin dedupe here and the correlator's reduction both use it.
 
-A stream is exported as QITT binary records or as a tag CSV. The CSV
-reader takes exactly the writer's form, and names the line of any error.
+A stream is exported as QITT binary records or as a tag CSV. Both
+readers check their header and read the body through one block reader,
+`_read_blocks`, with a parser per format. The CSV reader takes exactly
+the writer's form, and names the line of any error.
 """
 
 from __future__ import annotations
@@ -346,7 +348,41 @@ QITT_MAGIC = b"QITT"
 QITT_VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")  # magic, version, reserved, duration_ps
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
-_QITT_BLOCK = 1 << 16  # records per read
+_BLOCK = 1 << 20  # bytes per read or write
+_LINE_MAX = 27  # bytes of the longest record of either format, a 19-digit CSV line
+
+
+def _read_blocks(fh, parse) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Read the rest of the open file or pipe fh as records, and return
+    their channel codes, their times and the bytes after the last whole
+    record.
+
+    The body is read in blocks of `_BLOCK` bytes (the file size, if that
+    is smaller, and at least `_LINE_MAX`), each behind the unfinished
+    record of the block before, in one reused buffer of a block and
+    `_LINE_MAX` bytes. `parse(buf, end, codes, times, n)` reads the whole
+    records of buf[:end] into codes[n:] and times[n:], the first n tags
+    being those before, and returns the new record count and where its
+    last whole record ends; the bytes after that move to the front of the
+    buffer. A record of either format takes at least 9 bytes, so arrays
+    of file size / 9 hold them all (pages that are never written stay
+    unmapped); they grow only for a pipe or a file that grew after it was
+    opened. A full buffer reads nothing more, which ends the loop, so
+    what is left is a record cut by the end of the body, or the start of
+    a line the buffer cannot end.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    codes, times, n = np.empty(size // 9, np.uint8), np.empty(size // 9, np.int64), 0
+    step = max(min(_BLOCK, size) or _BLOCK, _LINE_MAX)  # a pipe has size 0
+    buf, tail = bytearray(step + _LINE_MAX), 0  # the unfinished record is buf[:tail]
+    while got := fh.readinto(memoryview(buf)[tail : tail + step]):
+        end = tail + got
+        if (need := n + end // 9) > times.size:
+            codes, times = np.resize(codes, 2 * need), np.resize(times, 2 * need)
+        n, cut = parse(buf, end, codes, times, n)
+        tail = end - cut
+        buf[:tail] = buf[cut:end]
+    return codes[:n], times[:n], bytes(buf[:tail])
 
 
 def write_qitt(stream: TimeTagStream, path: str) -> None:
@@ -356,15 +392,13 @@ def write_qitt(stream: TimeTagStream, path: str) -> None:
     records["time_ps"] = stream.times_ps
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(QITT_MAGIC, QITT_VERSION, 0, stream.duration_ps))
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def read_qitt(path: str) -> TimeTagStream:
-    """Read a QITT file or pipe. The records are read into one reused block
-    of `_QITT_BLOCK` records (fewer if the file holds fewer), and their
-    fields are copied from there into arrays sized from the file size. A
-    record cut by a read is carried over to the next; one cut by the end of
-    the body raises `ValueError`."""
+    """Read a QITT file or pipe: the header, then the records through
+    `_read_blocks`. A record cut by the end of the body raises
+    `ValueError`."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -374,30 +408,25 @@ def read_qitt(path: str) -> TimeTagStream:
             raise ValueError("not a QITT file")
         if version != QITT_VERSION:
             raise ValueError(f"unsupported QITT version {version}")
-        size = _RECORD_DTYPE.itemsize
-        cap = max(os.fstat(fh.fileno()).st_size - _HEADER.size, 0) // size
-        codes, times = np.empty(cap, np.uint8), np.empty(cap, np.int64)
-        block = np.empty(min(_QITT_BLOCK, cap) or _QITT_BLOCK, _RECORD_DTYPE)
-        raw = block.view(np.uint8)
-        n = carry = 0
-        # one raw read per call, so a pipe yields what it holds, cut records and all
-        while got := fh.readinto1(raw[carry:]):
-            m, carry = divmod(carry + got, size)
-            if n + m > times.size:  # a pipe, or a file that grew after it was opened
-                codes, times = np.resize(codes, 2 * (n + m)), np.resize(times, 2 * (n + m))
-            codes[n : n + m], times[n : n + m] = block["channel"][:m], block["time_ps"][:m]
-            n += m
-            raw[:carry] = raw[m * size : m * size + carry]
-    if carry:
+        codes, times, rest = _read_blocks(fh, _qitt_block)
+    if rest:
         raise ValueError("truncated QITT record")
-    return TimeTagStream(codes[:n], times[:n], duration)
+    return TimeTagStream(codes, times, duration)
+
+
+def _qitt_block(buf, end: int, codes: np.ndarray, times: np.ndarray, n: int) -> tuple[int, int]:
+    """Copy the fields of the whole records in buf[:end] into codes[n:]
+    and times[n:]; return the new record count and where the last ends."""
+    records = np.frombuffer(buf, _RECORD_DTYPE, end // _RECORD_DTYPE.itemsize)
+    m = n + records.size
+    codes[n:m], times[n:m] = records["channel"], records["time_ps"]
+    return m, records.nbytes
 
 
 _CSV_HEADER = b"channel,time_ps"
 _CSV_DURATION = b"# duration_ps="
 _CSV_FIRST_LINE = re.compile(re.escape(_CSV_DURATION) + rb"(\d{1,20})\n")
 _CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
-_CSV_BLOCK = 1 << 20  # bytes per read or write
 DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
 _INT64_MAX = b"%d" % np.iinfo(np.int64).max
 _SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
@@ -427,21 +456,21 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
     Times are sorted, so their digit counts never decrease: the tags of
     one digit count d are one fixed-width byte matrix of 7 name bytes, d
-    digits and a newline, written in pieces of about `_CSV_BLOCK` bytes.
+    digits and a newline, written in pieces of about `_BLOCK` bytes.
     """
     times, codes = stream.times_ps, stream.channels
     edges = [0, *np.searchsorted(times, DIGIT_BOUNDS).tolist(), len(stream)]
     with open(path, "wb") as fh:
         fh.write(b"%s%d\n%s\n" % (_CSV_DURATION, stream.duration_ps, _CSV_HEADER))
         for d, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
-            step = _CSV_BLOCK // (d + 8)
+            step = _BLOCK // (d + 8)
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
                 rows = np.empty((e - s, d + 8), dtype=np.uint8)
                 rows[:, :7].view("S7")[:, 0] = _CSV_PREFIX[codes[s:e]]
                 put_digits(rows[:, 7:-1], times[s:e])
                 rows[:, -1] = ord("\n")
-                fh.write(rows.tobytes())
+                fh.write(rows)
 
 
 def read_tags_csv(path: str) -> TimeTagStream:
@@ -452,15 +481,10 @@ def read_tags_csv(path: str) -> TimeTagStream:
     lines can hold (35 and 16 bytes). Every later line is a record, so tag
     j is on line j + 3.
 
-    The body is read in blocks of `_CSV_BLOCK` bytes (the file size, if that
-    is smaller, and at least 27, the longest record line) into one reused
-    buffer of two blocks. So the buffer holds a record line and the
-    unfinished line before it; a line that two blocks cannot end is no
-    record. Each block is cut after its last newline and parsed by
-    `_csv_block` into arrays sized from the file size; the unfinished line
-    after the cut moves to the front of the buffer, ahead of the next
-    block. One left at the end of the file, or filling the buffer, is a bad
-    record.
+    The body is read through `_read_blocks`: each block is cut after its
+    last newline and parsed by `_csv_block`. A line that a block and
+    `_LINE_MAX` bytes cannot end is no record, and neither is an
+    unfinished line at the end of the file.
     """
     with open(path, "rb") as fh:
         first, header = fh.readline(35), fh.readline(16)  # each line at its longest
@@ -471,28 +495,20 @@ def read_tags_csv(path: str) -> TimeTagStream:
         if header != _CSV_HEADER + b"\n":
             text = header.removesuffix(b"\n").decode(errors="replace")
             raise ValueError(f"expected the header {_CSV_HEADER.decode()!r} at line 2, got {text!r}")
-        # A record takes at least 9 bytes ("signal,0\n"), so the file size
-        # bounds the record count; pages that are never written stay unmapped.
-        file_size = os.fstat(fh.fileno()).st_size
-        cap = file_size // 9 + 1
-        codes, times, n = np.empty(cap, np.uint8), np.empty(cap, np.int64), 0
-        step = max(min(_CSV_BLOCK, file_size) or _CSV_BLOCK, 27)  # a pipe has size 0
-        buf, tail = bytearray(2 * step), 0  # the unfinished line is buf[:tail]
-        # a full buffer reads nothing more, which ends the loop
-        while got := fh.readinto(memoryview(buf)[tail : tail + step]):
-            size = tail + got
-            cut = buf.rfind(b"\n", 0, size) + 1
-            if n + cut // 9 > times.size:  # a pipe, or a file that grew after it was opened
-                codes, times = np.resize(codes, 2 * (n + cut)), np.resize(times, 2 * (n + cut))
-            n = _csv_block(buf, cut, codes, times, n)
-            tail = size - cut
-            buf[:tail] = buf[cut:size]
-    if tail:
-        raise _bad_record(n + 3, buf[:tail])
-    try:
-        return TimeTagStream(codes[:n], times[:n], int(duration[1]))
-    except StreamOrderError as err:
-        raise StreamOrderError(f"unsorted stream at line {err.tag + 3}", err.tag) from None
+        try:
+            codes, times, rest = _read_blocks(fh, _csv_lines)
+            if rest:
+                raise _bad_record(codes.size + 3, rest)
+            return TimeTagStream(codes, times, int(duration[1]))
+        except StreamOrderError as err:
+            raise StreamOrderError(f"unsorted stream at line {err.tag + 3}", err.tag) from None
+
+
+def _csv_lines(buf, end: int, codes: np.ndarray, times: np.ndarray, n: int) -> tuple[int, int]:
+    """`_csv_block` over the lines of buf[:end] up to its last newline;
+    return the new record count and where that line ends."""
+    cut = buf.rfind(b"\n", 0, end) + 1
+    return _csv_block(buf, cut, codes, times, n), cut
 
 
 def _bad_record(lineno: int, line) -> ValueError:
@@ -511,12 +527,16 @@ def _csv_block(buf, size: int, codes: np.ndarray, times: np.ndarray, n: int) -> 
     run. A run starts at a line of width w: the rest of the block is viewed
     as rows of w + 1 bytes, and the rows up to the first one without a
     newline at column w are read as one record matrix by `_csv_records`.
-    Sorted times without leading zeros only grow wider, so a record
-    narrower than the line before (as wide as the last time stored needs)
-    raises `StreamOrderError`, and a block holds at most one run per width
-    (8 to 26 bytes). A line that is no record raises `ValueError`. Both
-    name the line. Only a run's first row is checked for a leading zero: a
-    later one is below the first, which the stream's order check rejects.
+    A line that is no record raises `ValueError` naming it. Only a run's
+    first row is checked for a leading zero: a later one is below the
+    first, which the stream's order check rejects.
+
+    Sorted times without leading zeros only grow wider, so a block holds
+    at most one run per width (8 to 26 bytes). A record narrower than the
+    line before (as wide as the last time stored needs) ends the parse:
+    it is below that line, or a zero-led line before it is below its
+    run's first. So the stream's own check over the tags up to it raises
+    `StreamOrderError`, naming the first tag out of order.
     """
     a = np.frombuffer(buf, dtype=np.uint8, count=size)
     width = 7 + len(str(times[n - 1])) if n else 8
@@ -530,7 +550,8 @@ def _csv_block(buf, size: int, codes: np.ndarray, times: np.ndarray, n: int) -> 
             m = len(rows) if ends.all() else int(np.argmin(ends))
             bad = _csv_records(rows[:m, :w], codes, times, slice(n, n + m))
         if w < width and bad != 0:  # its first row is a record
-            raise StreamOrderError(f"unsorted stream at line {n + 3}", n)
+            _csv_records(rows[:1, :w], codes, times, slice(n, n + 1))
+            TimeTagStream(codes[: n + 1], times[: n + 1], _DURATION_MAX)  # raises
         if bad >= 0:
             line = start + bad * (w + 1)
             raise _bad_record(n + bad + 3, buf[line : buf.find(b"\n", line, size)])

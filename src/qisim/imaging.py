@@ -227,7 +227,7 @@ def _write_rows(fh, grid: np.ndarray, tail: bytes, sep: bytes) -> None:
         if len(b"%d" % v.min()) < d:
             short = np.searchsorted(DIGIT_BOUNDS, v, side="right")  # digit count - 1
             m = m[np.arange(m.shape[1]) >= (d - 1 - short)[:, None]]
-        fh.write(m.tobytes())
+        fh.write(m)
 
 
 def _write_p2(path: str, values: np.ndarray, maxval: int) -> None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qisim import channel
 from qisim.analytics import click_pattern_probabilities, click_probabilities
 from qisim.channel import (
-    _CSV_BLOCK,
+    _BLOCK,
     _TAG_CHUNK,
     Channel,
     StreamOrderError,
@@ -597,8 +597,8 @@ class TestStreamFormats:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_qitt_pipe_fed_in_small_writes(self, tmp_path):
-        # 7-byte writes cut records across the reads of the pipe, so the
-        # reader carries their starts over to the next read
+        # 7-byte writes cut records across the raw reads of the pipe; each
+        # block is filled across them, so the body arrives whole
         stream = TimeTagStream.from_arrays([0, 1] * 4000, np.arange(8000) * 7 + 2**40, 2**41)
         path = tmp_path / "tags.qitt"
         write_qitt(stream, str(path))
@@ -615,7 +615,7 @@ class TestStreamFormats:
         data = QITT_HEAD + bytes(9 * 100 + 4)  # records at time 0, then 4 bytes of one more
         path = tmp_path / "cut.qitt"
         path.write_bytes(data)
-        with mock.patch.object(channel, "_QITT_BLOCK", 16):
+        with mock.patch.object(channel, "_BLOCK", 16 * 9):
             with pytest.raises(ValueError, match="truncated QITT record"):
                 if pipe:
                     read_fed_pipe(read_qitt, data, tmp_path)
@@ -635,7 +635,7 @@ class TestStreamFormats:
             del stream
             tracemalloc.start()
             try:
-                with mock.patch.object(channel, "_QITT_BLOCK", 1024):
+                with mock.patch.object(channel, "_BLOCK", 1024 * 9):
                     back = read_qitt(str(path))
                 peak = tracemalloc.get_traced_memory()[1]
                 base = tracemalloc.get_traced_memory()[0]
@@ -736,6 +736,22 @@ def malformed_tags(draw):
     return codes, times, duration
 
 
+@st.composite
+def qitt_files(draw):
+    """QITT files of the records of a valid or a malformed stream, some
+    ending 1 to 8 bytes into one record more."""
+    if draw(st.booleans()):
+        stream = draw(valid_streams())
+        codes, times, duration = stream.channels, stream.times_ps, stream.duration_ps
+    else:
+        codes, times, duration = draw(malformed_tags())
+    records = np.empty(len(times), dtype=[("channel", "u1"), ("time_ps", "<u8")])
+    records["channel"] = codes
+    records["time_ps"] = np.array(times, dtype=np.int64).view(np.uint64)
+    cut = draw(st.just(b"") | st.binary(min_size=1, max_size=8))
+    return struct.pack("<4sHHQ", b"QITT", 1, 0, duration) + records.tobytes() + cut
+
+
 class TestStreamInvariant:
     @settings(max_examples=200, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
     @given(tags=malformed_tags())
@@ -780,6 +796,28 @@ class TestStreamInvariant:
             assert back.duration_ps == stream.duration_ps
             assert np.array_equal(back.channels, stream.channels)
             assert np.array_equal(back.times_ps, stream.times_ps)
+
+    @settings(
+        max_examples=300, derandomize=True, deadline=None, suppress_health_check=[SHARED_TMP_PATH]
+    )
+    @given(data=qitt_files(), block=st.integers(1, 100))
+    def test_qitt_block_size_changes_nothing(self, data, block, tmp_path):
+        # Blocks of 27 to 100 bytes cut records at their edges in a plain
+        # file; a cut record is carried over to the next block, and one cut
+        # by the end of the body is a truncated record.
+        path = tmp_path / "tags.qitt"
+        path.write_bytes(data)
+
+        def outcome():
+            try:
+                return read_qitt(str(path))
+            except ValueError as err:
+                return str(err)
+
+        whole = outcome()
+        with mock.patch.object(channel, "_BLOCK", block):
+            cut = outcome()
+        assert same_stream(cut, whole) if isinstance(whole, TimeTagStream) else cut == whole
 
     @pytest.mark.parametrize("code", [256, -1, 2**32])
     def test_codes_checked_before_narrowing(self, code):
@@ -1012,9 +1050,10 @@ class TestStreamInvariant:
             read_tags_csv(str(path))
         assert len(str(err.value)) < 200
 
-    def test_csv_line_without_newline_reads_two_blocks(self, tmp_path):
-        # the reader stops when its two blocks hold no newline; it read the
-        # whole file, and its traced peak was four times the file size
+    def test_csv_line_without_newline_reads_one_buffer(self, tmp_path):
+        # the reader stops when its buffer of a block and 27 bytes holds no
+        # newline; reading the whole file took a traced peak of four times
+        # the file size
         path = tmp_path / "tags.csv"
         path.write_bytes(b"# duration_ps=100\nchannel,time_ps\nsignal," + b"1" * (32 << 20))
         tracemalloc.start()
@@ -1247,7 +1286,7 @@ class TestTagCsvCodec:
                 return str(err)
 
         whole = outcome()
-        with mock.patch.object(channel, "_CSV_BLOCK", block):
+        with mock.patch.object(channel, "_BLOCK", block):
             cut = outcome()
         assert same_stream(cut, whole) if isinstance(whole, TimeTagStream) else cut == whole
 
@@ -1261,7 +1300,7 @@ class TestTagCsvCodec:
         data = (tmp_path / "tags.csv").read_bytes()
         writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
         writer.start()
-        with mock.patch.object(channel, "_CSV_BLOCK", 4096):
+        with mock.patch.object(channel, "_BLOCK", 4096):
             back = read_tags_csv(str(fifo))
         writer.join(timeout=10)
         assert not writer.is_alive()
@@ -1325,6 +1364,8 @@ class TestTagCsvCodec:
             (b"signal,5\nherald,7\nsignal,7\n", 5),
             (b"signal,10\nsignal,07\n", 4),  # zero-led: at a block edge, no record
             (b"signal,5\nherald,5\nsignal,6\nsignal,6\nherald,8\nsignal,7\n", 8),
+            (b"signal,200\nsignal,150\nsignal,99\n", 4),  # out of order before a narrower line
+            (b"signal,5\nsignal,100\nsignal,99\nsignal,9x\n", 5),  # narrower, then a bad line
         ],
     )
     def test_record_below_one_as_wide_names_its_line(self, body, line, tmp_path):
@@ -1332,20 +1373,20 @@ class TestTagCsvCodec:
         # block edge puts a leading zero first in its run, as a bad record
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 1000 + body)
-        for block in (_CSV_BLOCK, 10):
-            with mock.patch.object(channel, "_CSV_BLOCK", block):
+        for block in (_BLOCK, 10):
+            with mock.patch.object(channel, "_BLOCK", block):
                 with pytest.raises(ValueError, match=f" at line {line}(:|$)") as err:
                     read_tags_csv(str(path))
             assert isinstance(err.value, StreamOrderError) or b",0" in body
 
-    @pytest.mark.parametrize("block", [_CSV_BLOCK, 10])
+    @pytest.mark.parametrize("block", [_BLOCK, 10])
     def test_narrower_record_is_out_of_order(self, block, tmp_path):
         # Without leading zeros, fewer digits is a smaller time, so the
         # narrower record is named, also when a block edge falls before it.
         # A narrower line that is no record is a bad record.
         path = tmp_path / "tags.csv"
         head = CSV_HEAD % 1000 + b"signal,5\nsignal,100\nherald,100\n"  # lines 1-5
-        with mock.patch.object(channel, "_CSV_BLOCK", block):
+        with mock.patch.object(channel, "_BLOCK", block):
             path.write_bytes(head + b"signal,99\nsignal,101\n")
             with pytest.raises(StreamOrderError, match="^unsorted stream at line 6$"):
                 read_tags_csv(str(path))
@@ -1353,16 +1394,29 @@ class TestTagCsvCodec:
             with pytest.raises(ValueError, match="^bad tag record at line 6: 'signal,9x'$"):
                 read_tags_csv(str(path))
 
+    @pytest.mark.parametrize("block", [_BLOCK, 10, 1])
+    def test_long_line_quoted_alike_at_every_block_size(self, block, tmp_path):
+        # A line longer than any record is no record, and its first 40 bytes
+        # are quoted. A block is at least 27 bytes, so the buffer of a block
+        # and 27 bytes holds more than 40 of them at every block size.
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 1000 + b"signal,1\nsignal," + b"1" * 40 + b"\n")
+        quote = r"^bad tag record at line 4: 'signal,1{33}'\.\.\.$"
+        with mock.patch.object(channel, "_BLOCK", block):
+            with pytest.raises(ValueError, match=quote):
+                read_tags_csv(str(path))
+
     def test_zero_led_record_then_narrower_across_a_block_edge(self, tmp_path):
         # Two faults: line 4 is zero-led inside a run, line 5 is narrower
-        # than it. In one block the run's width names line 5. Across a block
+        # than it. In one block the narrower line ends the parse, and the
+        # stream's check over the tags up to it names line 4. Across a block
         # edge the width is the stored time's, so line 5 reads, and the
-        # stream names line 4, the first tag out of order.
+        # stream names line 4 too, the first tag out of order.
         path = tmp_path / "tags.csv"
         path.write_bytes(CSV_HEAD % 1000 + b"signal,100\nsignal,050\nsignal,99\n")
-        with pytest.raises(StreamOrderError, match="^unsorted stream at line 5$"):
+        with pytest.raises(StreamOrderError, match="^unsorted stream at line 4$"):
             read_tags_csv(str(path))
-        with mock.patch.object(channel, "_CSV_BLOCK", 27):  # the edge after line 4
+        with mock.patch.object(channel, "_BLOCK", 27):  # the edge after line 4
             with pytest.raises(StreamOrderError, match="^unsorted stream at line 4$"):
                 read_tags_csv(str(path))
 
@@ -1430,7 +1484,7 @@ class TestTagCsvCodec:
             read_tags_csv(str(path))
 
     def test_block_edges(self, tmp_path):
-        """Over four `_CSV_BLOCK`s of records: a record across the first
+        """Over four `_BLOCK`s of records: a record across the first
         block edge, a wider run that starts right at the second, and a
         record whose newline is the first byte of the fourth block."""
         body, times = bytearray(), []
@@ -1449,11 +1503,11 @@ class TestTagCsvCodec:
             records(digits + 1, wide)
             assert len(body) == end
 
-        fill(13, 2 * _CSV_BLOCK)
-        assert body[_CSV_BLOCK - 1] != ord("\n")  # a record across the first edge
-        fill(15, 3 * _CSV_BLOCK + 1)
-        assert body[2 * _CSV_BLOCK + 22] == ord("\n")  # 15 digits from the second edge on
-        assert body[3 * _CSV_BLOCK] == ord("\n")
+        fill(13, 2 * _BLOCK)
+        assert body[_BLOCK - 1] != ord("\n")  # a record across the first edge
+        fill(15, 3 * _BLOCK + 1)
+        assert body[2 * _BLOCK + 22] == ord("\n")  # 15 digits from the second edge on
+        assert body[3 * _BLOCK] == ord("\n")
         records(17, 50)
 
         path = tmp_path / "tags.csv"
