@@ -13,8 +13,10 @@ and so produce the same per-bin statistics:
   counts and Gaussian detector jitter, reduced to click tags with at most
   one tag per channel per bin. It draws only the pulses that carry a
   pulse-locked click, found by geometric gap sampling of one Bernoulli
-  process, so the cost is O(events), not O(pulses). It exists to exercise
-  the correlator and the timing model.
+  process, so the cost is O(events), not O(pulses). Below p = 1/3 the
+  gaps come by inversion of exponential draws, the same integers as
+  numpy's `geometric`. It exists to exercise the correlator and the
+  timing model.
 
 Timing is integer picoseconds: a pulse-locked tag is its pulse time k*T
 plus a whole-picosecond jitter offset. Jamming light is pulse-locked (it is
@@ -196,21 +198,38 @@ def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray
 
     The gaps between successes are geometric (Devroye, Non-Uniform Random
     Variate Generation, 1986). They are drawn in blocks of at most
-    `_TAG_CHUNK`, so time and memory are O(successes), not O(n).
+    `_TAG_CHUNK`, so time and memory are O(successes), not O(n). Below
+    p = 1/3 a block's gaps come by inversion of one array of exponential
+    draws, ceil(-E / log1p(-p)): the integers, and the draws taken, of
+    numpy's `Generator.geometric`, which inverts each draw alone. From
+    p = 1/3 up, numpy searches instead, so its `geometric` draws them.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Bernoulli probability {p} is outside [0, 1]")
     if p == 0.0 or n <= 0:
         return np.empty(0, dtype=np.int64)
+    # A gap above n lands past the last pulse whatever its size, so capping
+    # it at n + 1 changes nothing and keeps the cumulative sum from
+    # wrapping. The float cap is the first double from n + 1 up.
+    cap = float(n + 1)
+    if cap < n + 1:
+        cap = math.nextafter(cap, math.inf)
     parts = []
     last = -1
     while True:
         expect = (n - 1 - last) * p
         size = int(min(_TAG_CHUNK, expect + 4.0 * math.sqrt(expect) + 16.0))
-        # For tiny p the draws saturate at the int64 maximum. A gap above n
-        # lands past the last pulse whatever its size, so capping it at
-        # n + 1 changes nothing and keeps the cumulative sum from wrapping.
-        idx = last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1))
+        if p < 1 / 3:
+            gaps = rng.standard_exponential(size)
+            with np.errstate(over="ignore"):  # a subnormal p: inf, then the cap
+                gaps /= -math.log1p(-p)
+            np.ceil(gaps, out=gaps)
+            idx = np.minimum(gaps, cap, out=gaps).astype(np.int64)
+        else:
+            idx = rng.geometric(p, size)
+            np.minimum(idx, n + 1, out=idx)
+        np.cumsum(idx, out=idx)
+        idx += last
         if idx[-1] >= n:
             parts.append(idx[: np.searchsorted(idx, n)])
             return np.concatenate(parts)
@@ -247,19 +266,26 @@ def simulate_tags(
     )
     p_locked = p11 + p10 + p01
     pulses = _bernoulli_indices(min(1.0, p_locked), n_pulses, rng)
-    u = rng.random(pulses.size) * p_locked
-    sig_pulses = pulses[u < p11 + p10]
-    her_pulses = pulses[(u < p11) | (u >= p11 + p10)]
+    u = rng.random(pulses.size)
+    u *= p_locked
+    sig_pulses = np.compress(u < p11 + p10, pulses)
+    her_pulses = np.compress((u < p11) | (u >= p11 + p10), pulses)
 
     locked = []
     for idx, jitter in ((sig_pulses, ch.jitter_signal_ps), (her_pulses, ch.jitter_herald_ps)):
         t = idx * period
         if jitter > 0:
-            dt = np.rint(rng.normal(0.0, jitter, idx.size))
+            dt = rng.normal(0.0, jitter, idx.size)
+            np.rint(dt, out=dt)
             keep = np.abs(dt) < 2.0**63  # a larger offset leaves the run; no int64 holds it
-            t, dt = t[keep], dt[keep].astype(np.int64)
+            if not keep.all():
+                t, dt = t[keep], dt[keep]
+            dt = dt.astype(np.int64)
             keep = (dt >= -t) & (dt < duration - t)  # t + dt in [0, duration); no sum wraps
-            t = t[keep] + dt[keep]
+            if keep.all():
+                t += dt
+            else:
+                t = t[keep] + dt[keep]
         locked.append(t)
     sig_times, her_times = locked
 
@@ -312,8 +338,11 @@ def bin_indices(times: np.ndarray, bin_width_ps: int, pulse_period_ps: int, n_pu
 
 def _dedupe_bins(times: np.ndarray, bin_width: int, period: int, n_pulses: int) -> np.ndarray:
     """Keep the first tag in each occupied bin; tags between bins pass through."""
+    same = bin_indices(times, bin_width, period, n_pulses)[2]
+    if not same.any():
+        return times
     keep = np.ones(times.size, dtype=bool)
-    keep[1:] = ~bin_indices(times, bin_width, period, n_pulses)[2]
+    np.logical_not(same, out=keep[1:])
     return times[keep]
 
 
@@ -426,10 +455,12 @@ def _qitt_block(buf, end: int, codes: np.ndarray, times: np.ndarray, n: int) -> 
 _CSV_HEADER = b"channel,time_ps"
 _CSV_DURATION = b"# duration_ps="
 _CSV_FIRST_LINE = re.compile(re.escape(_CSV_DURATION) + rb"(\d{1,20})\n")
-_CSV_PREFIX = np.array([b"signal,", b"herald,"], dtype="S7")  # by channel code
+_CSV_PREFIX = (b"signal,", b"herald,")  # by channel code
 DIGIT_BOUNDS = 10 ** np.arange(1, 19, dtype=np.int64)  # the first time of each digit count
 _INT64_MAX = b"%d" % np.iinfo(np.int64).max
-_SIGNAL_WORD, _HERALD_WORD = (int.from_bytes(n, "little") for n in _CSV_PREFIX)
+# the 7 name bytes of each code as one little-endian word, its byte 7 zero
+_NAME_WORDS = np.array([int.from_bytes(n, "little") for n in _CSV_PREFIX], "<u8")
+_SIGNAL_WORD, _HERALD_WORD = _NAME_WORDS.tolist()
 _QUADS = (  # the four ASCII digits of 0..9999, one little-endian word each
     (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48)
     .astype(np.uint8).view("<u4")[:, 0]
@@ -456,7 +487,8 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
 
     Times are sorted, so their digit counts never decrease: the tags of
     one digit count d are one fixed-width byte matrix of 7 name bytes, d
-    digits and a newline, written in pieces of about `_BLOCK` bytes.
+    digits and a newline, written in pieces of about `_BLOCK` bytes. The
+    name goes in as one 8-byte word, whose last byte the digits overwrite.
     """
     times, codes = stream.times_ps, stream.channels
     edges = [0, *np.searchsorted(times, DIGIT_BOUNDS).tolist(), len(stream)]
@@ -467,8 +499,8 @@ def write_tags_csv(stream: TimeTagStream, path: str) -> None:
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
                 rows = np.empty((e - s, d + 8), dtype=np.uint8)
-                rows[:, :7].view("S7")[:, 0] = _CSV_PREFIX[codes[s:e]]
-                put_digits(rows[:, 7:-1], times[s:e])
+                rows[:, :8].view("<u8")[:, 0] = _NAME_WORDS[codes[s:e]]
+                put_digits(rows[:, 7:-1], times[s:e])  # over byte 7 too
                 rows[:, -1] = ord("\n")
                 fh.write(rows)
 

@@ -33,11 +33,15 @@ from .rng import PIXEL_SPACE, substream
 
 def _owned(grid, kind: str) -> np.ndarray:
     """grid as a non-empty 2-D read-only float64 copy, which no caller can
-    write through. The one copy is made here, by the conversion or else by
-    `copy`: an array-like's `__array__` may ignore `copy=True` and hand over
-    its own memory."""
-    g = np.asarray(grid)
-    g = g.astype(np.float64) if g.dtype != np.float64 else g.copy()
+    write through. The one copy is made here: a list or tuple is converted
+    once, into an array of its own; anything else by the conversion or else
+    by `copy`, as an array-like's `__array__` may ignore `copy=True` and
+    hand over its own memory."""
+    if isinstance(grid, (list, tuple)):
+        g = np.array(grid, dtype=np.float64)
+    else:
+        g = np.asarray(grid)
+        g = g.astype(np.float64) if g.dtype != np.float64 else g.copy()
     if g.ndim != 2 or min(g.shape) < 1:
         raise ValueError(f"{kind} grid must be a non-empty 2-D array")
     g.flags.writeable = False

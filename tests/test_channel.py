@@ -1600,15 +1600,39 @@ class TestBernoulliIndices:
         # n = 100, p = 0.01: one block of 21 gaps, twenty of 1 and then 81,
         # so the block's last index is n itself, the first past the trials
         class Gaps:
-            def geometric(self, p, size):
+            def standard_exponential(self, size):
                 assert size == 21
-                return np.array([1] * 20 + [81])
+                # the draws whose inversions ceil(E / -log1p(-p)) are those gaps
+                return np.array([0.5] * 20 + [80.5]) * -math.log1p(-0.01)
 
         assert _bernoulli_indices(0.01, 100, Gaps()).tolist() == list(range(20))
 
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValueError):
             _bernoulli_indices(-1e-3, 10, substream(13, 3))
+
+    @pytest.mark.parametrize(
+        "p, n",
+        [
+            *((p, 10**5) for p in (1.4e-3, 0.3, 1 / 3 - 1e-12, 1 / 3, 0.5, 1.0, 5e-324, 1e-300)),
+            (0.3, 3 * _TAG_CHUNK),
+            # n + 1 rounds down to n as a double, so a gap capped there would land on n - 1
+            (1e-17, 2**54),
+            (5e-324, 2**54),
+        ],
+    )
+    def test_same_indices_as_numpy_geometric(self, p, n):
+        # the block loop with numpy's own geometric draws, on the same substream
+        rng, parts, last = substream(13, 4), [], -1
+        while not parts or parts[-1][-1] < n:
+            expect = (n - 1 - last) * p
+            size = int(min(_TAG_CHUNK, expect + 4.0 * math.sqrt(expect) + 16.0))
+            parts.append(last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1)))
+            last = int(parts[-1][-1])
+        want = np.concatenate(parts)
+        got = _bernoulli_indices(p, n, substream(13, 4))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[: np.searchsorted(want, n)])
 
 
 def dead_time_loop(times: np.ndarray, dead_time_ps: int) -> np.ndarray:

@@ -449,6 +449,18 @@ class TestOwnedGrids:
             tracemalloc.stop()
         assert peak < 1.75 * grid.size * 8
 
+    def test_a_list_is_converted_once(self, kind):
+        # the conversion, then the value check's masks: about 1.4 grids;
+        # converted and then copied, 2.0
+        grid = [[1.0] * 128 for _ in range(128)]
+        tracemalloc.start()
+        try:
+            kind(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 128 * 128 * 8
+
     def test_writing_into_the_grid_raises(self, kind):
         obj = kind(np.ones((2, 2)))
         with pytest.raises(ValueError, match="read-only"):
