@@ -662,17 +662,17 @@ class TestStreamFormats:
         [
             *(int("1234567890123456789"[:d]) for d in range(1, 20)),
             10**9 - 1,
-            10**9,  # the first time with a digit above the int32 low part
+            10**9,  # ten digits: past the word boundary at 8, a leading word of two
             2**31 - 1,
             2**31,
-            12_345_999_999_999,  # the low part at its largest
+            12_345_999_999_999,  # the last word at its largest
             10**18,
             2**63 - 1,
         ],
     )
     def test_times_of_every_digit_count_round_trip(self, time, tmp_path):
-        # a tie at the time and the tag one picosecond before it: the low
-        # nine digits are read in int32, any before them in int64
+        # a tie at the time and the tag one picosecond before it: the digits
+        # are read eight to a word from the last, so 9 and 17 digits start a word
         stream = TimeTagStream.from_arrays([1, 0, 1], [time - 1, time, time], 2**63)
         path = tmp_path / "tags.csv"
         write_tags_csv(stream, str(path))
@@ -784,7 +784,7 @@ class TestStreamInvariant:
     @given(stream=valid_streams())
     @example(stream=TimeTagStream.from_arrays([], [], 0))
     @example(stream=TimeTagStream.from_arrays([], [], 12_500))
-    # ten-digit times past the int32 range: their low digits must stay in int32
+    # ten-digit times: a leading word of two digits, then a whole word of eight
     @example(stream=TimeTagStream.from_arrays([0, 1], [2**31, 9_999_999_999], 10**10))
     def test_round_trip_is_byte_identical(self, stream, tmp_path):
         for write, read in ((write_qitt, read_qitt), (write_tags_csv, read_tags_csv)):
@@ -1187,6 +1187,36 @@ def csv_bodies(draw, zero_led: bool = True):
     return body.encode("ascii")
 
 
+def record_times(d: int):
+    """The times of d digits that a record holds: no leading zero, at most the int64 maximum."""
+    return st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d, 2**63) - 1)
+
+
+def pin_bytes(test):
+    """Pin `test_one_byte_changed_in_a_record` at the bytes either side of
+    the digits, NUL, 0xFF and the digits with their top bit set, at 8, 9,
+    16 and 17 digits: a word that starts at the first digit, or one digit
+    after the name, whose bytes the leading word holds."""
+    d8, d9, d16, d17 = "12345678", "987654321", "1234567890123456", "98765432109876543"
+    pinned = [
+        ("signal", d8, 7, ord("/")),
+        ("herald", d8, 14, ord(":")),
+        ("signal", d8, 6, ord("0")),  # the comma, just before the word
+        ("signal", d9, 7, 0x00),
+        ("herald", d9, 0, 0xFF),  # a name byte the leading word masks
+        ("signal", d16, 15, ord(":")),
+        ("herald", d16, 22, ord("/")),
+        ("signal", d17, 6, 0xFF),
+        ("signal", d17, 8, ord("0")),  # a digit in a later column: accepted
+        ("herald", "9223372036854775807", 25, ord("8")),  # one above the int64 maximum
+        *((["signal", "herald"][i % 2], (d8, d9, d16, d17)[i % 4], 7 + 2 * i, b)
+          for i, b in enumerate(range(0xB0, 0xBA))),
+    ]
+    for name, digits, col, byte in pinned:
+        test = example(name=name, digits=digits, col=col, byte=byte)(test)
+    return test
+
+
 class TestTagCsvCodec:
     @settings(max_examples=200, deadline=None, suppress_health_check=[SHARED_TMP_PATH])
     @given(stream=valid_streams())
@@ -1470,6 +1500,35 @@ class TestTagCsvCodec:
         with pytest.raises(ValueError, match=f"bad tag record at line {line}"):
             read_tags_csv(str(path))
 
+    @settings(
+        max_examples=300, derandomize=True, deadline=None, suppress_health_check=[SHARED_TMP_PATH]
+    )
+    @given(
+        name=st.sampled_from(["signal", "herald"]),
+        digits=st.integers(1, 19).flatmap(record_times).map(str),
+        col=st.integers(0, 25),
+        byte=st.integers(0, 255).filter(lambda b: b != ord("\n")),
+    )
+    @pin_bytes
+    def test_one_byte_changed_in_a_record(self, name, digits, col, byte, tmp_path):
+        # a record after one of time 0, with byte col % width replaced: it
+        # is read as int() reads its digits, or named as a bad record
+        line = bytearray(f"{name},{digits}".encode())
+        line[col % len(line)] = byte
+        head, text = bytes(line[:7]), bytes(line[7:])
+        path = tmp_path / "tags.csv"
+        path.write_bytes(CSV_HEAD % 2**63 + b"signal,0\n" + line + b"\n")
+        leading_zero = len(text) > 1 and text[0] == ord("0")
+        if head in (b"signal,", b"herald,") and text.isdigit() and not leading_zero:
+            if int(text) < 2**63:
+                back = read_tags_csv(str(path))
+                assert back.channels.tolist() == [0, int(head == b"herald,")]
+                assert back.times_ps.tolist() == [0, int(text)]
+                return
+        with pytest.raises(ValueError) as err:
+            read_tags_csv(str(path))
+        assert str(err.value) == f"bad tag record at line 4: {line.decode('ascii', 'replace')!r}"
+
     def test_error_names_the_first_bad_line(self, tmp_path):
         path = tmp_path / "tags.csv"
         head = CSV_HEAD % 100 + b"signal,1\nherald,1\n"  # lines 1-4
@@ -1633,6 +1692,46 @@ class TestBernoulliIndices:
         got = _bernoulli_indices(p, n, substream(13, 4))
         assert got.dtype == np.int64
         assert np.array_equal(got, want[: np.searchsorted(want, n)])
+
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+    def test_huge_runs_match_python_ints(self, p, n):
+        # Gaps near n sum past 2**63 within one block; in int64 they wrapped
+        # (bad indices at 1e-18, a loop that never ended below). The wrapper
+        # fails after a few blocks, so such a loop fails the test.
+        for seed in range(20):
+            got = _bernoulli_indices(p, n, FewBlocks(substream(13, 5, seed)))
+            assert got.dtype == np.int64
+            assert got.tolist() == python_int_indices(p, n, substream(13, 5, seed)), seed
+
+
+class FewBlocks:
+    """A generator that fails its fifth draw: a sampler that draws on
+    without end fails instead of hanging."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.draws = rng, 0
+
+    def standard_exponential(self, size):
+        self.draws += 1
+        assert self.draws <= 4, "the sampler kept drawing blocks"
+        return self.rng.standard_exponential(size)
+
+
+def python_int_indices(p: float, n: int, rng) -> list[int]:
+    """The indices of `_bernoulli_indices` below p = 1/3 in Python ints,
+    with no cap: the same blocks of exponential draws, each gap
+    ceil(E / -log1p(-p)), an infinite one ending the process."""
+    out, last = [], -1
+    while True:
+        expect = (n - 1 - last) * p
+        size = int(min(_TAG_CHUNK, expect + 4.0 * math.sqrt(expect) + 16.0))
+        for e in rng.standard_exponential(size).tolist():
+            gap = e / -math.log1p(-p)
+            if math.isinf(gap) or last + math.ceil(gap) >= n:
+                return out
+            last += math.ceil(gap)
+            out.append(last)
 
 
 def dead_time_loop(times: np.ndarray, dead_time_ps: int) -> np.ndarray:
